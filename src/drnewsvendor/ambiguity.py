@@ -37,6 +37,7 @@ __all__ = [
     "make_fsd_set",
     "BallKind",
     "BernoulliBall",
+    "ball_bounds",
     "make_bernoulli_ball",
 ]
 
@@ -177,6 +178,38 @@ class BernoulliBall:
             )
 
 
+def ball_bounds(tau_hat, epsilon, kind: BallKind | str = BallKind.UNIFORM,
+                theta: float | None = None) -> tuple[np.ndarray, np.ndarray]:
+    """Lower and upper ball bounds around estimates ``tau_hat``, elementwise.
+
+    The uniform half-width is ``epsilon``; the level-adjusted one is
+    ``epsilon * (1 - 4*theta*tau_hat*(1-tau_hat))``, narrower near
+    ``tau_hat = 0.5`` and widest at the bounds. Both are clipped to [0, 1].
+    ``tau_hat`` and ``epsilon`` broadcast against each other; the caller
+    validates ``tau_hat``.
+    """
+    kind = BallKind(kind)
+    eps = np.asarray(epsilon, dtype=float)
+    if np.any(eps < 0.0):
+        raise ValueError(f"ball radius must be non-negative, got {epsilon}")
+    if kind is BallKind.UNIFORM:
+        if theta is not None:
+            raise ValueError("theta only applies to level-adjusted balls")
+        half = eps
+    else:
+        if theta is None:
+            raise ValueError("level-adjusted balls require a shape parameter theta")
+        theta = float(theta)
+        if not (0.0 <= theta < 1.0):
+            raise ValueError(f"theta must lie in [0, 1), got {theta}")
+        if np.any(eps > MAX_LEVEL_ADJUSTED_EPSILON):
+            raise ValueError(
+                f"level-adjusted radius capped at {MAX_LEVEL_ADJUSTED_EPSILON}, got {epsilon}"
+            )
+        half = eps * (1.0 - 4.0 * theta * tau_hat * (1.0 - tau_hat))
+    return np.maximum(tau_hat - half, 0.0), np.minimum(tau_hat + half, 1.0)
+
+
 def make_bernoulli_ball(
     tau_hat: float,
     epsilon: float,
@@ -185,35 +218,16 @@ def make_bernoulli_ball(
 ) -> BernoulliBall:
     """Build a uniform or level-adjusted ball around the estimate ``tau_hat``.
 
-    The uniform half-width is ``epsilon``; the level-adjusted one is
-    ``epsilon * (1 - 4*theta*tau_hat*(1-tau_hat))``, narrower near
-    ``tau_hat = 0.5`` and widest at the bounds. Both are clipped to [0, 1].
+    The bounds are those of :func:`ball_bounds`.
     """
     tau_hat = float(_validate_prob(tau_hat, "tau_hat"))
     kind = BallKind(kind)
-    epsilon = float(epsilon)
-    if epsilon < 0.0:
-        raise ValueError(f"ball radius must be non-negative, got {epsilon}")
-    if kind is BallKind.UNIFORM:
-        if theta is not None:
-            raise ValueError("theta only applies to level-adjusted balls")
-        half = epsilon
-    else:
-        if theta is None:
-            raise ValueError("level-adjusted balls require a shape parameter theta")
-        theta = float(theta)
-        if not (0.0 <= theta < 1.0):
-            raise ValueError(f"theta must lie in [0, 1), got {theta}")
-        if epsilon > MAX_LEVEL_ADJUSTED_EPSILON:
-            raise ValueError(
-                f"level-adjusted radius capped at {MAX_LEVEL_ADJUSTED_EPSILON}, got {epsilon}"
-            )
-        half = epsilon * (1.0 - 4.0 * theta * tau_hat * (1.0 - tau_hat))
+    lo, hi = ball_bounds(tau_hat, float(epsilon), kind, theta)
     return BernoulliBall(
         center=tau_hat,
-        radius=epsilon,
+        radius=float(epsilon),
         kind=kind,
-        shape=theta,
-        tau_lo=max(tau_hat - half, 0.0),
-        tau_hi=min(tau_hat + half, 1.0),
+        shape=None if theta is None else float(theta),
+        tau_lo=float(lo),
+        tau_hi=float(hi),
     )

@@ -11,27 +11,40 @@ cumulative regret difference over time.
 Gate-closure model: offers for all 24 hours of day D are fixed on day
 D-1 using the day-D forecast (issued before gate closure) and penalty
 outcomes settled through day D-2 (one-day settlement lag).
+
+Offers and settlements are array code: for each strategy and parameter
+set, one revenue vector covers every period a call touches, and each
+selection window sums its slice of that vector in period order.
 """
 
 from __future__ import annotations
 
 import csv
 import json
+import math
+import operator
 import warnings
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, replace
 from datetime import datetime
 from enum import Enum
+from itertools import repeat
+from operator import attrgetter
 from pathlib import Path
-from typing import Iterable, Mapping, Sequence
+from typing import Callable, Iterable, Mapping, Sequence
 
 import numpy as np
 
-from .ambiguity import BallKind, make_bernoulli_ball
-from .distributions import PiecewiseLinear, UnitDistribution, read_quantile_forecast, write_quantile_forecast
-from .economics import SettlementInput, StrategyRow, penalties, regret_and_ratio, revenue
+from .ambiguity import BallKind, ball_bounds
+from .distributions import (
+    PiecewiseLinear,
+    PiecewiseLinearBatch,
+    _share_knots,
+    read_quantile_forecast,
+    write_quantile_forecast,
+)
+from .economics import SettlementInput, StrategyRow, penalty_split, regret_and_ratio, revenue
 from .estimation import HourlyTauEstimator
-from .solvers import solve_direct, solve_dr_omega, solve_dr_s, solve_robust_omega, solve_robust_s
+from .solvers import dr_omega_offers, dr_s_rule
 
 __all__ = [
     "MarketRecord",
@@ -61,23 +74,20 @@ STRATEGIES = (
     "robust_omega",
 )
 
-# strategies whose offer depends on the estimated chance of success
-_TAU_STRATEGIES = frozenset({"bn", "dr_omega", "dr_s_uniform", "dr_s_level_adjusted", "robust_omega"})
-
 MARKET_HEADER = ("timestamp", "pi_s", "pi_b", "s_L", "omega_star")
 _TS_FORMAT = "%Y-%m-%dT%H"
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class MarketRecord:
-    """One settlement period with its day-ahead forecast."""
+    """One settlement period with its day-ahead quantile forecast."""
 
     timestamp: datetime
     pi_s: float
     pi_b: float
     s_l: float
     omega_star: float
-    forecast: UnitDistribution
+    forecast: PiecewiseLinear
 
     def __post_init__(self):
         if not (0.0 <= self.omega_star <= 1.0):
@@ -125,6 +135,8 @@ class BacktestPlan:
                 f"largest m ({max(self.m_grid)}) cannot exceed the tau window "
                 f"minus one ({self.tau_window_days - 1})"
             )
+        if self.fallback_tau is not None and not (0.0 <= self.fallback_tau <= 1.0):
+            raise ValueError(f"fallback tau must lie in [0, 1], got {self.fallback_tau}")
 
 
 def _param_grid(strategy: str, plan: BacktestPlan) -> list[dict]:
@@ -191,118 +203,153 @@ class BacktestReport:
     eval_days: tuple[int, int]
 
 
+def _check(timestamps: Sequence[datetime], ok: np.ndarray,
+           describe: Callable[[int], str]) -> None:
+    """Raise for the first period where ``ok`` fails, naming its timestamp."""
+    if not np.all(ok):
+        i = int(np.argmin(ok))
+        raise ValueError(f"{timestamps[i].isoformat()}: {describe(i)}")
+
+
+def _unit(values: np.ndarray) -> np.ndarray:
+    return (values >= 0.0) & (values <= 1.0)
+
+
+def _day_range(days: np.ndarray, first_day: int, last_day: int) -> tuple[int, int]:
+    """Index range of the entries of the sorted ``days`` in ``first_day..last_day``."""
+    return (int(np.searchsorted(days, first_day, side="left")),
+            int(np.searchsorted(days, last_day, side="right")))
+
+
 class _MarketFrame:
-    """Day/hour-indexed view of a record list with a shared tau estimator."""
+    """Period-ordered columns of a record list and its tau estimator.
+
+    Periods are keyed by (day, hour), day 1 holding the first record; a
+    repeated key keeps the later record.
+    """
 
     def __init__(self, records: Sequence[MarketRecord]):
         if not records:
             raise ValueError("no market records")
-        for prev, cur in zip(records, records[1:]):
-            if cur.timestamp <= prev.timestamp:
-                raise ValueError(
-                    f"records must be strictly ordered by timestamp; "
-                    f"{cur.timestamp.isoformat()} follows {prev.timestamp.isoformat()}"
-                )
-        self.first_date = records[0].timestamp.date()
-        self.by_period: dict[tuple[int, int], MarketRecord] = {}
-        for rec in records:
-            day = (rec.timestamp.date() - self.first_date).days + 1
-            self.by_period[(day, rec.timestamp.hour)] = rec
-        self.n_days = max(d for d, _ in self.by_period)
-        self.estimator = HourlyTauEstimator(
-            (day, hour, penalties(rec.pi_s, rec.pi_b, rec.s_l))
-            for (day, hour), rec in self.by_period.items()
+        stamps = list(map(attrgetter("timestamp"), records))
+        if not all(map(operator.lt, stamps, stamps[1:])):
+            for prev, cur in zip(stamps, stamps[1:]):
+                if cur <= prev:
+                    raise ValueError(
+                        f"records must be strictly ordered by timestamp; "
+                        f"{cur.isoformat()} follows {prev.isoformat()}"
+                    )
+        ordinal = np.fromiter(map(datetime.toordinal, stamps), np.int64, len(stamps))
+        hour = np.fromiter(map(attrgetter("hour"), stamps), np.int64, len(stamps))
+        key = (ordinal - ordinal[0] + 1) * 24 + hour
+        _, last_reversed = np.unique(key[::-1], return_index=True)
+        kept = len(stamps) - 1 - last_reversed
+
+        def column(name: str) -> np.ndarray:
+            return np.fromiter(map(attrgetter(name), records), float, len(records))[kept]
+
+        self.day, self.hour = np.divmod(key[kept], 24)
+        self.n_days = int(self.day[-1])
+        self.timestamps = tuple(stamps[i] for i in kept.tolist())
+        self.pi_s, self.pi_b = column("pi_s"), column("pi_b")
+        self.s_l, self.omega = column("s_l"), column("omega_star")
+        self.forecasts = [records[i].forecast for i in kept.tolist()]
+        if not all(map(isinstance, self.forecasts, repeat(PiecewiseLinear))):
+            for ts, forecast in zip(self.timestamps, self.forecasts):
+                if not isinstance(forecast, PiecewiseLinear):
+                    raise ValueError(
+                        f"{ts.isoformat()}: backtest forecasts must be quantile forecasts "
+                        f"(PiecewiseLinear), got {forecast!r}"
+                    )
+        _check(self.timestamps, _unit(self.omega),
+               lambda i: f"omega_star must lie in [0, 1], got {self.omega[i]}")
+        self.estimator = HourlyTauEstimator.from_columns(
+            self.day, self.hour, *penalty_split(self.pi_s, self.pi_b, self.s_l)
         )
-        self._tau_cache: dict[tuple[int, int, int], float] = {}
 
-    def periods_in(self, first_day: int, last_day: int) -> list[tuple[int, int]]:
-        return [
-            (day, hour)
-            for day in range(first_day, last_day + 1)
-            for hour in range(24)
-            if (day, hour) in self.by_period
-        ]
+    def periods(self, first_day: int, last_day: int) -> np.ndarray:
+        """Indices of the periods of days ``first_day`` to ``last_day``."""
+        return np.arange(*_day_range(self.day, first_day, last_day))
 
-    def tau_hat(self, day: int, hour: int, m: int, fallback: float | None) -> float:
-        key = (m, day, hour)
-        hit = self._tau_cache.get(key)
-        if hit is None:
+
+class _Span:
+    """Every strategy's offers and revenues over a period-ordered set of periods.
+
+    Tau is estimated only for the span's own periods, so a window without
+    usable outcomes raises only where an offer needs it.
+    """
+
+    def __init__(self, frame: _MarketFrame, plan: BacktestPlan, periods: np.ndarray):
+        self.periods = periods
+        self.timestamps = tuple(frame.timestamps[i] for i in periods.tolist())
+        self.day, self.hour = frame.day[periods], frame.hour[periods]
+        self.pi_s, self.pi_b, self.s_l = frame.pi_s[periods], frame.pi_b[periods], frame.s_l[periods]
+        self.omega = frame.omega[periods]
+        self.forecast = PiecewiseLinearBatch([frame.forecasts[i] for i in periods.tolist()])
+        self.mean = self.forecast.mean()
+        self._estimator = frame.estimator
+        self._fallback = plan.fallback_tau
+        self._tau: dict[int, np.ndarray] = {}
+
+    def __len__(self) -> int:
+        return self.day.size
+
+    def tau_hat(self, m: int) -> np.ndarray:
+        tau = self._tau.get(m)
+        if tau is None:
             # target day-1: the window [day-1-m, day-2] respects the settlement lag
-            hit = self.estimator.forecast(day - 1, hour, m, fallback_tau=fallback)
-            self._tau_cache[key] = hit
-        return hit
+            tau = self._estimator.forecast_many(self.day - 1, self.hour, m, self._fallback)
+            _check(self.timestamps, _unit(tau),
+                   lambda i: f"tau_hat must lie in [0, 1], got {tau[i]}")
+            self._tau[m] = tau
+        return tau
+
+    def offers(self, strategy: str, params: Mapping[str, float]) -> np.ndarray:
+        if strategy == "oracle":
+            y = self.omega
+        elif strategy == "robust_s":
+            y = self.mean
+        else:
+            tau = self.tau_hat(int(params["m"]))
+            if strategy == "bn":
+                y = self.forecast.quantile(tau)
+            elif strategy == "robust_omega":
+                y = tau
+            elif strategy == "dr_omega":
+                y = dr_omega_offers(self.forecast, tau, params["rho"])[0]
+            elif strategy in ("dr_s_uniform", "dr_s_level_adjusted"):
+                if strategy == "dr_s_uniform":
+                    lo, hi = ball_bounds(tau, params["epsilon"], BallKind.UNIFORM)
+                else:
+                    lo, hi = ball_bounds(tau, params["epsilon"], BallKind.LEVEL_ADJUSTED,
+                                         theta=params["theta"])
+                _check(self.timestamps, (0.0 <= lo) & (lo <= tau) & (tau <= hi) & (hi <= 1.0),
+                       lambda i: f"ball bounds must satisfy 0 <= lo <= tau_hat <= hi <= 1, "
+                                 f"got [{lo[i]}, {hi[i]}] around {tau[i]}")
+                y = dr_s_rule(self.forecast.quantile(lo), self.forecast.quantile(hi), self.mean)[0]
+            else:
+                raise ValueError(f"unknown strategy {strategy!r}")
+        _check(self.timestamps, _unit(y), lambda i: f"offer must lie in [0, 1], got {y[i]}")
+        return y
+
+    def revenues(self, strategy: str, params: Mapping[str, float]) -> np.ndarray:
+        y = self.offers(strategy, params)
+        return revenue(SettlementInput(self.pi_s, self.pi_b, self.s_l, y, self.omega))
 
 
-def _strategy_offer(
-    strategy: str,
-    rec: MarketRecord,
-    tau_hat: float | None,
-    params: Mapping[str, float],
-) -> float:
-    if strategy == "oracle":
-        return rec.omega_star
-    if strategy == "bn":
-        return solve_direct(rec.forecast, tau_hat).y_star
-    if strategy == "dr_omega":
-        return solve_dr_omega(rec.forecast, tau_hat, params["rho"]).y_star
-    if strategy == "dr_s_uniform":
-        ball = make_bernoulli_ball(tau_hat, params["epsilon"], BallKind.UNIFORM)
-        return solve_dr_s(rec.forecast, ball).y_star
-    if strategy == "dr_s_level_adjusted":
-        ball = make_bernoulli_ball(
-            tau_hat, params["epsilon"], BallKind.LEVEL_ADJUSTED, theta=params["theta"]
-        )
-        return solve_dr_s(rec.forecast, ball).y_star
-    if strategy == "robust_s":
-        return solve_robust_s(rec.forecast).y_star
-    if strategy == "robust_omega":
-        return solve_robust_omega(tau_hat).y_star
-    raise ValueError(f"unknown strategy {strategy!r}")
-
-
-def _offer_for(frame: _MarketFrame, plan: BacktestPlan, strategy: str,
-               params: Mapping[str, float], day: int, hour: int) -> float:
-    rec = frame.by_period[(day, hour)]
-    tau = None
-    if strategy in _TAU_STRATEGIES:
-        tau = frame.tau_hat(day, hour, int(params["m"]), plan.fallback_tau)
-    return _strategy_offer(strategy, rec, tau, params)
-
-
-def _span_revenue(frame: _MarketFrame, plan: BacktestPlan, strategy: str,
-                  params: Mapping[str, float], first_day: int, last_day: int) -> float:
-    total = 0.0
-    for day, hour in frame.periods_in(first_day, last_day):
-        rec = frame.by_period[(day, hour)]
-        y = _offer_for(frame, plan, strategy, params, day, hour)
-        total += revenue(SettlementInput(rec.pi_s, rec.pi_b, rec.s_l, y, rec.omega_star))
-    return total
-
-
-def _select_on_window(frame: _MarketFrame, plan: BacktestPlan,
-                      first_day: int, last_day: int, threads: int) -> dict[str, dict]:
-    chosen: dict[str, dict] = {}
+def _select(span: _Span, plan: BacktestPlan, windows: Sequence[tuple[int, int]]) -> list[dict]:
+    """Each strategy's best grid point on each index window of the span."""
+    chosen: list[dict] = [{} for _ in windows]
     for strategy in plan.strategies:
         grid = _param_grid(strategy, plan)
-        if threads > 1 and len(grid) > 1:
-            # tau lookups are cached per frame; prime them serially so the
-            # pool workers only read
-            for day, hour in frame.periods_in(first_day, last_day):
-                if strategy in _TAU_STRATEGIES:
-                    for m in {int(p["m"]) for p in grid}:
-                        frame.tau_hat(day, hour, m, plan.fallback_tau)
-            with ThreadPoolExecutor(max_workers=threads) as pool:
-                totals = list(pool.map(
-                    lambda p: _span_revenue(frame, plan, strategy, p, first_day, last_day),
-                    grid,
-                ))
-        else:
-            totals = [
-                _span_revenue(frame, plan, strategy, params, first_day, last_day)
-                for params in grid
-            ]
-        best = int(np.argmax(totals))  # ties keep the earliest grid point
-        chosen[strategy] = dict(grid[best])
+        totals = np.empty((len(grid), len(windows)))
+        for g, params in enumerate(grid):
+            rev = span.revenues(strategy, params)
+            for w, (a, b) in enumerate(windows):
+                # a running total in period order; np.sum would sum pairwise
+                totals[g, w] = np.add.accumulate(rev[a:b])[-1] if b > a else 0.0
+        for w, best in enumerate(np.argmax(totals, axis=0)):  # ties keep the earliest grid point
+            chosen[w][strategy] = dict(grid[best])
     return chosen
 
 
@@ -313,25 +360,25 @@ def cross_validate(records: Sequence[MarketRecord], plan: BacktestPlan,
     Fixed-window mode evaluates the single window at the end of the warm
     start. Sliding mode re-selects for every evaluation day on the trailing
     window of the same length, ending at day-2 so the selection only sees
-    outcomes already settled at the day's gate closure. Grid points may
-    evaluate in parallel; results do not depend on ``threads``.
+    outcomes already settled at the day's gate closure. The work is serial
+    array code; ``threads`` is accepted for compatibility and changes nothing.
     """
     frame = _MarketFrame(records)
     if frame.n_days < plan.warm_start_days:
         raise ValueError(
             f"insufficient history: {frame.n_days} days < warm start {plan.warm_start_days}"
         )
-    cv_first = plan.tau_window_days + 1
-    cv_last = plan.warm_start_days
     if plan.cv_mode is CvMode.FIXED_WINDOW:
-        return ChosenParameters(
-            mode=CvMode.FIXED_WINDOW,
-            static=_select_on_window(frame, plan, cv_first, cv_last, threads),
-        )
-    per_day: dict[int, dict] = {}
-    for day in range(plan.warm_start_days + 1, frame.n_days + 1):
-        per_day[day] = _select_on_window(frame, plan, day - 1 - plan.cv_days, day - 2, threads)
-    return ChosenParameters(mode=CvMode.SLIDING, per_day=per_day)
+        span = _Span(frame, plan, frame.periods(plan.tau_window_days + 1, plan.warm_start_days))
+        return ChosenParameters(mode=CvMode.FIXED_WINDOW,
+                                static=_select(span, plan, [(0, len(span))])[0])
+    days = range(plan.warm_start_days + 1, frame.n_days + 1)
+    if not days:
+        return ChosenParameters(mode=CvMode.SLIDING, per_day={})
+    span = _Span(frame, plan, frame.periods(days[0] - 1 - plan.cv_days, days[-1] - 2))
+    windows = [_day_range(span.day, day - 1 - plan.cv_days, day - 2) for day in days]
+    return ChosenParameters(mode=CvMode.SLIDING,
+                            per_day=dict(zip(days, _select(span, plan, windows))))
 
 
 def offers_for_day(records: Sequence[MarketRecord], plan: BacktestPlan,
@@ -343,14 +390,11 @@ def offers_for_day(records: Sequence[MarketRecord], plan: BacktestPlan,
     ``day - 2``.
     """
     frame = _MarketFrame(records)
+    span = _Span(frame, plan, frame.periods(day, day))
     out: dict[str, dict[int, float]] = {}
     for strategy in plan.strategies:
-        params = chosen.params_for(strategy, day)
-        out[strategy] = {
-            hour: _offer_for(frame, plan, strategy, params, day, hour)
-            for d, hour in frame.periods_in(day, day)
-            if d == day
-        }
+        offers = span.offers(strategy, chosen.params_for(strategy, day))
+        out[strategy] = dict(zip(span.hour.tolist(), offers.tolist()))
     return out
 
 
@@ -361,32 +405,34 @@ def run_backtest(records: Sequence[MarketRecord], plan: BacktestPlan,
     first_eval = plan.warm_start_days + 1
     if frame.n_days < first_eval:
         raise ValueError("no evaluation days after the warm start")
-    periods = frame.periods_in(first_eval, frame.n_days)
-    if not periods:
+    span = _Span(frame, plan, frame.periods(first_eval, frame.n_days))
+    if not len(span):
         raise ValueError("evaluation span holds no records")
 
-    timestamps = tuple(frame.by_period[p].timestamp for p in periods)
-    volumes = np.array([frame.by_period[p].omega_star for p in periods])
-    oracle_rev = np.array([
-        revenue(SettlementInput(r.pi_s, r.pi_b, r.s_l, r.omega_star, r.omega_star))
-        for r in (frame.by_period[p] for p in periods)
-    ])
-
+    oracle_rev = revenue(SettlementInput(span.pi_s, span.pi_b, span.s_l, span.omega, span.omega))
+    days = np.unique(span.day).tolist()
     revenues: dict[str, np.ndarray] = {}
     for strategy in plan.strategies:
-        series = np.empty(len(periods))
-        for i, (day, hour) in enumerate(periods):
-            rec = frame.by_period[(day, hour)]
+        # one revenue vector per distinct parameter set, over the days that chose it
+        groups: dict[tuple, tuple[Mapping[str, float], list[int]]] = {}
+        for day in days:
             params = chosen.params_for(strategy, day)
-            y = _offer_for(frame, plan, strategy, params, day, hour)
-            series[i] = revenue(SettlementInput(rec.pi_s, rec.pi_b, rec.s_l, y, rec.omega_star))
+            groups.setdefault(tuple(sorted(params.items())), (params, []))[1].append(day)
+        if len(groups) == 1:
+            (params, _), = groups.values()
+            revenues[strategy] = span.revenues(strategy, params)
+            continue
+        series = np.empty(len(span))
+        for params, on_days in groups.values():
+            on = np.isin(span.day, on_days)
+            series[on] = _Span(frame, plan, span.periods[on]).revenues(strategy, params)
         revenues[strategy] = series
 
     reference = "bn" if "bn" in plan.strategies else None
-    rows = regret_and_ratio(revenues, oracle_rev, volumes, reference=reference)
+    rows = regret_and_ratio(revenues, oracle_rev, span.omega, reference=reference)
     return BacktestReport(
-        timestamps=timestamps,
-        volumes=volumes,
+        timestamps=span.timestamps,
+        volumes=span.omega.copy(),
         oracle_revenues=oracle_rev,
         revenues=revenues,
         rows=rows,
@@ -413,13 +459,15 @@ def scale_penalties(records: Sequence[MarketRecord], factor: float) -> list[Mark
 def load_market_data(market_csv, forecast_dir, strict: bool = False) -> list[MarketRecord]:
     """Read the hourly market CSV and resolve one forecast file per record.
 
-    Schema violations raise with the offending row and column named. Gaps
-    in the hourly grid warn, or raise when ``strict`` is set.
+    Schema violations, non-finite prices and system lengths, and a mix of
+    naive and timezone-aware timestamps raise with the offending row and
+    column named. Gaps in the hourly grid warn, or raise when ``strict``
+    is set.
     """
     market_csv = Path(market_csv)
     forecast_dir = Path(forecast_dir)
     records: list[MarketRecord] = []
-    forecast_cache: dict[str, PiecewiseLinear] = {}
+    forecast: PiecewiseLinear | None = None
     with market_csv.open(newline="") as fh:
         reader = csv.reader(fh)
         header = next(reader, None)
@@ -449,12 +497,19 @@ def load_market_data(market_csv, forecast_dir, strict: bool = False) -> list[Mar
                     raise ValueError(
                         f"{market_csv}:{lineno}: column {col!r}: non-numeric {cell!r}"
                     ) from exc
+                if not math.isfinite(floats[-1]):
+                    raise ValueError(f"{market_csv}:{lineno}: column {col!r}: non-finite {cell!r}")
             pi_s, pi_b, s_l, omega = floats
             if not (0.0 <= omega <= 1.0):
                 raise ValueError(
                     f"{market_csv}:{lineno}: column 'omega_star': {omega} outside [0, 1]"
                 )
             if prev_ts is not None:
+                if (ts.utcoffset() is None) != (prev_ts.utcoffset() is None):
+                    raise ValueError(
+                        f"{market_csv}:{lineno}: column 'timestamp': {row[0].strip()!r} mixes "
+                        f"naive and timezone-aware timestamps with the rows before it"
+                    )
                 if ts <= prev_ts:
                     raise ValueError(f"{market_csv}:{lineno}: timestamps must be strictly increasing")
                 gap = int((ts - prev_ts).total_seconds() // 3600) - 1
@@ -464,14 +519,11 @@ def load_market_data(market_csv, forecast_dir, strict: bool = False) -> list[Mar
                         raise ValueError(msg)
                     warnings.warn(msg)
             prev_ts = ts
-            fname = ts.strftime(_TS_FORMAT) + ".csv"
-            fpath = forecast_dir / fname
-            if not fpath.exists():
-                raise ValueError(f"{market_csv}:{lineno}: forecast file {fpath} not found")
-            forecast = forecast_cache.get(fname)
-            if forecast is None:
-                forecast = read_quantile_forecast(fpath)
-                forecast_cache[fname] = forecast
+            fpath = forecast_dir / (ts.strftime(_TS_FORMAT) + ".csv")
+            try:
+                forecast = _share_knots(read_quantile_forecast(fpath), forecast)
+            except FileNotFoundError as exc:
+                raise ValueError(f"{market_csv}:{lineno}: forecast file {fpath} not found") from exc
             records.append(MarketRecord(ts, pi_s, pi_b, s_l, omega, forecast))
     if not records:
         raise ValueError(f"{market_csv}: no data rows")

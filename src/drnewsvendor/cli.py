@@ -326,7 +326,8 @@ def _add_backtest_flags(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--fallback-tau", type=float, default=None)
     parser.add_argument("--penalty-scale", type=float, default=1.0)
     parser.add_argument("--threads", type=int, default=1,
-                        help="parallel grid evaluation; never changes results")
+                        help="accepted for compatibility; the backtest runs as serial "
+                             "array code and results never depend on it")
 
 
 def _load_backtest_inputs(args):

@@ -14,6 +14,7 @@ import csv
 from abc import ABC, abstractmethod
 from dataclasses import dataclass, field
 from pathlib import Path
+from typing import Sequence
 
 import numpy as np
 from scipy import integrate, special
@@ -21,6 +22,7 @@ from scipy import integrate, special
 __all__ = [
     "UnitDistribution",
     "PiecewiseLinear",
+    "PiecewiseLinearBatch",
     "Beta",
     "Uniform01",
     "Heaviside",
@@ -54,8 +56,10 @@ class UnitDistribution(ABC):
     concurrent tasks. Subclasses must provide the CDF and quantile
     function; ``mean`` and ``partial_expectations`` default to adaptive
     quadrature of the CDF and should be overridden where a closed form
-    exists.
+    exists. Every query accepts a scalar or an array, elementwise.
     """
+
+    __slots__ = ()
 
     @abstractmethod
     def cdf(self, x):
@@ -78,15 +82,24 @@ class UnitDistribution(ABC):
         )
         return float(val)
 
-    def partial_expectations(self, y: float) -> tuple[float, float]:
+    def partial_expectations(self, y):
         """Expected overage and underage volumes at offer ``y``.
 
         Returns ``(under, over)`` where ``under = E[(y - omega)+]``
         (the integral of the CDF up to ``y``) and
         ``over = E[(omega - y)+]`` (the integral of the survival function
         above ``y``). The two are linked by ``under - over = y - mean``.
+        Like ``quantile``, an array ``y`` gives arrays of the same shape.
         """
-        y = float(_validate_prob(y, "y"))
+        arr = _validate_prob(y, "y")
+        under = np.empty(arr.shape)
+        over = np.empty(arr.shape)
+        for idx, value in np.ndenumerate(arr):
+            under[idx], over[idx] = self._partial_expectations_at(float(value))
+        return _match_input(y, under), _match_input(y, over)
+
+    def _partial_expectations_at(self, y: float) -> tuple[float, float]:
+        """``(under, over)`` at one offer, by quadrature of the CDF."""
         pts = [b for b in self._breakpoints() if 0.0 < b < y] or None
         under, _ = integrate.quad(
             lambda x: float(self.cdf(x)), 0.0, y,
@@ -113,6 +126,9 @@ class PiecewiseLinear(UnitDistribution):
     right-continuous at the atom.
     """
 
+    # a backtest holds one forecast per hour, so each carries no more than its knots
+    __slots__ = ("_ps", "_xs", "_mean")
+
     def __init__(self, levels, values):
         levels = np.asarray(levels, dtype=float)
         values = np.asarray(values, dtype=float)
@@ -128,9 +144,7 @@ class PiecewiseLinear(UnitDistribution):
             raise ValueError("values must be non-decreasing")
         self._ps = np.concatenate(([0.0], levels, [1.0]))
         self._xs = np.concatenate(([0.0], values, [1.0]))
-        # exact cumulative integral of the quantile function at each knot
-        seg = np.diff(self._ps) * (self._xs[:-1] + self._xs[1:]) / 2.0
-        self._cum = np.concatenate(([0.0], np.cumsum(seg)))
+        self._mean = float(self._knot_integrals()[-1])
 
     @property
     def levels(self) -> np.ndarray:
@@ -151,27 +165,33 @@ class PiecewiseLinear(UnitDistribution):
         return _match_input(p, np.interp(arr, self._ps, self._xs))
 
     def mean(self) -> float:
-        return float(self._cum[-1])
+        return self._mean
 
     def _breakpoints(self) -> tuple[float, ...]:
         # knot values are kinks (or atoms) of the CDF
         interior = np.unique(self._xs)
         return tuple(float(x) for x in interior if 0.0 < x < 1.0)
 
-    def _quantile_integral(self, p: float) -> float:
-        """Exact integral of the quantile function over [0, p]."""
-        i = int(np.searchsorted(self._ps, p, side="right")) - 1
-        if i >= self._ps.size - 1:
-            return float(self._cum[-1])
-        qp = np.interp(p, self._ps, self._xs)
-        return float(self._cum[i] + (p - self._ps[i]) * (self._xs[i] + qp) / 2.0)
+    def _knot_integrals(self) -> np.ndarray:
+        """Exact integral of the quantile function from 0 to each knot."""
+        seg = np.diff(self._ps) * (self._xs[:-1] + self._xs[1:]) / 2.0
+        return np.concatenate(([0.0], np.cumsum(seg)))
 
-    def partial_expectations(self, y: float) -> tuple[float, float]:
-        y = float(_validate_prob(y, "y"))
-        p_star = float(self.cdf(y))
-        under = y * p_star - self._quantile_integral(p_star)
-        over = under - y + self.mean()
-        return max(under, 0.0), max(over, 0.0)
+    def _quantile_integral(self, p: np.ndarray) -> np.ndarray:
+        """Exact integral of the quantile function over [0, p]."""
+        cum = self._knot_integrals()
+        last = self._ps.size - 1
+        i = np.minimum(np.searchsorted(self._ps, p, side="right") - 1, last)
+        qp = np.interp(p, self._ps, self._xs)
+        inner = cum[i] + (p - self._ps[i]) * (self._xs[i] + qp) / 2.0
+        return np.where(i >= last, cum[-1], inner)
+
+    def partial_expectations(self, y):
+        arr = _validate_prob(y, "y")
+        p_star = np.interp(arr, self._xs, self._ps)
+        under = arr * p_star - self._quantile_integral(p_star)
+        over = under - arr + self.mean()
+        return _match_input(y, np.maximum(under, 0.0)), _match_input(y, np.maximum(over, 0.0))
 
     def __repr__(self) -> str:
         return f"PiecewiseLinear({self._ps.size - 2} knots)"
@@ -207,14 +227,14 @@ class Beta(UnitDistribution):
         s = self.a + self.b
         return self.a * self.b / (s * s * (s + 1.0))
 
-    def partial_expectations(self, y: float) -> tuple[float, float]:
+    def partial_expectations(self, y):
         # E[(y-w)+] = y*I_y(a,b) - mu*I_y(a+1,b); exact, no quadrature needed
-        y = float(_validate_prob(y, "y"))
+        arr = _validate_prob(y, "y")
         mu = self.mean()
-        under = y * float(special.betainc(self.a, self.b, y)) \
-            - mu * float(special.betainc(self.a + 1.0, self.b, y))
-        over = under - y + mu
-        return max(under, 0.0), max(over, 0.0)
+        under = arr * special.betainc(self.a, self.b, arr) \
+            - mu * special.betainc(self.a + 1.0, self.b, arr)
+        over = under - arr + mu
+        return _match_input(y, np.maximum(under, 0.0)), _match_input(y, np.maximum(over, 0.0))
 
     def __repr__(self) -> str:
         return f"Beta({self.a:g}, {self.b:g})"
@@ -234,9 +254,9 @@ class Uniform01(UnitDistribution):
     def mean(self) -> float:
         return 0.5
 
-    def partial_expectations(self, y: float) -> tuple[float, float]:
-        y = float(_validate_prob(y, "y"))
-        return y * y / 2.0, (1.0 - y) ** 2 / 2.0
+    def partial_expectations(self, y):
+        arr = _validate_prob(y, "y")
+        return _match_input(y, arr * arr / 2.0), _match_input(y, (1.0 - arr) ** 2 / 2.0)
 
     def __repr__(self) -> str:
         return "Uniform01()"
@@ -260,15 +280,59 @@ class Heaviside(UnitDistribution):
     def mean(self) -> float:
         return self.location
 
-    def partial_expectations(self, y: float) -> tuple[float, float]:
-        y = float(_validate_prob(y, "y"))
-        return max(y - self.location, 0.0), max(self.location - y, 0.0)
+    def partial_expectations(self, y):
+        arr = _validate_prob(y, "y")
+        return (_match_input(y, np.maximum(arr - self.location, 0.0)),
+                _match_input(y, np.maximum(self.location - arr, 0.0)))
 
     def _breakpoints(self) -> tuple[float, ...]:
         return (self.location,)
 
     def __repr__(self) -> str:
         return f"Heaviside({self.location:g})"
+
+
+class PiecewiseLinearBatch:
+    """Many piecewise-linear forecasts stacked as knot matrices, one row each.
+
+    ``quantile(p)`` evaluates row ``i`` at ``p[i]`` and ``mean()`` gives
+    every row's mean, bit-for-bit as the row's own PiecewiseLinear would.
+    Rows with fewer knots are padded with the (1, 1) anchor.
+    """
+
+    def __init__(self, dists: Sequence[PiecewiseLinear]):
+        sizes = np.fromiter((d._xs.size for d in dists), dtype=np.int64, count=len(dists))
+        width = int(sizes.max()) if sizes.size else 2
+        self._ps = _stack_rows([d._ps for d in dists], sizes, width)
+        self._xs = _stack_rows([d._xs for d in dists], sizes, width)
+        self._means = np.fromiter((d._mean for d in dists), dtype=float, count=len(dists))
+
+    def quantile(self, p) -> np.ndarray:
+        """Row-wise ``np.interp(p[i], levels[i], values[i])``, with its arithmetic."""
+        p = _validate_prob(p, "p")
+        if p.shape != self._means.shape:
+            raise ValueError(f"need one probability per row ({self._means.size}), got shape {p.shape}")
+        ps, xs = self._ps, self._xs
+        rows = np.arange(p.size)
+        last = ps.shape[1] - 1
+        j = np.count_nonzero(ps <= p[:, None], axis=1) - 1
+        j1 = np.minimum(j + 1, last)
+        p0, x0 = ps[rows, j], xs[rows, j]
+        # a knot hit (p = 1 included) returns the knot value, as np.interp
+        # does; the slope past the last knot is 0/0 and never selected
+        with np.errstate(all="ignore"):
+            slope = (xs[rows, j1] - x0) / (ps[rows, j1] - p0)
+            return np.where(p0 == p, x0, slope * (p - p0) + x0)
+
+    def mean(self) -> np.ndarray:
+        return self._means.copy()
+
+
+def _stack_rows(rows: list[np.ndarray], sizes: np.ndarray, width: int) -> np.ndarray:
+    """Rows of ``sizes`` lengths as a matrix, each padded on the right with 1."""
+    out = np.ones((sizes.size, width))
+    out[np.arange(width) < sizes[:, None]] = np.concatenate(rows or [np.empty(0)])
+    return out
 
 
 @dataclass
@@ -337,6 +401,20 @@ def read_quantile_forecast(path) -> PiecewiseLinear:
         return PiecewiseLinear(levels, values)
     except ValueError as exc:
         raise ValueError(f"{path}: {exc}") from exc
+
+
+def _share_knots(dist: PiecewiseLinear, previous: PiecewiseLinear | None) -> PiecewiseLinear:
+    """``previous`` when it has the knots of ``dist``, else ``dist``.
+
+    A ``dist`` on the levels of ``previous`` takes over its level array, so
+    a run of forecasts on common levels stores them once.
+    """
+    if previous is None or not np.array_equal(dist._ps, previous._ps):
+        return dist
+    if np.array_equal(dist._xs, previous._xs):
+        return previous
+    dist._ps = previous._ps
+    return dist
 
 
 def write_quantile_forecast(dist: PiecewiseLinear, path) -> None:

@@ -3,7 +3,8 @@
 Revenue, the overage/underage penalty split, extraction of the binary
 penalty-direction outcome, the scaled opportunity loss, and its
 expectation against a predictive distribution. Prices are plain reals in
-currency per MWh; no currency rounding is applied.
+currency per MWh; no currency rounding is applied. Settlement, the
+penalty split and the expected loss work elementwise on arrays.
 """
 
 from __future__ import annotations
@@ -19,9 +20,11 @@ __all__ = [
     "SettlementInput",
     "PenaltyPair",
     "effective_balancing_price",
+    "penalty_split",
     "revenue",
     "penalties",
     "bernoulli_outcome",
+    "bernoulli_outcomes",
     "scaled_loss",
     "expected_loss",
     "StrategyRow",
@@ -31,7 +34,10 @@ __all__ = [
 
 @dataclass(frozen=True)
 class SettlementInput:
-    """One settlement period: prices, system length, offer and realization."""
+    """Settlement periods: prices, system length, offer and realization.
+
+    Fields are scalars for one period or aligned arrays for many.
+    """
 
     pi_s: float
     pi_b: float
@@ -61,36 +67,44 @@ class PenaltyPair:
 def effective_balancing_price(pi_s: float, pi_b: float, s_l: float,
                               y: float, omega_star: float) -> float:
     """Price applied to the imbalance: pi_b when it aggravates the system, pi_s otherwise."""
-    if (omega_star - y) * s_l > 0.0:
-        return float(pi_b)
-    return float(pi_s)
+    price = np.where((np.asarray(omega_star, dtype=float) - y) * s_l > 0.0, pi_b, pi_s)
+    return float(price) if price.ndim == 0 else price
 
 
-def revenue(inp: SettlementInput) -> float:
+def revenue(inp: SettlementInput):
     """Producer revenue: day-ahead payment plus the settled imbalance."""
     pi_eff = effective_balancing_price(inp.pi_s, inp.pi_b, inp.s_l, inp.y, inp.omega_star)
     return inp.pi_s * inp.y + pi_eff * (inp.omega_star - inp.y)
 
 
-def penalties(pi_s: float, pi_b: float, s_l: float) -> PenaltyPair:
-    """Split the price spread into overage/underage penalties by system length.
+def penalty_split(pi_s, pi_b, s_l) -> tuple[np.ndarray, np.ndarray]:
+    """Overage and underage penalties by system length, elementwise.
 
     A non-negative system length penalizes overproduction, a negative one
     underproduction. Negative values (spread opposing the system sign) are
-    clamped to zero, leaving a no-penalty pair.
+    clamped to zero, leaving no penalty.
     """
-    if s_l >= 0.0:
-        return PenaltyPair(overage=max(pi_s - pi_b, 0.0), underage=0.0)
-    return PenaltyPair(overage=0.0, underage=max(pi_b - pi_s, 0.0))
+    long_system = np.asarray(s_l, dtype=float) >= 0.0
+    overage = np.where(long_system, np.maximum(np.subtract(pi_s, pi_b), 0.0), 0.0)
+    underage = np.where(long_system, 0.0, np.maximum(np.subtract(pi_b, pi_s), 0.0))
+    return overage, underage
+
+
+def penalties(pi_s: float, pi_b: float, s_l: float) -> PenaltyPair:
+    """One period's :func:`penalty_split` as a validated pair."""
+    overage, underage = penalty_split(pi_s, pi_b, s_l)
+    return PenaltyPair(overage=float(overage), underage=float(underage))
+
+
+def bernoulli_outcomes(overage, underage) -> np.ndarray:
+    """Binary penalty direction, elementwise: 1 for overage, 0 for underage, NaN when unpenalized."""
+    return np.where(np.asarray(overage) > 0.0, 1.0, np.where(np.asarray(underage) > 0.0, 0.0, np.nan))
 
 
 def bernoulli_outcome(pair: PenaltyPair) -> int | None:
-    """Binary penalty direction: 1 for overage, 0 for underage, None when unpenalized."""
-    if pair.overage > 0.0:
-        return 1
-    if pair.underage > 0.0:
-        return 0
-    return None
+    """One period's :func:`bernoulli_outcomes`, None when unpenalized."""
+    outcome = float(bernoulli_outcomes(pair.overage, pair.underage))
+    return None if np.isnan(outcome) else int(outcome)
 
 
 def scaled_loss(y: float, omega: float, s: float) -> float:
@@ -103,8 +117,8 @@ def scaled_loss(y: float, omega: float, s: float) -> float:
     return s * max(omega - y, 0.0) + (1.0 - s) * max(y - omega, 0.0)
 
 
-def expected_loss(dist: UnitDistribution, y: float, tau: float) -> float:
-    """Expected scaled loss of offer ``y`` when the chance of success is ``tau``."""
+def expected_loss(dist: UnitDistribution, y, tau: float):
+    """Expected scaled loss of offer(s) ``y`` when the chance of success is ``tau``."""
     tau = float(_validate_prob(tau, "tau"))
     under, over = dist.partial_expectations(y)
     return (1.0 - tau) * under + tau * over

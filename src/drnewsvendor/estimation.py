@@ -14,7 +14,7 @@ from typing import Iterable, Sequence
 
 import numpy as np
 
-from .economics import PenaltyPair, bernoulli_outcome
+from .economics import PenaltyPair, bernoulli_outcomes
 
 __all__ = [
     "TauEstimatorConfig",
@@ -49,6 +49,13 @@ def estimate_tau(samples: Sequence[float]) -> float:
     return float(arr.mean())
 
 
+def _no_outcomes(hour: int, window_days: int, day: int) -> ValueError:
+    return ValueError(
+        f"no usable outcomes for hour {hour} in the {window_days} days "
+        f"before day {day}; supply a fallback tau to proceed"
+    )
+
+
 class HourlyTauEstimator:
     """Per-hour moving-average forecaster over settled penalty outcomes.
 
@@ -58,24 +65,33 @@ class HourlyTauEstimator:
     """
 
     def __init__(self, history: Iterable[tuple[int, int, PenaltyPair]]):
-        by_hour: dict[int, list[tuple[int, int, float, float]]] = {}
-        for day, hour, pair in history:
-            s = bernoulli_outcome(pair)
-            if s is None:
-                continue
-            by_hour.setdefault(int(hour), []).append(
-                (int(day), s, pair.overage, pair.underage)
-            )
+        rows = [(int(day), int(hour), pair.overage, pair.underage) for day, hour, pair in history]
+        days, hours = (np.array([r[i] for r in rows], dtype=np.int64) for i in (0, 1))
+        overage, underage = (np.array([r[i] for r in rows], dtype=float) for i in (2, 3))
+        self._index(days, hours, overage, underage)
+
+    @classmethod
+    def from_columns(cls, days, hours, overage, underage) -> "HourlyTauEstimator":
+        """The estimator over aligned per-period columns, as from :func:`penalty_split`."""
+        est = cls.__new__(cls)
+        est._index(np.asarray(days, dtype=np.int64), np.asarray(hours, dtype=np.int64),
+                   np.asarray(overage, dtype=float), np.asarray(underage, dtype=float))
+        return est
+
+    def _index(self, days, hours, overage, underage) -> None:
+        outcome = bernoulli_outcomes(overage, underage)
+        usable = ~np.isnan(outcome)
         self._hours: dict[int, tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]] = {}
-        for hour, entries in by_hour.items():
-            entries.sort(key=lambda e: e[0])
-            days = np.array([e[0] for e in entries], dtype=np.int64)
-            if np.any(np.diff(days) == 0):
+        for hour in np.unique(hours[usable]):
+            at = np.flatnonzero(usable & (hours == hour))
+            at = at[np.argsort(days[at], kind="stable")]
+            bucket_days = days[at]
+            if np.any(np.diff(bucket_days) == 0):
                 raise ValueError(f"duplicate day for hour {hour}")
-            ones = np.concatenate(([0], np.cumsum([e[1] for e in entries])))
-            po = np.concatenate(([0.0], np.cumsum([e[2] for e in entries])))
-            pu = np.concatenate(([0.0], np.cumsum([e[3] for e in entries])))
-            self._hours[hour] = (days, ones, po, pu)
+            ones = np.concatenate(([0.0], np.cumsum(outcome[at])))
+            po = np.concatenate(([0.0], np.cumsum(overage[at])))
+            pu = np.concatenate(([0.0], np.cumsum(underage[at])))
+            self._hours[int(hour)] = (bucket_days, ones, po, pu)
 
     def forecast(
         self,
@@ -85,42 +101,58 @@ class HourlyTauEstimator:
         fallback_tau: float | None = None,
     ) -> float:
         """Mean outcome at ``hour`` over the ``window_days`` days before ``day``."""
+        return float(self.forecast_many([day], [hour], window_days, fallback_tau)[0])
+
+    def forecast_many(self, days, hours, window_days: int,
+                      fallback_tau: float | None = None) -> np.ndarray:
+        """Mean outcome at each target hour over the ``window_days`` days before its day.
+
+        ``days`` and ``hours`` are aligned arrays. Without a fallback, the
+        first target whose window holds no usable outcome raises.
+        """
         if window_days < 1:
             raise ValueError(f"window must cover at least one day, got {window_days}")
-        tau, _ = self._window(day, hour, window_days)
-        if tau is None:
+        days = np.asarray(days, dtype=np.int64)
+        hours = np.asarray(hours, dtype=np.int64)
+        tau = np.full(days.shape, np.nan)
+        for hour in np.unique(hours):
+            if int(hour) not in self._hours:
+                continue
+            bucket_days, ones, _, _ = self._hours[int(hour)]
+            at = np.flatnonzero(hours == hour)
+            lo = np.searchsorted(bucket_days, days[at] - window_days, side="left")
+            hi = np.searchsorted(bucket_days, days[at] - 1, side="right")
+            count = hi - lo
+            filled = count > 0
+            tau[at[filled]] = (ones[hi] - ones[lo])[filled] / count[filled]
+        missing = np.isnan(tau)
+        if np.any(missing):
             if fallback_tau is None:
-                raise ValueError(
-                    f"no usable outcomes for hour {hour} in the {window_days} days "
-                    f"before day {day}; supply a fallback tau to proceed"
-                )
-            return float(fallback_tau)
+                i = int(np.argmax(missing))
+                raise _no_outcomes(hours[i], window_days, days[i])
+            tau[missing] = float(fallback_tau)
         return tau
 
     def diagnostics(self, day: int, hour: int, window_days: int) -> dict[str, float]:
         """Windowed penalty averages alongside the frequency estimate."""
-        tau, extras = self._window(day, hour, window_days)
-        out = {"tau_hat": float("nan") if tau is None else tau}
-        out.update(extras)
-        return out
+        tau = self.forecast_many([day], [hour], window_days, fallback_tau=float("nan"))[0]
+        return {"tau_hat": float(tau), **self._window(day, hour, window_days)}
 
-    def _window(self, day: int, hour: int, window_days: int):
+    def _window(self, day: int, hour: int, window_days: int) -> dict[str, float]:
         bucket = self._hours.get(int(hour))
         if bucket is None:
-            return None, {"count": 0.0, "mean_overage": 0.0, "mean_underage": 0.0}
-        days, ones, po, pu = bucket
+            return {"count": 0.0, "mean_overage": 0.0, "mean_underage": 0.0}
+        days, _, po, pu = bucket
         lo = int(np.searchsorted(days, day - window_days, side="left"))
         hi = int(np.searchsorted(days, day - 1, side="right"))
         count = hi - lo
         if count <= 0:
-            return None, {"count": 0.0, "mean_overage": 0.0, "mean_underage": 0.0}
-        n_ones = float(ones[hi] - ones[lo])
-        extras = {
+            return {"count": 0.0, "mean_overage": 0.0, "mean_underage": 0.0}
+        return {
             "count": float(count),
             "mean_overage": float((po[hi] - po[lo]) / count),
             "mean_underage": float((pu[hi] - pu[lo]) / count),
         }
-        return n_ones / count, extras
 
 
 def hourly_tau_forecast(

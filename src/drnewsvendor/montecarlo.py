@@ -22,8 +22,10 @@ from typing import Mapping, Sequence
 
 import numpy as np
 
+from .ambiguity import ball_bounds
 from .distributions import UnitDistribution, _validate_prob
 from .economics import expected_loss
+from .solvers import dr_s_rule
 
 __all__ = [
     "SimConfig",
@@ -124,10 +126,7 @@ def loss_curve(dist: UnitDistribution, taus: Sequence[float], y_grid: Sequence[f
     ys = np.asarray(y_grid, dtype=float)
     taus = np.asarray(taus, dtype=float)
     _validate_prob(taus, "taus")
-    unders = np.empty(ys.size)
-    overs = np.empty(ys.size)
-    for j, y in enumerate(ys):
-        unders[j], overs[j] = dist.partial_expectations(float(y))
+    unders, overs = dist.partial_expectations(ys)
     return np.outer(1.0 - taus, unders) + np.outer(taus, overs)
 
 
@@ -157,31 +156,20 @@ def _draw_count_blocks(config: SimConfig, m: int, stream_base: int) -> np.ndarra
 def _losses_for_offers(dist: UnitDistribution, tau_true: float, offers: np.ndarray) -> np.ndarray:
     flat = np.asarray(offers, dtype=float).ravel()
     uniq, inverse = np.unique(flat, return_inverse=True)
-    vals = np.array([expected_loss(dist, float(y), tau_true) for y in uniq])
+    vals = np.asarray(expected_loss(dist, uniq, tau_true), dtype=float)
     return vals[inverse].reshape(np.shape(offers))
-
-
-def _dr_offers(dist: UnitDistribution, tau_hats: np.ndarray, half_widths: np.ndarray) -> np.ndarray:
-    """Vectorized robust offers; branch logic identical to solve_dr_s."""
-    lo = np.clip(tau_hats - half_widths, 0.0, 1.0)
-    hi = np.clip(tau_hats + half_widths, 0.0, 1.0)
-    q_lo = np.asarray(dist.quantile(lo), dtype=float)
-    q_hi = np.asarray(dist.quantile(hi), dtype=float)
-    mu = dist.mean()
-    return np.where(q_hi < mu, q_hi, np.where(q_lo > mu, q_lo, mu))
 
 
 def _dr_loss_table(config: SimConfig, m: int, kind: str) -> np.ndarray:
     """Expected loss per (epsilon, tau_hat value) for one ball kind."""
     grid = np.asarray(config.epsilon_grid, dtype=float)
     tau_hats = np.arange(m + 1, dtype=float) / m
-    eps = grid[:, None]
-    if kind == "uniform":
-        half = np.broadcast_to(eps, (grid.size, m + 1))
-    else:
-        half = eps * (1.0 - 4.0 * config.theta * tau_hats * (1.0 - tau_hats))[None, :]
-    offers = _dr_offers(config.true_dist, np.broadcast_to(tau_hats, half.shape), half)
-    return _losses_for_offers(config.true_dist, config.true_tau, offers)
+    theta = config.theta if kind == "level_adjusted" else None
+    lo, hi = ball_bounds(tau_hats[None, :], grid[:, None], kind, theta)
+    dist = config.true_dist
+    offers, _ = dr_s_rule(np.asarray(dist.quantile(lo), dtype=float),
+                          np.asarray(dist.quantile(hi), dtype=float), dist.mean())
+    return _losses_for_offers(dist, config.true_tau, offers)
 
 
 def _block_gammas(counts_blocks: np.ndarray, bn_table: np.ndarray,

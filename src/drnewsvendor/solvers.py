@@ -2,8 +2,11 @@
 
 All solvers return an :class:`OfferDecision` carrying the offer, the rule
 that produced it and the intermediate quantities (quantiles, ball bounds,
-mean) useful for diagnosis. They are pure functions of their inputs and
-safe for arbitrary parallel invocation.
+mean) useful for diagnosis. They are pure functions of their inputs.
+
+The two robust rules are written once, as array functions
+(:func:`dr_omega_offers`, :func:`dr_s_rule`) that the scalar solvers,
+the backtest and the Monte-Carlo harness all call.
 """
 
 from __future__ import annotations
@@ -26,6 +29,9 @@ __all__ = [
     "solve_dr_s",
     "solve_robust_s",
     "solve_robust_omega",
+    "DR_S_BRANCHES",
+    "dr_omega_offers",
+    "dr_s_rule",
     "WorstCaseCdf",
     "worst_case_cdf",
 ]
@@ -60,52 +66,69 @@ def solve_direct(dist: UnitDistribution, tau_hat: float) -> OfferDecision:
     return OfferDecision(y, Method.DIRECT, {"tau_hat": tau_hat})
 
 
-def solve_dr_omega(dist: UnitDistribution, tau_hat: float, rho: float) -> OfferDecision:
-    """Robust offer under generation-forecast ambiguity of radius ``rho``.
+def dr_omega_offers(dist, tau_hat, rho: float):
+    """Forecast-robust offers at estimates ``tau_hat``, elementwise.
 
     The offer is the tau_hat-weighted combination of the two deformed
     quantiles at level tau_hat. ``rho = 1`` is handled as its analytic
-    limit, where the offer equals tau_hat itself.
+    limit, where the bands are the Heaviside pair and the offer equals
+    tau_hat itself. ``dist`` is a distribution or a
+    :class:`PiecewiseLinearBatch` (row ``i`` at ``tau_hat[i]``). Returns
+    ``(offer, q_upper, q_lower)``.
     """
-    tau_hat = float(_validate_prob(tau_hat, "tau_hat"))
     rho = float(rho)
     if not (0.0 <= rho <= 1.0):
         raise ValueError(f"rho must lie in [0, 1], got {rho}")
+    tau_hat = np.asarray(tau_hat, dtype=float)
     if rho == 1.0:
-        return OfferDecision(
-            tau_hat, Method.DR_OMEGA,
-            {"tau_hat": tau_hat, "rho": rho, "q_upper": 0.0, "q_lower": 1.0},
-        )
-    q_upper = float(deform_upper(dist, rho).quantile(tau_hat))
-    q_lower = float(deform_lower(dist, rho).quantile(tau_hat))
-    y = tau_hat * q_lower + (1.0 - tau_hat) * q_upper
-    return OfferDecision(
-        y, Method.DR_OMEGA,
-        {"tau_hat": tau_hat, "rho": rho, "q_upper": q_upper, "q_lower": q_lower},
-    )
+        q_upper, q_lower = np.zeros_like(tau_hat), np.ones_like(tau_hat)
+    else:
+        q_upper = np.asarray(deform_upper(dist, rho).quantile(tau_hat), dtype=float)
+        q_lower = np.asarray(deform_lower(dist, rho).quantile(tau_hat), dtype=float)
+    return tau_hat * q_lower + (1.0 - tau_hat) * q_upper, q_upper, q_lower
 
 
-def solve_dr_s(dist: UnitDistribution, ball: BernoulliBall) -> OfferDecision:
-    """Robust offer under chance-of-success ambiguity.
+# the DR-S branches, in the order of dr_s_rule's branch index
+DR_S_BRANCHES = ("upper_quantile", "lower_quantile", "mean")
+
+
+def dr_s_rule(q_lo, q_hi, mean):
+    """Chance-robust offers from the quantiles at the ball bounds, elementwise.
 
     Exactly one branch fires: the quantile at the ball's upper bound when it
     sits left of the mean, the quantile at the lower bound when that sits
     right of the mean, and the mean itself otherwise (ties included).
+    Returns ``(offer, branch)``, ``branch`` indexing :data:`DR_S_BRANCHES`.
     """
+    branch = np.where(q_hi < mean, 0, np.where(q_lo > mean, 1, 2))
+    return np.choose(branch, (q_hi, q_lo, mean)), branch
+
+
+def solve_dr_omega(dist: UnitDistribution, tau_hat: float, rho: float) -> OfferDecision:
+    """Robust offer under generation-forecast ambiguity of radius ``rho``.
+
+    See :func:`dr_omega_offers`.
+    """
+    tau_hat = float(_validate_prob(tau_hat, "tau_hat"))
+    y, q_upper, q_lower = dr_omega_offers(dist, tau_hat, rho)
+    return OfferDecision(
+        float(y), Method.DR_OMEGA,
+        {"tau_hat": tau_hat, "rho": float(rho), "q_upper": float(q_upper),
+         "q_lower": float(q_lower)},
+    )
+
+
+def solve_dr_s(dist: UnitDistribution, ball: BernoulliBall) -> OfferDecision:
+    """Robust offer under chance-of-success ambiguity; see :func:`dr_s_rule`."""
     mu = float(dist.mean())
     q_hi = float(dist.quantile(ball.tau_hi))
     q_lo = float(dist.quantile(ball.tau_lo))
-    if q_hi < mu:
-        y, branch = q_hi, "upper_quantile"
-    elif q_lo > mu:
-        y, branch = q_lo, "lower_quantile"
-    else:
-        y, branch = mu, "mean"
+    y, branch = dr_s_rule(q_lo, q_hi, mu)
     return OfferDecision(
-        y, Method.DR_S,
+        float(y), Method.DR_S,
         {
             "tau_hat": ball.center, "tau_lo": ball.tau_lo, "tau_hi": ball.tau_hi,
-            "q_lo": q_lo, "q_hi": q_hi, "mean": mu, "branch": branch,
+            "q_lo": q_lo, "q_hi": q_hi, "mean": mu, "branch": DR_S_BRANCHES[int(branch)],
         },
     )
 
@@ -176,8 +199,7 @@ class WorstCaseCdf(UnitDistribution):
     def mean(self) -> float:
         return 1.0 - self._cdf_integral(1.0)
 
-    def partial_expectations(self, y: float) -> tuple[float, float]:
-        y = float(_validate_prob(y, "y"))
+    def _partial_expectations_at(self, y: float) -> tuple[float, float]:
         under = self._cdf_integral(y)
         over = under - y + self.mean()
         return max(under, 0.0), max(over, 0.0)

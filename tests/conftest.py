@@ -4,9 +4,14 @@ from __future__ import annotations
 
 import numpy as np
 import pytest
+from hypothesis import settings
 from scipy.integrate import cumulative_trapezoid, trapezoid
 
 from drnewsvendor import Beta, PiecewiseLinear
+
+# property tests draw the same examples on every run and never time out
+settings.register_profile("reproducible", derandomize=True, deadline=None, database=None)
+settings.load_profile("reproducible")
 
 
 def random_beta(rng: np.random.Generator) -> Beta:

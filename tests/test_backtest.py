@@ -119,6 +119,20 @@ def test_load_two_row_fixture(tmp_path):
     assert isinstance(recs[1].forecast, PiecewiseLinear)
 
 
+def test_load_stores_repeated_knots_once(tmp_path):
+    market, fdir = _write_fixture(tmp_path, [
+        (f"2020-01-01T0{h}:00:00", 50.0, 40.0, 1.0, 0.5) for h in range(4)
+    ])
+    (fdir / "2020-01-01T02.csv").write_text("level,value\n0.25,0.1\n0.5,0.4\n0.75,0.9\n")
+    (fdir / "2020-01-01T03.csv").write_text("level,value\n0.2,0.1\n0.5,0.4\n0.75,0.9\n")
+    a, b, c, d = (rec.forecast for rec in load_market_data(market, fdir))
+    assert b is a
+    assert c is not b and c._ps is a._ps
+    assert d._ps is not c._ps
+    assert c.quantile(0.6) == PiecewiseLinear([0.25, 0.5, 0.75], [0.1, 0.4, 0.9]).quantile(0.6)
+    assert d.quantile(0.3) == PiecewiseLinear([0.2, 0.5, 0.75], [0.1, 0.4, 0.9]).quantile(0.3)
+
+
 def test_load_errors_name_row_and_column(tmp_path):
     market = tmp_path / "m.csv"
     market.write_text("")
@@ -145,6 +159,17 @@ def test_load_errors_name_row_and_column(tmp_path):
     (fdir / "2020-01-01T00.csv").unlink()
     with pytest.raises(ValueError, match="forecast file"):
         load_market_data(m, fdir)
+
+
+def test_load_rejects_non_finite_numbers(tmp_path):
+    for col, row in (
+        ("pi_s", ("2020-01-01T00:00:00", "nan", 40.0, 1.0, 0.5)),
+        ("pi_b", ("2020-01-01T00:00:00", 50.0, "inf", 1.0, 0.5)),
+        ("s_L", ("2020-01-01T00:00:00", 50.0, 40.0, "-inf", 0.5)),
+    ):
+        m, fdir = _write_fixture(tmp_path, [row])
+        with pytest.raises(ValueError, match=rf"m.csv:2: column '{col}': non-finite"):
+            load_market_data(m, fdir)
 
 
 def test_load_gap_warns_and_strict_fails(tmp_path):
@@ -229,6 +254,19 @@ def test_plan_validation():
         BacktestPlan(strategies=("bn", "alpha"))
     with pytest.raises(ValueError, match="largest m"):
         BacktestPlan(m_grid=(95,))
+
+
+def test_plan_rejects_fallback_tau_outside_unit_interval():
+    for bad in (-0.1, 1.5, float("nan")):
+        with pytest.raises(ValueError, match="fallback tau"):
+            BacktestPlan(fallback_tau=bad)
+
+
+def test_backtest_rejects_non_quantile_forecasts():
+    recs = small_market()
+    recs[100] = replace(recs[100], forecast=Beta(2, 6))
+    with pytest.raises(ValueError, match=recs[100].timestamp.isoformat()):
+        cross_validate(recs, SMALL_PLAN)
 
 
 # ---------- evaluation ----------

@@ -1,0 +1,263 @@
+"""The array offer kernel against the scalar rules it replaces.
+
+Each reference below is the per-offer arithmetic written out with Python
+floats, one offer at a time; the array code must reproduce it bit for bit.
+"""
+
+from dataclasses import replace
+
+import numpy as np
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from scipy import special
+
+from drnewsvendor import (
+    BacktestPlan,
+    BallKind,
+    Beta,
+    CvMode,
+    Heaviside,
+    HourlyTauEstimator,
+    PiecewiseLinear,
+    SettlementInput,
+    Uniform01,
+    cross_validate,
+    deform_lower,
+    deform_upper,
+    make_bernoulli_ball,
+    make_synthetic_market,
+    penalties,
+    revenue,
+    run_backtest,
+    solve_direct,
+    solve_dr_omega,
+    solve_dr_s,
+    solve_robust_omega,
+    solve_robust_s,
+    standard_forecast_levels,
+)
+from drnewsvendor.ambiguity import ball_bounds
+from drnewsvendor.backtest import STRATEGIES, _param_grid
+from drnewsvendor.distributions import PiecewiseLinearBatch
+from drnewsvendor.solvers import dr_omega_offers, dr_s_rule
+
+unit = st.floats(min_value=0.0, max_value=1.0)
+# atoms come from repeated values; knots sit strictly inside (0, 1)
+knot_value = st.one_of(unit, st.sampled_from([0.0, 0.25, 0.5, 1.0]))
+knot_level = st.floats(min_value=0.0, max_value=1.0, exclude_min=True, exclude_max=True)
+
+
+@st.composite
+def forecasts(draw):
+    levels = sorted(set(draw(st.lists(knot_level, min_size=1, max_size=24))))
+    values = sorted(draw(st.lists(knot_value, min_size=len(levels), max_size=len(levels))))
+    return PiecewiseLinear(levels, values)
+
+
+@st.composite
+def rows(draw):
+    """Forecasts with one chance of success each: endpoints, knot hits, anything."""
+    dists = draw(st.lists(forecasts(), min_size=1, max_size=8))
+    taus = [draw(st.one_of(st.sampled_from([0.0, 1.0]), unit,
+                           st.sampled_from(d.levels.tolist()))) for d in dists]
+    return dists, np.array(taus)
+
+
+def reference_dr_omega(dist, tau, rho):
+    if rho == 1.0:
+        return tau
+    q_upper = float(deform_upper(dist, rho).quantile(tau))
+    q_lower = float(deform_lower(dist, rho).quantile(tau))
+    return tau * q_lower + (1.0 - tau) * q_upper
+
+
+def reference_dr_s(dist, tau, eps, theta):
+    half = eps if theta is None else eps * (1.0 - 4.0 * theta * tau * (1.0 - tau))
+    lo, hi = max(tau - half, 0.0), min(tau + half, 1.0)
+    mu = float(dist.mean())
+    q_hi, q_lo = float(dist.quantile(hi)), float(dist.quantile(lo))
+    if q_hi < mu:
+        return q_hi
+    if q_lo > mu:
+        return q_lo
+    return mu
+
+
+@settings(max_examples=200)
+@given(rows())
+def test_batch_quantile_and_mean_match_each_row(data):
+    dists, taus = data
+    batch = PiecewiseLinearBatch(dists)
+    expect = [np.interp(t, np.r_[0.0, d.levels, 1.0], np.r_[0.0, d.values, 1.0])
+              for d, t in zip(dists, taus)]
+    assert batch.quantile(taus).tolist() == expect
+    assert batch.quantile(taus).tolist() == [d.quantile(t) for d, t in zip(dists, taus)]
+    assert batch.mean().tolist() == [d.mean() for d in dists]
+
+
+@settings(max_examples=200)
+@given(rows(), st.one_of(st.sampled_from([0.0, 1.0]), st.floats(0.0, 0.99)))
+def test_dr_omega_kernel_matches_scalar(data, rho):
+    dists, taus = data
+    offers = dr_omega_offers(PiecewiseLinearBatch(dists), taus, rho)[0].tolist()
+    assert offers == [solve_dr_omega(d, t, rho).y_star for d, t in zip(dists, taus)]
+    assert offers == [reference_dr_omega(d, float(t), rho) for d, t in zip(dists, taus)]
+
+
+@settings(max_examples=200)
+@given(rows(), st.one_of(st.just(0.0), st.floats(0.0, 0.3), st.floats(0.5, 5.0)),
+       st.one_of(st.none(), st.floats(0.0, 0.99)))
+def test_dr_s_kernel_matches_scalar(data, eps, theta):
+    dists, taus = data
+    kind = BallKind.UNIFORM if theta is None else BallKind.LEVEL_ADJUSTED
+    batch = PiecewiseLinearBatch(dists)
+    lo, hi = ball_bounds(taus, eps, kind, theta)
+    offers = dr_s_rule(batch.quantile(lo), batch.quantile(hi), batch.mean())[0].tolist()
+    scalar = [solve_dr_s(d, make_bernoulli_ball(t, eps, kind, theta)).y_star
+              for d, t in zip(dists, taus)]
+    assert offers == scalar
+    assert offers == [reference_dr_s(d, float(t), eps, theta) for d, t in zip(dists, taus)]
+
+
+# ---------- partial expectations ----------
+
+
+def reference_partial(dist, y):
+    """The scalar closed forms, one offer at a time."""
+    if isinstance(dist, Beta):
+        mu = dist.mean()
+        under = y * float(special.betainc(dist.a, dist.b, y)) \
+            - mu * float(special.betainc(dist.a + 1.0, dist.b, y))
+        return max(under, 0.0), max(under - y + mu, 0.0)
+    if isinstance(dist, Uniform01):
+        return y * y / 2.0, (1.0 - y) ** 2 / 2.0
+    if isinstance(dist, Heaviside):
+        return max(y - dist.location, 0.0), max(dist.location - y, 0.0)
+    ps, xs = np.r_[0.0, dist.levels, 1.0], np.r_[0.0, dist.values, 1.0]
+    cum = np.concatenate(([0.0], np.cumsum(np.diff(ps) * (xs[:-1] + xs[1:]) / 2.0)))
+    p = float(np.interp(y, xs, ps))
+    i = int(np.searchsorted(ps, p, side="right")) - 1
+    if i >= ps.size - 1:
+        integral = float(cum[-1])
+    else:
+        integral = float(cum[i] + (p - ps[i]) * (xs[i] + np.interp(p, ps, xs)) / 2.0)
+    under = y * p - integral
+    return max(under, 0.0), max(under - y + dist.mean(), 0.0)
+
+
+distributions = st.one_of(
+    st.builds(Beta, st.floats(0.3, 9.0), st.floats(0.3, 9.0)),
+    st.just(Uniform01()),
+    st.builds(Heaviside, unit),
+    forecasts(),
+)
+
+
+@settings(max_examples=200)
+@given(distributions, st.lists(st.one_of(st.sampled_from([0.0, 1.0]), unit), min_size=1,
+                               max_size=12))
+def test_array_partial_expectations_match_scalar(dist, ys):
+    under, over = dist.partial_expectations(np.array(ys))
+    assert under.shape == over.shape == (len(ys),)
+    for y, u, o in zip(ys, under.tolist(), over.tolist()):
+        assert (u, o) == dist.partial_expectations(y) == reference_partial(dist, y)
+
+
+# ---------- cross-validation against a naive loop ----------
+
+
+def jittered_market(n_days, seed):
+    """Hourly forecasts of their own, some with fewer knots and an atom."""
+    base = make_synthetic_market(n_days=n_days, master_seed=seed)
+    rng = np.random.default_rng(seed)
+    levels = standard_forecast_levels()
+    out = []
+    for i, rec in enumerate(base):
+        values = Beta(*rng.uniform(1.5, 7.0, size=2)).quantile(levels)
+        if i % 5 == 2:
+            fc = PiecewiseLinear([0.1, 0.4, 0.5, 0.9], [values[2], values[8], values[8], values[17]])
+        else:
+            fc = PiecewiseLinear(levels, values)
+        out.append(replace(rec, forecast=fc))
+    return out
+
+
+NAIVE_PLAN = BacktestPlan(
+    warm_start_days=24, tau_window_days=16, cv_days=8, m_grid=(2, 9),
+    rho_grid=(0.0, 0.15, 1.0), epsilon_grid=(0.0, 0.05, 0.2, 2.0), theta_grid=(0.5, 0.9),
+    strategies=STRATEGIES, fallback_tau=0.5,
+)
+
+
+class NaiveBacktest:
+    """One scalar offer and one settlement at a time, as the protocol reads."""
+
+    def __init__(self, records):
+        first = records[0].timestamp.date()
+        self.periods = {((r.timestamp.date() - first).days + 1, r.timestamp.hour): r
+                        for r in records}
+        self.estimator = HourlyTauEstimator(
+            (day, hour, penalties(r.pi_s, r.pi_b, r.s_l))
+            for (day, hour), r in self.periods.items())
+        self.settled = {}
+
+    def offer(self, strategy, params, day, hour):
+        rec = self.periods[(day, hour)]
+        if strategy == "oracle":
+            return rec.omega_star
+        if strategy == "robust_s":
+            return solve_robust_s(rec.forecast).y_star
+        tau = self.estimator.forecast(day - 1, hour, params["m"], NAIVE_PLAN.fallback_tau)
+        if strategy == "bn":
+            return solve_direct(rec.forecast, tau).y_star
+        if strategy == "robust_omega":
+            return solve_robust_omega(tau).y_star
+        if strategy == "dr_omega":
+            return solve_dr_omega(rec.forecast, tau, params["rho"]).y_star
+        theta = params.get("theta")
+        kind = BallKind.UNIFORM if theta is None else BallKind.LEVEL_ADJUSTED
+        return solve_dr_s(rec.forecast, make_bernoulli_ball(tau, params["epsilon"], kind, theta)).y_star
+
+    def revenue(self, strategy, params, day, hour):
+        key = (strategy, tuple(sorted(params.items())), day, hour)
+        if key not in self.settled:
+            rec = self.periods[(day, hour)]
+            y = self.offer(strategy, params, day, hour)
+            self.settled[key] = revenue(SettlementInput(rec.pi_s, rec.pi_b, rec.s_l, y,
+                                                        rec.omega_star))
+        return self.settled[key]
+
+    def select(self, first_day, last_day):
+        chosen = {}
+        for strategy in NAIVE_PLAN.strategies:
+            grid = _param_grid(strategy, NAIVE_PLAN)
+            totals = []
+            for params in grid:
+                total = 0.0
+                for key in sorted(self.periods):
+                    if first_day <= key[0] <= last_day:
+                        total += self.revenue(strategy, params, *key)
+                totals.append(total)
+            chosen[strategy] = grid[int(np.argmax(totals))]
+        return chosen
+
+
+@pytest.mark.parametrize("mode", [CvMode.FIXED_WINDOW, CvMode.SLIDING])
+def test_cross_validation_and_backtest_match_naive_loop(mode):
+    records = jittered_market(28, seed=41)
+    plan = replace(NAIVE_PLAN, cv_mode=mode)
+    naive = NaiveBacktest(records)
+    chosen = cross_validate(records, plan)
+    eval_days = range(plan.warm_start_days + 1, 29)
+    if mode is CvMode.FIXED_WINDOW:
+        assert chosen.static == naive.select(plan.tau_window_days + 1, plan.warm_start_days)
+    else:
+        assert chosen.per_day == {day: naive.select(day - 1 - plan.cv_days, day - 2)
+                                  for day in eval_days}
+    report = run_backtest(records, plan, chosen)
+    keys = [key for key in sorted(naive.periods) if key[0] in eval_days]
+    for strategy in plan.strategies:
+        expect = [naive.revenue(strategy, chosen.params_for(strategy, day), day, hour)
+                  for day, hour in keys]
+        assert report.revenues[strategy].tolist() == expect, strategy
