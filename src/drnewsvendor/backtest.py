@@ -24,10 +24,11 @@ import json
 import math
 import operator
 import warnings
+import weakref
 from dataclasses import dataclass, replace
 from datetime import datetime
 from enum import Enum
-from itertools import repeat
+from itertools import islice, repeat
 from operator import attrgetter
 from pathlib import Path
 from typing import Callable, Iterable, Mapping, Sequence
@@ -78,8 +79,14 @@ MARKET_HEADER = ("timestamp", "pi_s", "pi_b", "s_L", "omega_star")
 _TS_FORMAT = "%Y-%m-%dT%H"
 
 
+class _WeaklyReferable:
+    """A slotted base that gives slotted subclasses weak references."""
+
+    __slots__ = ("__weakref__",)
+
+
 @dataclass(frozen=True, slots=True)
-class MarketRecord:
+class MarketRecord(_WeaklyReferable):
     """One settlement period with its day-ahead quantile forecast."""
 
     timestamp: datetime
@@ -170,6 +177,8 @@ class ChosenParameters:
             assert self.static is not None
             return self.static[strategy]
         assert self.per_day is not None
+        if day not in self.per_day:
+            raise ValueError(f"no parameters chosen for day {day}")
         return self.per_day[day][strategy]
 
     def to_json_dict(self) -> dict:
@@ -272,6 +281,41 @@ class _MarketFrame:
         return np.arange(*_day_range(self.day, first_day, last_day))
 
 
+# The frame of the last record sequence asked for: a weak reference to its
+# first record, strong references to the rest, and the frame.
+_FRAME: tuple[weakref.ref, tuple[MarketRecord, ...], _MarketFrame] | None = None
+
+
+def _release(first: weakref.ref) -> None:
+    """Drop the kept frame once the first record of its sequence is gone."""
+    global _FRAME
+    held = _FRAME
+    if held is not None and held[0] is first:
+        _FRAME = None
+
+
+def _frame_for(records: Sequence[MarketRecord]) -> _MarketFrame:
+    """The frame of ``records``, reused while calls pass the same record objects.
+
+    Records are frozen, so the same objects in the same order give the same
+    columns; a list edited in place, or new records, build a new frame. The
+    frame is let go with its sequence's first record, so a history that its
+    caller has dropped is freed before the next one is loaded. The slot is
+    replaced in one assignment, so concurrent calls can at worst build a
+    frame twice.
+    """
+    global _FRAME
+    held = _FRAME
+    if held is not None:
+        first, rest, frame = held
+        if (len(rest) + 1 == len(records) and first() is records[0]
+                and all(map(operator.is_, rest, islice(records, 1, None)))):
+            return frame
+    frame = _MarketFrame(records)
+    _FRAME = (weakref.ref(records[0], _release), tuple(islice(records, 1, None)), frame)
+    return frame
+
+
 class _Span:
     """Every strategy's offers and revenues over a period-ordered set of periods.
 
@@ -363,7 +407,7 @@ def cross_validate(records: Sequence[MarketRecord], plan: BacktestPlan,
     outcomes already settled at the day's gate closure. The work is serial
     array code; ``threads`` is accepted for compatibility and changes nothing.
     """
-    frame = _MarketFrame(records)
+    frame = _frame_for(records)
     if frame.n_days < plan.warm_start_days:
         raise ValueError(
             f"insufficient history: {frame.n_days} days < warm start {plan.warm_start_days}"
@@ -387,10 +431,20 @@ def offers_for_day(records: Sequence[MarketRecord], plan: BacktestPlan,
 
     Everything except the day's own forecast (and, for the oracle
     benchmark, its realization) derives from records settled through day
-    ``day - 2``.
+    ``day - 2``. Repeated calls on the same record objects reuse one
+    market frame.
+
+    Raises ``ValueError``, naming the day or the period's timestamp, when
+    ``records`` hold no period of ``day``; when sliding ``chosen``
+    parameters hold no selection for ``day``; when records are out of
+    timestamp order or a forecast is not a quantile forecast; when a tau
+    window holds no usable outcome and the plan sets no fallback; and when
+    a tau estimate, ball bound or offer leaves [0, 1].
     """
-    frame = _MarketFrame(records)
+    frame = _frame_for(records)
     span = _Span(frame, plan, frame.periods(day, day))
+    if not len(span):
+        raise ValueError(f"no market records for day {day}")
     out: dict[str, dict[int, float]] = {}
     for strategy in plan.strategies:
         offers = span.offers(strategy, chosen.params_for(strategy, day))
@@ -401,7 +455,7 @@ def offers_for_day(records: Sequence[MarketRecord], plan: BacktestPlan,
 def run_backtest(records: Sequence[MarketRecord], plan: BacktestPlan,
                  chosen: ChosenParameters) -> BacktestReport:
     """Settle every out-of-sample hour and aggregate the report."""
-    frame = _MarketFrame(records)
+    frame = _frame_for(records)
     first_eval = plan.warm_start_days + 1
     if frame.n_days < first_eval:
         raise ValueError("no evaluation days after the warm start")
@@ -459,10 +513,11 @@ def scale_penalties(records: Sequence[MarketRecord], factor: float) -> list[Mark
 def load_market_data(market_csv, forecast_dir, strict: bool = False) -> list[MarketRecord]:
     """Read the hourly market CSV and resolve one forecast file per record.
 
-    Schema violations, non-finite prices and system lengths, and a mix of
-    naive and timezone-aware timestamps raise with the offending row and
-    column named. Gaps in the hourly grid warn, or raise when ``strict``
-    is set.
+    Schema violations, non-finite prices and system lengths, a mix of
+    naive and timezone-aware timestamps, and a row whose local date and
+    hour do not follow the previous row's (a daylight-saving fall-back)
+    raise with the offending row and column named. Gaps in the hourly grid
+    warn, or raise when ``strict`` is set.
     """
     market_csv = Path(market_csv)
     forecast_dir = Path(forecast_dir)
@@ -512,6 +567,13 @@ def load_market_data(market_csv, forecast_dir, strict: bool = False) -> list[Mar
                     )
                 if ts <= prev_ts:
                     raise ValueError(f"{market_csv}:{lineno}: timestamps must be strictly increasing")
+                if (ts.date(), ts.hour) <= (prev_ts.date(), prev_ts.hour):
+                    # e.g. the repeated hour of a daylight-saving fall-back
+                    raise ValueError(
+                        f"{market_csv}:{lineno}: column 'timestamp': {row[0].strip()!r} does not "
+                        f"advance the local hour of the row before it; periods are keyed by "
+                        f"local date and hour"
+                    )
                 gap = int((ts - prev_ts).total_seconds() // 3600) - 1
                 if gap > 0:
                     msg = f"{market_csv}:{lineno}: {gap} missing hour(s) before {ts.isoformat()}"

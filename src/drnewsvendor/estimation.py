@@ -59,9 +59,10 @@ def _no_outcomes(hour: int, window_days: int, day: int) -> ValueError:
 class HourlyTauEstimator:
     """Per-hour moving-average forecaster over settled penalty outcomes.
 
-    History is bucketed by hour of day with prefix sums over the day axis,
-    so a windowed forecast is O(log n). Periods whose penalty pair is all
-    zero are skipped; the raw penalty sums are kept for diagnostics.
+    Usable outcomes are sorted once by (hour, day) under one prefix sum of
+    the 0/1 outcomes, so each windowed forecast is a pair of binary
+    searches on ``hour * stride + day`` keys. Periods whose penalty pair is
+    all zero are skipped; the raw penalties are kept for diagnostics.
     """
 
     def __init__(self, history: Iterable[tuple[int, int, PenaltyPair]]):
@@ -80,18 +81,28 @@ class HourlyTauEstimator:
 
     def _index(self, days, hours, overage, underage) -> None:
         outcome = bernoulli_outcomes(overage, underage)
-        usable = ~np.isnan(outcome)
-        self._hours: dict[int, tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]] = {}
-        for hour in np.unique(hours[usable]):
-            at = np.flatnonzero(usable & (hours == hour))
-            at = at[np.argsort(days[at], kind="stable")]
-            bucket_days = days[at]
-            if np.any(np.diff(bucket_days) == 0):
-                raise ValueError(f"duplicate day for hour {hour}")
-            ones = np.concatenate(([0.0], np.cumsum(outcome[at])))
-            po = np.concatenate(([0.0], np.cumsum(overage[at])))
-            pu = np.concatenate(([0.0], np.cumsum(underage[at])))
-            self._hours[int(hour)] = (bucket_days, ones, po, pu)
+        usable = np.flatnonzero(~np.isnan(outcome))
+        at = usable[np.lexsort((days[usable], hours[usable]))]
+        days, hours = days[at], hours[at]
+        repeated = (np.diff(hours) == 0) & (np.diff(days) == 0)
+        if np.any(repeated):
+            raise ValueError(f"duplicate day for hour {hours[int(np.argmax(repeated))]}")
+        # keys order by hour, then day: day - first lies in [0, stride)
+        self._first = int(days.min()) if days.size else 0
+        self._stride = int(days.max()) - self._first + 1 if days.size else 1
+        self._keys = hours * self._stride + (days - self._first)
+        self._ones = np.concatenate(([0.0], np.cumsum(outcome[at])))
+        self._overage, self._underage = overage[at], underage[at]
+
+    def _bounds(self, days: np.ndarray, hours: np.ndarray,
+                window_days: int) -> tuple[np.ndarray, np.ndarray]:
+        """Index range of each target's window, days ``day - window_days`` to ``day - 1``."""
+        base = hours * self._stride - self._first
+        first = np.clip(days - window_days, self._first, self._first + self._stride)
+        last = np.clip(days - 1, self._first - 1, self._first + self._stride - 1)
+        lo = np.searchsorted(self._keys, base + first, side="left")
+        hi = np.searchsorted(self._keys, base + last, side="right")
+        return lo, np.maximum(hi, lo)
 
     def forecast(
         self,
@@ -114,18 +125,13 @@ class HourlyTauEstimator:
             raise ValueError(f"window must cover at least one day, got {window_days}")
         days = np.asarray(days, dtype=np.int64)
         hours = np.asarray(hours, dtype=np.int64)
+        lo, hi = self._bounds(days, hours, window_days)
+        count = hi - lo
         tau = np.full(days.shape, np.nan)
-        for hour in np.unique(hours):
-            if int(hour) not in self._hours:
-                continue
-            bucket_days, ones, _, _ = self._hours[int(hour)]
-            at = np.flatnonzero(hours == hour)
-            lo = np.searchsorted(bucket_days, days[at] - window_days, side="left")
-            hi = np.searchsorted(bucket_days, days[at] - 1, side="right")
-            count = hi - lo
-            filled = count > 0
-            tau[at[filled]] = (ones[hi] - ones[lo])[filled] / count[filled]
-        missing = np.isnan(tau)
+        filled = count > 0
+        # the prefix sums count whole numbers, so each difference is exact
+        tau[filled] = (self._ones[hi] - self._ones[lo])[filled] / count[filled]
+        missing = ~filled
         if np.any(missing):
             if fallback_tau is None:
                 i = int(np.argmax(missing))
@@ -139,19 +145,19 @@ class HourlyTauEstimator:
         return {"tau_hat": float(tau), **self._window(day, hour, window_days)}
 
     def _window(self, day: int, hour: int, window_days: int) -> dict[str, float]:
-        bucket = self._hours.get(int(hour))
-        if bucket is None:
-            return {"count": 0.0, "mean_overage": 0.0, "mean_underage": 0.0}
-        days, _, po, pu = bucket
-        lo = int(np.searchsorted(days, day - window_days, side="left"))
-        hi = int(np.searchsorted(days, day - 1, side="right"))
-        count = hi - lo
+        (lo,), (hi,) = self._bounds(np.array([day]), np.array([hour]), window_days)
+        count = int(hi - lo)
         if count <= 0:
             return {"count": 0.0, "mean_overage": 0.0, "mean_underage": 0.0}
+        # running sums from the hour's first outcome, so other hours' penalties
+        # never enter the rounding of this hour's means
+        start = int(np.searchsorted(self._keys, int(hour) * self._stride, side="left"))
+        po = np.concatenate(([0.0], np.cumsum(self._overage[start:hi])))
+        pu = np.concatenate(([0.0], np.cumsum(self._underage[start:hi])))
         return {
             "count": float(count),
-            "mean_overage": float((po[hi] - po[lo]) / count),
-            "mean_underage": float((pu[hi] - pu[lo]) / count),
+            "mean_overage": float((po[hi - start] - po[lo - start]) / count),
+            "mean_underage": float((pu[hi - start] - pu[lo - start]) / count),
         }
 
 

@@ -26,6 +26,7 @@ from drnewsvendor import (
     write_forecast_dir,
     write_market_csv,
 )
+from drnewsvendor import backtest
 from drnewsvendor.backtest import report_csv_rows, report_summary, write_report_json
 from drnewsvendor.economics import bernoulli_outcome
 
@@ -193,6 +194,20 @@ def test_load_unordered_timestamps(tmp_path):
         load_market_data(market, fdir)
 
 
+def test_load_rejects_a_repeated_local_hour(tmp_path):
+    # the daylight-saving fall-back repeats 02:00 local time; both rows would
+    # read the same forecast file and share one (day, hour) period
+    market, fdir = _write_fixture(tmp_path, [
+        (ts, 50.0, 40.0, 1.0, 0.5) for ts in (
+            "2021-10-31T00:00:00+02:00", "2021-10-31T01:00:00+02:00",
+            "2021-10-31T02:00:00+02:00", "2021-10-31T02:00:00+01:00",
+            "2021-10-31T03:00:00+01:00",
+        )
+    ])
+    with pytest.raises(ValueError, match=r"m.csv:5: column 'timestamp': '2021-10-31T02:00:00\+01:00'"):
+        load_market_data(market, fdir)
+
+
 # ---------- cross-validation ----------
 
 
@@ -354,6 +369,60 @@ def test_no_look_ahead_poisoning():
     tainted = _poison(recs, first_day=day - 3, keep_omega_day=day)
     moved = offers_for_day(tainted, SMALL_PLAN, chosen, day)
     assert moved["bn"] != baseline["bn"]
+
+
+def test_offers_for_day_rejects_days_it_cannot_price():
+    recs = small_market(days=40, seed=17)
+    chosen = cross_validate(recs, SMALL_PLAN)
+    for day in (0, 41, 500):
+        with pytest.raises(ValueError, match=rf"no market records for day {day}$"):
+            offers_for_day(recs, SMALL_PLAN, chosen, day)
+    plan = replace(SMALL_PLAN, cv_mode=CvMode.SLIDING)
+    sliding = cross_validate(recs, plan)
+    with pytest.raises(ValueError, match=r"no parameters chosen for day 25$"):
+        offers_for_day(recs, plan, sliding, 25)
+
+
+def _flip_outcome(rec):
+    """The record with its penalty direction reversed: overage becomes underage."""
+    return replace(rec, pi_b=2.0 * rec.pi_s - rec.pi_b, s_l=-rec.s_l)
+
+
+def test_gate_closures_follow_records_changed_in_place():
+    recs = small_market(seed=17)
+    chosen = cross_validate(recs, SMALL_PLAN)
+    day = SMALL_PLAN.warm_start_days + 7
+    before = offers_for_day(recs, SMALL_PLAN, chosen, day)
+    # one settled outcome inside the tau window, replaced in the same list
+    k = next(i for i, r in enumerate(recs)
+             if (r.timestamp.date() - recs[0].timestamp.date()).days + 1 == day - 3
+             and bernoulli_outcome(penalties(r.pi_s, r.pi_b, r.s_l)) is not None)
+    recs[k] = _flip_outcome(recs[k])
+    after = offers_for_day(recs, SMALL_PLAN, chosen, day)
+    fresh = [replace(r) for r in recs]
+    assert after == offers_for_day(fresh, SMALL_PLAN, chosen, day)
+    assert after["bn"][recs[k].timestamp.hour] != before["bn"][recs[k].timestamp.hour]
+    # a new list holding the same records
+    assert offers_for_day(list(recs), SMALL_PLAN, chosen, day) == after
+
+    # the same for cross-validation, after a larger change in place
+    plan = replace(SMALL_PLAN, cv_mode=CvMode.SLIDING)
+    old = cross_validate(recs, plan)
+    recs[:] = [_flip_outcome(r) for r in recs]
+    new = cross_validate(recs, plan)
+    assert new == cross_validate([replace(r) for r in recs], plan)
+    assert new != old
+
+
+def test_gate_closure_frame_is_let_go_with_its_records():
+    def price_one_day():
+        recs = small_market(seed=17)
+        chosen = cross_validate(recs, SMALL_PLAN)
+        offers_for_day(recs, SMALL_PLAN, chosen, SMALL_PLAN.warm_start_days + 1)
+        assert backtest._FRAME is not None
+
+    price_one_day()
+    assert backtest._FRAME is None
 
 
 # ---------- penalty scaling ----------

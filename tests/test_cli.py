@@ -273,3 +273,20 @@ def test_mixed_naive_and_aware_timestamps_exit_1(tmp_path, capsys):
     assert code == 1
     error = json.loads(capsys.readouterr().err)["error"]
     assert "m.csv:3: column 'timestamp'" in error and "timezone-aware" in error
+
+
+def test_repeated_local_hour_exits_1(tmp_path, capsys):
+    market = tmp_path / "m.csv"
+    fdir = tmp_path / "fc"
+    fdir.mkdir()
+    lines = ["timestamp,pi_s,pi_b,s_L,omega_star"]
+    for ts in ("2021-10-31T01:00:00+02:00", "2021-10-31T02:00:00+02:00",
+               "2021-10-31T02:00:00+01:00", "2021-10-31T03:00:00+01:00"):
+        lines.append(f"{ts},50.0,40.0,1.0,0.5")
+        (fdir / (ts[:13] + ".csv")).write_text("level,value\n0.25,0.2\n0.5,0.4\n0.75,0.6\n")
+    market.write_text("\n".join(lines) + "\n")
+    code = dispatch(["backtest", "--market", str(market), "--forecasts", str(fdir),
+                     "--out", str(tmp_path / "bt.json")])
+    assert code == 1
+    error = json.loads(capsys.readouterr().err)["error"]
+    assert "m.csv:4: column 'timestamp'" in error and "local hour" in error

@@ -2,6 +2,8 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from drnewsvendor import (
     HourlyTauEstimator,
@@ -110,3 +112,81 @@ def test_config_validation():
         TauEstimatorConfig(fallback_tau=1.5)
     cfg = TauEstimatorConfig(window_days=90, fallback_tau=0.5)
     assert cfg.per_hour
+
+
+# ---------- the index against a plain window mean ----------
+
+
+@st.composite
+def windowed_histories(draw):
+    """Shuffled history with missing cells and unpenalized periods, plus targets.
+
+    Targets reach windows that end before day 1 and start after the last
+    day, and an hour with no history at all.
+    """
+    n_days = draw(st.integers(1, 12))
+    hours = draw(st.lists(st.integers(0, 23), max_size=4, unique=True))
+    history = []
+    for day in range(1, n_days + 1):
+        for hour in hours:
+            kind = draw(st.sampled_from(("over", "under", "none", "missing")))
+            size = float(draw(st.integers(1, 60))) / 4.0
+            if kind == "over":
+                history.append((day, hour, PenaltyPair(size, 0.0)))
+            elif kind == "under":
+                history.append((day, hour, PenaltyPair(0.0, size)))
+            elif kind == "none":
+                history.append((day, hour, NONE_PAIR))
+    history = draw(st.permutations(history))
+    # hour 24 never has history
+    targets = draw(st.lists(st.tuples(st.integers(-3, n_days + 6), st.sampled_from(hours + [24])),
+                            min_size=1, max_size=8))
+    window = draw(st.integers(1, n_days + 3))
+    fallback = draw(st.one_of(st.none(), st.sampled_from((0.0, 0.25, 1.0))))
+    return history, targets, window, fallback
+
+
+def reference_window(history, day, hour, window):
+    """Outcomes and penalties at ``hour`` on days ``day - window`` to ``day - 1``."""
+    return [pair for d, h, pair in history
+            if h == hour and day - window <= d <= day - 1 and (pair.overage or pair.underage)]
+
+
+@settings(max_examples=300)
+@given(windowed_histories())
+def test_index_matches_plain_window_mean(case):
+    history, targets, window, fallback = case
+    est = HourlyTauEstimator(history)
+    expected = []
+    for day, hour in targets:
+        pairs = reference_window(history, day, hour, window)
+        tau = sum(1.0 if p.overage > 0.0 else 0.0 for p in pairs) / len(pairs) if pairs else None
+        expected.append(tau)
+        diag = est.diagnostics(day, hour, window)
+        assert diag["count"] == float(len(pairs))
+        if pairs:
+            assert diag["tau_hat"] == tau
+            assert est.forecast(day, hour, window, fallback) == tau
+            # quarter-unit penalties sum exactly in any order
+            assert diag["mean_overage"] == sum(p.overage for p in pairs) / len(pairs)
+            assert diag["mean_underage"] == sum(p.underage for p in pairs) / len(pairs)
+        else:
+            assert np.isnan(diag["tau_hat"])
+            assert diag["mean_overage"] == diag["mean_underage"] == 0.0
+    days, hours = (np.array(col) for col in zip(*targets))
+    first_missing = next((t for t, tau in zip(targets, expected) if tau is None), None)
+    if first_missing is not None and fallback is None:
+        day, hour = first_missing
+        with pytest.raises(ValueError,
+                           match=rf"^no usable outcomes for hour {hour} in the {window} days "
+                                 rf"before day {day};"):
+            est.forecast_many(days, hours, window)
+        return
+    got = est.forecast_many(days, hours, window, fallback)
+    assert got.tolist() == [fallback if tau is None else tau for tau in expected]
+
+
+def test_duplicate_day_names_the_lowest_hour():
+    history = [(4, 9, OVER), (4, 9, UNDER), (2, 3, OVER), (2, 3, NONE_PAIR), (2, 3, UNDER)]
+    with pytest.raises(ValueError, match=r"^duplicate day for hour 3$"):
+        HourlyTauEstimator(history)
