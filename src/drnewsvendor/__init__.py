@@ -14,9 +14,7 @@ from .ambiguity import (
     deform_lower,
     deform_upper,
     double_power_lower,
-    double_power_lower_inverse,
     double_power_upper,
-    double_power_upper_inverse,
     make_bernoulli_ball,
     make_fsd_set,
 )

@@ -14,6 +14,11 @@ which interpolates between the identity at rho = 0 and the Heaviside
 bounds as rho -> 1, and satisfies the reflection identity
 ``upper(1 - u) = 1 - lower(u)``. The two maps are mutual inverses on
 [0, 1], so each operator's inverse is simply the mirror operator.
+
+With beta = 1 - rho, the substitution t = (1 - u)^(1/beta) (resp.
+t = u^(1/beta)) turns the integral of either operator over [0, a] into an
+incomplete beta function, which gives bands around a piecewise-linear
+forecast their moments in closed form.
 """
 
 from __future__ import annotations
@@ -22,14 +27,19 @@ from dataclasses import dataclass
 from enum import Enum
 
 import numpy as np
+from scipy import special
 
-from .distributions import Heaviside, UnitDistribution, _match_input, _validate_prob
+from .distributions import (
+    Heaviside,
+    PiecewiseLinear,
+    UnitDistribution,
+    _match_input,
+    _validate_prob,
+)
 
 __all__ = [
     "double_power_upper",
     "double_power_lower",
-    "double_power_upper_inverse",
-    "double_power_lower_inverse",
     "DeformedCdf",
     "deform_upper",
     "deform_lower",
@@ -76,21 +86,46 @@ def double_power_lower(u, rho: float):
     return _match_input(u, out)
 
 
-def double_power_upper_inverse(p, rho: float):
-    """Inverse of the upper operator; coincides with the lower operator."""
-    return double_power_lower(p, rho)
+def _complement(op, u, rho: float):
+    """``1 - op(u, rho)``, elementwise, without the rounding of the subtraction."""
+    beta = 1.0 - _check_rho(rho)
+    arr = _validate_prob(u, "u")
+    with np.errstate(divide="ignore"):
+        if op is double_power_upper:
+            # 1 - (1 - (1-u)^(1/beta))^beta
+            return -np.expm1(beta * np.log1p(-np.exp(np.log1p(-arr) / beta)))
+        # (1 - u^(1/beta))^beta
+        return np.exp(beta * np.log1p(-np.exp(np.log(arr) / beta)))
 
 
-def double_power_lower_inverse(p, rho: float):
-    """Inverse of the lower operator; coincides with the upper operator."""
-    return double_power_upper(p, rho)
+def _operator_integral(op, a: np.ndarray, rho: float) -> np.ndarray:
+    """Integral of ``op`` over [0, a], elementwise, in closed form.
+
+    With beta = 1 - rho, c = beta * B(beta, beta + 1) and I the regularized
+    incomplete beta function I(beta, beta + 1):
+    upper: c * (1 - I((1 - a)^(1/beta))); lower: a - c * I(a^(1/beta)).
+    Both arguments are formed from powers, which stay accurate where the
+    operators are within rounding of 0 or 1.
+    """
+    beta = 1.0 - rho
+    c = np.exp(2.0 * special.gammaln(beta + 1.0) - special.gammaln(2.0 * beta + 1.0))
+    with np.errstate(divide="ignore"):
+        if op is double_power_upper:
+            return c * (1.0 - special.betainc(beta, beta + 1.0, np.exp(np.log1p(-a) / beta)))
+        return a - c * special.betainc(beta, beta + 1.0, np.exp(np.log(a) / beta))
 
 
 class DeformedCdf(UnitDistribution):
     """A reference CDF deformed pointwise by a double-power operator.
 
-    Quantiles compose the reference quantile with the operator's closed-form
-    inverse; no root finding is involved.
+    Quantiles compose the reference quantile with the mirror operator, the
+    closed-form inverse; no root finding is involved. Over a
+    :class:`PiecewiseLinear` reference the mean and partial expectations
+    are exact: substituting x = Q_ref(u) gives
+    ``under(y) = sum over segments of slope * (integral of the operator
+    over the segment's levels up to F_ref(y))``, an incomplete-beta term
+    (see :meth:`_cdf_integral`). Other references use the default
+    quantile-domain rule.
     """
 
     def __init__(self, reference: UnitDistribution, rho: float, side: str):
@@ -100,19 +135,61 @@ class DeformedCdf(UnitDistribution):
         self.rho = _check_rho(rho)
         self.side = side
         if side == "upper":
-            self._op, self._inv = double_power_upper, double_power_upper_inverse
+            self._op, self._mirror = double_power_upper, double_power_lower
         else:
-            self._op, self._inv = double_power_lower, double_power_lower_inverse
+            self._op, self._mirror = double_power_lower, double_power_upper
 
     def cdf(self, x):
         return self._op(self.reference.cdf(x), self.rho)
 
     def quantile(self, p):
         _validate_prob(p, "p")
-        return self.reference.quantile(self._inv(p, self.rho))
+        return self.reference.quantile(self._mirror(p, self.rho))
 
-    def _breakpoints(self) -> tuple[float, ...]:
-        return self.reference._breakpoints()
+    def _quantile_below(self, p):
+        return self._reference_at(self._mirror(p, self.rho), _complement(self._mirror, p, self.rho))
+
+    def _quantile_above(self, s):
+        # the reflection identity gives mirror(1 - s) = 1 - op(s)
+        return self._reference_at(_complement(self._op, s, self.rho), self._op(s, self.rho))
+
+    def _reference_at(self, u, c):
+        """The reference quantile at levels u = 1 - c, from whichever end is nearer.
+
+        The moment rule needs it: u may round to 1 where c is still exact.
+        """
+        below = self.reference._quantile_below(np.minimum(u, 0.5))
+        above = self.reference._quantile_above(np.minimum(c, 0.5))
+        return np.where(u <= 0.5, below, above)
+
+    def _cdf_integral(self, y) -> np.ndarray:
+        """Integral of this CDF over [0, y], exact for a PiecewiseLinear reference.
+
+        Segment i of the reference, clipped to levels [a, b] at most
+        F_ref(y), adds its value rise times the operator's mean over [a, b].
+        That mean is a difference quotient of the closed-form integral,
+        clamped to [op(a), op(b)], the range the mean of an increasing
+        function must lie in; the clamp keeps a narrow, steep segment from
+        amplifying rounding in the difference.
+        """
+        if not isinstance(self.reference, PiecewiseLinear):
+            return super()._cdf_integral(y)
+        ps, xs = self.reference._ps, self.reference._xs
+        y = np.asarray(y, dtype=float)[..., None]
+        levels = np.minimum(ps, self.reference.cdf(y))
+        rise = np.diff(np.minimum(xs, y), axis=-1)
+        op = self._op(levels, self.rho)
+        with np.errstate(divide="ignore", invalid="ignore"):
+            quotient = np.diff(_operator_integral(self._op, levels, self.rho), axis=-1) \
+                / np.diff(levels, axis=-1)
+        # fmax/fmin pass over the NaN of a zero-width segment's 0/0
+        mean_op = np.fmin(np.fmax(quotient, op[..., :-1]), op[..., 1:])
+        return (rise * mean_op).sum(axis=-1)
+
+    def mean(self) -> float:
+        if not isinstance(self.reference, PiecewiseLinear):
+            return super().mean()
+        return float(1.0 - self._cdf_integral(1.0))
 
     def __repr__(self) -> str:
         return f"DeformedCdf({self.reference!r}, rho={self.rho:g}, side={self.side!r})"

@@ -39,9 +39,9 @@ from .ambiguity import BallKind, ball_bounds
 from .distributions import (
     PiecewiseLinear,
     PiecewiseLinearBatch,
+    _forecast_text,
     _share_knots,
     read_quantile_forecast,
-    write_quantile_forecast,
 )
 from .economics import SettlementInput, StrategyRow, penalty_split, regret_and_ratio, revenue
 from .estimation import HourlyTauEstimator
@@ -586,6 +586,8 @@ def load_market_data(market_csv, forecast_dir, strict: bool = False) -> list[Mar
                 forecast = _share_knots(read_quantile_forecast(fpath), forecast)
             except FileNotFoundError as exc:
                 raise ValueError(f"{market_csv}:{lineno}: forecast file {fpath} not found") from exc
+            except ValueError as exc:
+                raise ValueError(f"{market_csv}:{lineno}: {exc}") from exc
             records.append(MarketRecord(ts, pi_s, pi_b, s_l, omega, forecast))
     if not records:
         raise ValueError(f"{market_csv}: no data rows")
@@ -609,12 +611,19 @@ def write_forecast_dir(records: Iterable[MarketRecord], dirpath) -> None:
     """One ``level,value`` file per delivery hour, named by its timestamp."""
     dirpath = Path(dirpath)
     dirpath.mkdir(parents=True, exist_ok=True)
+    # records usually share a few forecast objects: format each one once,
+    # keyed by identity and holding the object so that its id stays its own
+    texts: dict[int, tuple[PiecewiseLinear, str]] = {}
     for rec in records:
         if not isinstance(rec.forecast, PiecewiseLinear):
             raise ValueError(
                 f"{rec.timestamp.isoformat()}: only quantile forecasts can be written to disk"
             )
-        write_quantile_forecast(rec.forecast, dirpath / (rec.timestamp.strftime(_TS_FORMAT) + ".csv"))
+        entry = texts.get(id(rec.forecast))
+        if entry is None:
+            entry = texts[id(rec.forecast)] = (rec.forecast, _forecast_text(rec.forecast))
+        with (dirpath / (rec.timestamp.strftime(_TS_FORMAT) + ".csv")).open("w", newline="") as fh:
+            fh.write(entry[1])
 
 
 _REFERENCE_NOTE = (

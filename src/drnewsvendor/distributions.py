@@ -11,13 +11,14 @@ Heaviside cover simulation studies and limit cases.
 from __future__ import annotations
 
 import csv
+import io
 from abc import ABC, abstractmethod
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Sequence
 
 import numpy as np
-from scipy import integrate, special
+from scipy import special
 
 __all__ = [
     "UnitDistribution",
@@ -31,15 +32,41 @@ __all__ = [
     "standard_forecast_levels",
 ]
 
-# Accuracy of the generic quadrature fallbacks; two orders below test tolerances.
-QUAD_TOL = 1e-10
-
 
 def _validate_prob(p, name: str):
     arr = np.asarray(p, dtype=float)
-    if np.any(arr < 0.0) or np.any(arr > 1.0) or np.any(np.isnan(arr)):
+    # written as "not all inside" so that NaN fails too
+    if not np.all((arr >= 0.0) & (arr <= 1.0)):
         raise ValueError(f"{name} must lie in [0, 1], got {p!r}")
     return arr
+
+
+def _graded_gauss_legendre(order: int = 16, levels: int = 26, ratio: float = 0.25):
+    """Nodes and weights of a Gauss-Legendre rule on [0, 1], graded toward 0.
+
+    The panel edges are 0, r^L, ..., r, 1, with ``order`` nodes in each
+    panel. Quantile functions have their singularities at the ends of
+    [0, 1]: p^(1/a) near 0 for Beta(a, .), and a deformation of radius rho
+    multiplies such an exponent by 1 - rho at one end. The default moments
+    take both halves of [0, 1] from their ends (see
+    ``UnitDistribution.mean``), so one end is enough; panels down to r^L
+    (2e-16) leave out less than that of an integrand bounded by 1.
+    """
+    edges = np.concatenate(([0.0], ratio ** np.arange(levels, -1, -1)))
+    x, w = np.polynomial.legendre.leggauss(order)
+    lo, width = edges[:-1, None], np.diff(edges)[:, None]
+    return (lo + width * (x + 1.0) / 2.0).ravel(), (width * w / 2.0).ravel()
+
+
+# the default moment rule of UnitDistribution: 432 nodes
+_QUANTILE_RULE = _graded_gauss_legendre()
+
+
+def _integral_to(q, p) -> np.ndarray:
+    """Integral of the vectorized function ``q`` over [0, p], elementwise in ``p``."""
+    nodes, weights = _QUANTILE_RULE
+    p = np.asarray(p, dtype=float)
+    return p * (np.asarray(q(p[..., None] * nodes), dtype=float) @ weights)
 
 
 def _match_input(x, out):
@@ -54,9 +81,10 @@ class UnitDistribution(ABC):
 
     Instances are immutable after construction and safe to share across
     concurrent tasks. Subclasses must provide the CDF and quantile
-    function; ``mean`` and ``partial_expectations`` default to adaptive
-    quadrature of the CDF and should be overridden where a closed form
-    exists. Every query accepts a scalar or an array, elementwise.
+    function; ``mean`` and ``partial_expectations`` default to a fixed
+    Gauss-Legendre rule on the quantile domain (:data:`_QUANTILE_RULE`)
+    and are overridden where a closed form exists. Every query
+    accepts a scalar or an array, elementwise.
     """
 
     __slots__ = ()
@@ -69,18 +97,26 @@ class UnitDistribution(ABC):
     def quantile(self, p):
         """Generalized inverse inf{x : cdf(x) >= p} for p in [0, 1]."""
 
-    def _breakpoints(self) -> tuple[float, ...]:
-        """Interior CDF discontinuities, forwarded to quadrature."""
-        return ()
+    def _quantile_below(self, p):
+        """The quantile at levels ``p`` in [0, 1/2]."""
+        return self.quantile(p)
+
+    def _quantile_above(self, s):
+        """The quantile at levels ``1 - s``, ``s`` in [0, 1/2].
+
+        Subclasses whose quantile is steep near 1 override this to use ``s``
+        itself, so that levels which round to 1 stay apart.
+        """
+        return self.quantile(1.0 - np.asarray(s, dtype=float))
 
     def mean(self) -> float:
-        """E[omega], the integral of the survival function over [0, 1]."""
-        pts = list(self._breakpoints()) or None
-        val, _ = integrate.quad(
-            lambda x: 1.0 - float(self.cdf(x)), 0.0, 1.0,
-            epsabs=QUAD_TOL, limit=200, points=pts,
-        )
-        return float(val)
+        """E[omega], the integral of the quantile function over [0, 1].
+
+        The default takes each half of the levels from its end, with
+        :meth:`_quantile_below` and :meth:`_quantile_above`, by the graded
+        rule :data:`_QUANTILE_RULE`.
+        """
+        return float(_integral_to(self._quantile_below, 0.5) + _integral_to(self._quantile_above, 0.5))
 
     def partial_expectations(self, y):
         """Expected overage and underage volumes at offer ``y``.
@@ -90,23 +126,27 @@ class UnitDistribution(ABC):
         ``over = E[(omega - y)+]`` (the integral of the survival function
         above ``y``). The two are linked by ``under - over = y - mean``.
         Like ``quantile``, an array ``y`` gives arrays of the same shape.
+
+        The default takes ``under`` from :meth:`_cdf_integral`.
         """
         arr = _validate_prob(y, "y")
-        under = np.empty(arr.shape)
-        over = np.empty(arr.shape)
-        for idx, value in np.ndenumerate(arr):
-            under[idx], over[idx] = self._partial_expectations_at(float(value))
-        return _match_input(y, under), _match_input(y, over)
+        under = self._cdf_integral(arr)
+        over = under - arr + self.mean()
+        return _match_input(y, np.maximum(under, 0.0)), _match_input(y, np.maximum(over, 0.0))
 
-    def _partial_expectations_at(self, y: float) -> tuple[float, float]:
-        """``(under, over)`` at one offer, by quadrature of the CDF."""
-        pts = [b for b in self._breakpoints() if 0.0 < b < y] or None
-        under, _ = integrate.quad(
-            lambda x: float(self.cdf(x)), 0.0, y,
-            epsabs=QUAD_TOL, limit=200, points=pts,
-        )
-        over = under - y + self.mean()
-        return float(max(under, 0.0)), float(max(over, 0.0))
+    def _cdf_integral(self, y: np.ndarray) -> np.ndarray:
+        """The integral of the CDF over [0, y], elementwise: E[(y - omega)+].
+
+        The default takes the integral of the quantile function Q over the
+        shorter side of P = F(y): ``y*P - (integral of Q over [0, P])`` when
+        P <= 1/2, else ``y - mean + (integral of Q over [P, 1]) - y*(1 - P)``.
+        Both hold with atoms and flat stretches of the CDF alike.
+        """
+        p = np.asarray(self.cdf(y), dtype=float)
+        low = p <= 0.5
+        under = y * p - _integral_to(self._quantile_below, np.where(low, p, 0.0))
+        over = _integral_to(self._quantile_above, np.where(low, 0.0, 1.0 - p)) - y * (1.0 - p)
+        return np.where(low, under, over + y - self.mean())
 
     def sample(self, rng: "RngStream", n: int) -> np.ndarray:
         """Draw ``n`` i.i.d. values by inverse-transform sampling."""
@@ -134,13 +174,14 @@ class PiecewiseLinear(UnitDistribution):
         values = np.asarray(values, dtype=float)
         if levels.ndim != 1 or levels.shape != values.shape or levels.size == 0:
             raise ValueError("levels and values must be equal-length 1-D sequences")
-        if np.any(levels <= 0.0) or np.any(levels >= 1.0):
-            raise ValueError("levels must lie strictly inside (0, 1)")
-        if np.any(np.diff(levels) <= 0.0):
+        # each check asks "all inside", so a NaN knot fails it
+        if not np.all((levels > 0.0) & (levels < 1.0)):
+            raise ValueError(f"levels must be finite and lie strictly inside (0, 1), got {levels}")
+        if not np.all(np.diff(levels) > 0.0):
             raise ValueError("levels must be strictly increasing")
-        if np.any(values < 0.0) or np.any(values > 1.0):
-            raise ValueError("values must lie in [0, 1]")
-        if np.any(np.diff(values) < 0.0):
+        if not np.all((values >= 0.0) & (values <= 1.0)):
+            raise ValueError(f"values must be finite and lie in [0, 1], got {values}")
+        if not np.all(np.diff(values) >= 0.0):
             raise ValueError("values must be non-decreasing")
         self._ps = np.concatenate(([0.0], levels, [1.0]))
         self._xs = np.concatenate(([0.0], values, [1.0]))
@@ -166,11 +207,6 @@ class PiecewiseLinear(UnitDistribution):
 
     def mean(self) -> float:
         return self._mean
-
-    def _breakpoints(self) -> tuple[float, ...]:
-        # knot values are kinks (or atoms) of the CDF
-        interior = np.unique(self._xs)
-        return tuple(float(x) for x in interior if 0.0 < x < 1.0)
 
     def _knot_integrals(self) -> np.ndarray:
         """Exact integral of the quantile function from 0 to each knot."""
@@ -219,6 +255,10 @@ class Beta(UnitDistribution):
         if np.any(bad):
             out = np.where(bad, np.where(np.asarray(arr) < 0.5, 0.0, 1.0), out)
         return _match_input(p, out)
+
+    def _quantile_above(self, s):
+        # 1 - omega follows Beta(b, a)
+        return 1.0 - np.asarray(Beta(self.b, self.a).quantile(s), dtype=float)
 
     def mean(self) -> float:
         return self.a / (self.a + self.b)
@@ -284,9 +324,6 @@ class Heaviside(UnitDistribution):
         arr = _validate_prob(y, "y")
         return (_match_input(y, np.maximum(arr - self.location, 0.0)),
                 _match_input(y, np.maximum(self.location - arr, 0.0)))
-
-    def _breakpoints(self) -> tuple[float, ...]:
-        return (self.location,)
 
     def __repr__(self) -> str:
         return f"Heaviside({self.location:g})"
@@ -419,9 +456,15 @@ def _share_knots(dist: PiecewiseLinear, previous: PiecewiseLinear | None) -> Pie
 
 def write_quantile_forecast(dist: PiecewiseLinear, path) -> None:
     """Write the inverse of :func:`read_quantile_forecast`."""
-    path = Path(path)
-    with path.open("w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["level", "value"])
-        for lvl, val in zip(dist.levels, dist.values):
-            writer.writerow([repr(float(lvl)), repr(float(val))])
+    with Path(path).open("w", newline="") as fh:
+        fh.write(_forecast_text(dist))
+
+
+def _forecast_text(dist: PiecewiseLinear) -> str:
+    """The CSV text :func:`write_quantile_forecast` writes for ``dist``."""
+    buf = io.StringIO()
+    writer = csv.writer(buf)
+    writer.writerow(["level", "value"])
+    for lvl, val in zip(dist.levels, dist.values):
+        writer.writerow([repr(float(lvl)), repr(float(val))])
+    return buf.getvalue()

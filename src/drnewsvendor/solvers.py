@@ -180,34 +180,20 @@ class WorstCaseCdf(UnitDistribution):
         out = np.where(arr <= self.level, np.minimum(below, self.q_lo), above)
         return _match_input(p, out)
 
-    def _cdf_integral(self, y: float) -> float:
-        """Integral of the CDF over [0, y], split at the plateau edges.
+    def _cdf_integral(self, y: np.ndarray) -> np.ndarray:
+        """Integral of the CDF over [0, y], elementwise, split at the plateau edges.
 
         The band pieces reuse the component partial expectations, so no
-        quadrature ever crosses the plateau discontinuities.
+        integral ever crosses the plateau discontinuities.
         """
-        total = self.upper.partial_expectations(min(y, self.q_lo))[0]
-        if y > self.q_lo:
-            total += self.level * (min(y, self.q_hi) - self.q_lo)
-        if y > self.q_hi:
-            total += (
-                self.lower.partial_expectations(y)[0]
-                - self.lower.partial_expectations(self.q_hi)[0]
-            )
-        return total
+        below = self.upper.partial_expectations(np.minimum(y, self.q_lo))[0]
+        plateau = self.level * (np.clip(y, self.q_lo, self.q_hi) - self.q_lo)
+        above = (self.lower.partial_expectations(np.maximum(y, self.q_hi))[0]
+                 - self.lower.partial_expectations(self.q_hi)[0])
+        return below + plateau + above
 
     def mean(self) -> float:
-        return 1.0 - self._cdf_integral(1.0)
-
-    def _partial_expectations_at(self, y: float) -> tuple[float, float]:
-        under = self._cdf_integral(y)
-        over = under - y + self.mean()
-        return max(under, 0.0), max(over, 0.0)
-
-    def _breakpoints(self) -> tuple[float, ...]:
-        pts = set(self.upper._breakpoints()) | set(self.lower._breakpoints())
-        pts.update((self.q_lo, self.q_hi))
-        return tuple(sorted(b for b in pts if 0.0 < b < 1.0))
+        return float(1.0 - self._cdf_integral(1.0))
 
     def __repr__(self) -> str:
         return f"WorstCaseCdf(level={self.level:g}, plateau=[{self.q_lo:g}, {self.q_hi:g}])"

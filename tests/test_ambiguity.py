@@ -12,9 +12,7 @@ from drnewsvendor import (
     deform_lower,
     deform_upper,
     double_power_lower,
-    double_power_lower_inverse,
     double_power_upper,
-    double_power_upper_inverse,
     make_bernoulli_ball,
     make_fsd_set,
 )
@@ -46,6 +44,7 @@ def test_reflection_symmetry():
 
 
 def test_operator_inverse_round_trip():
+    # Each operator's inverse is its mirror operator.
     # The upper trip composes the pair in the direction whose intermediate
     # approaches 0 (dense doubles): exact on the whole grid, and enough to
     # establish the two maps are mutual inverses. The lower trip's
@@ -54,9 +53,9 @@ def test_operator_inverse_round_trip():
     # well-conditioned region.
     p = np.linspace(0.0, 1.0, 201)
     for rho in RHOS:
-        up = double_power_upper(double_power_upper_inverse(p, rho), rho)
+        up = double_power_upper(double_power_lower(p, rho), rho)
         assert np.max(np.abs(up - p)) <= 1e-10
-        inv = double_power_lower_inverse(p, rho)
+        inv = double_power_upper(p, rho)
         mask = (inv <= 1.0 - 1e-6) | (p == 1.0)
         lo = double_power_lower(inv[mask], rho)
         assert np.max(np.abs(lo - p[mask])) <= 1e-10
@@ -98,8 +97,8 @@ def test_deformed_quantile_is_composed_inverse(rng):
         p = rng.random(20)
         up = deform_upper(dist, rho)
         lo = deform_lower(dist, rho)
-        expect_up = np.asarray(dist.quantile(double_power_upper_inverse(p, rho)))
-        expect_lo = np.asarray(dist.quantile(double_power_lower_inverse(p, rho)))
+        expect_up = np.asarray(dist.quantile(double_power_lower(p, rho)))
+        expect_lo = np.asarray(dist.quantile(double_power_upper(p, rho)))
         assert np.allclose(np.asarray(up.quantile(p)), expect_up, atol=1e-14)
         assert np.allclose(np.asarray(lo.quantile(p)), expect_lo, atol=1e-14)
 
@@ -142,8 +141,9 @@ def test_robustness_limit_near_one():
 
 
 def test_deformed_moments_against_quantile_integral_oracle():
-    # the deformed mean/partials come from quadrature of the CDF; check them
-    # against the independent route that integrates the closed-form quantile
+    # the deformed mean/partials of a Beta reference come from the fixed
+    # quantile-domain rule; check them against a uniform-grid trapezoid of
+    # the closed-form quantile
     dist = Beta(2, 6)
     for rho, side in ((0.4, "upper"), (0.4, "lower"), (0.8, "upper")):
         band = deform_upper(dist, rho) if side == "upper" else deform_lower(dist, rho)

@@ -28,6 +28,7 @@ from drnewsvendor import (
 )
 from drnewsvendor import backtest
 from drnewsvendor.backtest import report_csv_rows, report_summary, write_report_json
+from drnewsvendor.distributions import write_quantile_forecast
 from drnewsvendor.economics import bernoulli_outcome
 
 SMALL_PLAN = BacktestPlan(
@@ -171,6 +172,30 @@ def test_load_rejects_non_finite_numbers(tmp_path):
         m, fdir = _write_fixture(tmp_path, [row])
         with pytest.raises(ValueError, match=rf"m.csv:2: column '{col}': non-finite"):
             load_market_data(m, fdir)
+
+
+def test_load_rejects_non_finite_forecast_knots(tmp_path):
+    m, fdir = _write_fixture(tmp_path, [
+        ("2020-01-01T00:00:00", 50.0, 40.0, 1.0, 0.5),
+        ("2020-01-01T01:00:00", 50.0, 40.0, 1.0, 0.5),
+    ])
+    (fdir / "2020-01-01T01.csv").write_text("level,value\n0.25,0.1\n0.5,nan\n0.75,0.9\n")
+    with pytest.raises(ValueError, match=r"m.csv:3: .*2020-01-01T01.csv: values must be finite"):
+        load_market_data(m, fdir)
+
+
+def test_forecast_dir_files_match_single_writes(tmp_path):
+    # two forecast objects interleaved hour by hour, each formatted once
+    first, second = (PiecewiseLinear([0.1, 0.5, 0.9], [0.2, 0.3, 0.7]),
+                     PiecewiseLinear([0.25, 0.75], [1 / 3, 2 / 3]))
+    recs = [replace(rec, forecast=first if i % 3 else second)
+            for i, rec in enumerate(small_market(days=2))]
+    write_forecast_dir(recs, tmp_path / "dir")
+    for rec in recs:
+        name = rec.timestamp.strftime("%Y-%m-%dT%H") + ".csv"
+        write_quantile_forecast(rec.forecast, tmp_path / "one.csv")
+        assert (tmp_path / "dir" / name).read_bytes() == (tmp_path / "one.csv").read_bytes()
+    assert len(list((tmp_path / "dir").iterdir())) == len(recs)
 
 
 def test_load_gap_warns_and_strict_fails(tmp_path):

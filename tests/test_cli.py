@@ -2,6 +2,10 @@
 
 import csv
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -118,6 +122,16 @@ def test_solve_from_forecast_file(tmp_path):
     assert dispatch(["solve", "--strategy", "direct", "--forecast", str(fc),
                      "--tau", "0.5", "--out", str(out)]) == 0
     assert json.loads(out.read_text())["y_star"] == 0.4
+
+
+def test_solve_rejects_non_finite_forecast_knots(tmp_path, capsys):
+    fc = tmp_path / "fc.csv"
+    fc.write_text("level,value\n0.25,0.1\n0.5,nan\n0.75,0.9\n")
+    code = dispatch(["solve", "--strategy", "direct", "--forecast", str(fc),
+                     "--tau", "0.5", "--out", str(tmp_path / "solve.json")])
+    assert code == 1
+    error = json.loads(capsys.readouterr().err)["error"]
+    assert "fc.csv: values must be finite" in error
 
 
 def test_msweep_json(tmp_path):
@@ -290,3 +304,33 @@ def test_repeated_local_hour_exits_1(tmp_path, capsys):
     assert code == 1
     error = json.loads(capsys.readouterr().err)["error"]
     assert "m.csv:4: column 'timestamp'" in error and "local hour" in error
+
+
+_NO_INTEGRATOR = """
+import sys
+from drnewsvendor.cli import dispatch
+
+def run(*argv):
+    assert dispatch(list(argv)) == 0, argv
+
+run("solve", "--strategy", "dr-omega", "--dist", "beta:2,6", "--tau", "0.6", "--rho", "0.3",
+    "--out", "solve.json")
+run("deform", "--dist", "beta:2,6", "--rho", "0.4", "--grid-step", "0.1", "--out", "deform.json")
+run("msweep", "--dist", "beta:2,6", "--tau", "0.75", "--m-min", "4", "--m-max", "4",
+    "--n", "1000", "--eps-grid", "0,0.5", "--out", "ms.json")
+run("synth", "--days", "34", "--seed", "9", "--market-out", "m.csv", "--forecasts-out", "fc",
+    "--out", "synth.json")
+run("crossval", "--market", "m.csv", "--forecasts", "fc", "--warm-start-days", "30",
+    "--tau-window-days", "20", "--cv-days", "10", "--m-grid", "8", "--rho-grid", "0,0.3",
+    "--eps-grid", "0,0.1", "--out", "chosen.json")
+assert "scipy.integrate" not in sys.modules, "scipy.integrate was imported"
+"""
+
+
+def test_commands_never_import_scipy_integrate(tmp_path):
+    # a fresh interpreter, so that no other test's imports count
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+    proc = subprocess.run([sys.executable, "-c", _NO_INTEGRATOR], cwd=tmp_path, env=env,
+                          capture_output=True, text=True, timeout=300)
+    assert proc.returncode == 0, proc.stderr

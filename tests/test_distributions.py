@@ -230,3 +230,21 @@ def test_quantile_forecast_errors(tmp_path):
     empty.write_text("level,value\n")
     with pytest.raises(ValueError, match="no quantile rows"):
         read_quantile_forecast(empty)
+    nan_value = tmp_path / "bad4.csv"
+    nan_value.write_text("level,value\n0.25,0.1\n0.5,nan\n0.75,0.9\n")
+    with pytest.raises(ValueError, match=r"bad4.csv: values must be finite"):
+        read_quantile_forecast(nan_value)
+
+
+@pytest.mark.parametrize("levels, values, what", [
+    ([0.25, 0.5, 0.75], [0.1, np.nan, 0.9], "values"),
+    ([0.25, 0.5, 0.75], [np.nan, np.nan, np.nan], "values"),
+    ([0.25, 0.5, 0.75], [0.1, 0.4, np.inf], "values"),
+    ([0.25, np.nan, 0.75], [0.1, 0.4, 0.9], "levels"),
+    ([-np.inf, 0.5, 0.75], [0.1, 0.4, 0.9], "levels"),
+])
+def test_piecewise_rejects_non_finite_knots(levels, values, what):
+    # NaN passes every "any element outside" check; the constructor asks
+    # "all elements inside" instead
+    with pytest.raises(ValueError, match=rf"{what} must be finite"):
+        PiecewiseLinear(levels, values)
