@@ -31,8 +31,6 @@ from .backtest import (
     scale_penalties,
     write_forecast_dir,
     write_market_csv,
-    write_report_csv,
-    write_report_json,
 )
 from .distributions import (
     Beta,
@@ -55,7 +53,7 @@ from .economics import (
     revenue,
     scaled_loss,
 )
-from .estimation import HourlyTauEstimator, TauEstimatorConfig, estimate_tau, hourly_tau_forecast
+from .estimation import HourlyTauEstimator, estimate_tau
 from .montecarlo import (
     MSweepResult,
     SimConfig,

@@ -119,7 +119,9 @@ class DeformedCdf(UnitDistribution):
     """A reference CDF deformed pointwise by a double-power operator.
 
     Quantiles compose the reference quantile with the mirror operator, the
-    closed-form inverse; no root finding is involved. Over a
+    closed-form inverse; no root finding is involved. Where the mirror level
+    rounds to 1, the reference's upper end is read at the level's exact
+    complement instead. Over a
     :class:`PiecewiseLinear` reference the mean and partial expectations
     are exact: substituting x = Q_ref(u) gives
     ``under(y) = sum over segments of slope * (integral of the operator
@@ -143,8 +145,16 @@ class DeformedCdf(UnitDistribution):
         return self._op(self.reference.cdf(x), self.rho)
 
     def quantile(self, p):
-        _validate_prob(p, "p")
-        return self.reference.quantile(self._mirror(p, self.rho))
+        arr = _validate_prob(p, "p")
+        u = self._mirror(p, self.rho)
+        out = self.reference.quantile(u)
+        # a level that rounds to 1 would lose the reference's upper tail:
+        # take it from the upper end, at the exact complement of the level
+        top = (np.asarray(u) == 1.0) & (arr < 1.0)
+        if np.any(top):
+            s = np.where(top, _complement(self._mirror, p, self.rho), 0.0)
+            out = _match_input(p, np.where(top, self.reference._quantile_above(s), out))
+        return out
 
     def _quantile_below(self, p):
         return self._reference_at(self._mirror(p, self.rho), _complement(self._mirror, p, self.rho))

@@ -20,7 +20,6 @@ selection window sums its slice of that vector in period order.
 from __future__ import annotations
 
 import csv
-import json
 import math
 import operator
 import warnings
@@ -61,8 +60,6 @@ __all__ = [
     "run_backtest",
     "offers_for_day",
     "scale_penalties",
-    "write_report_json",
-    "write_report_csv",
 ]
 
 STRATEGIES = (
@@ -74,6 +71,13 @@ STRATEGIES = (
     "robust_s",
     "robust_omega",
 )
+
+# the grids beyond m_grid that each strategy's candidates are drawn from
+_GRIDS_NEEDED = {
+    "dr_omega": ("rho_grid",),
+    "dr_s_uniform": ("epsilon_grid",),
+    "dr_s_level_adjusted": ("epsilon_grid", "theta_grid"),
+}
 
 MARKET_HEADER = ("timestamp", "pi_s", "pi_b", "s_L", "omega_star")
 _TS_FORMAT = "%Y-%m-%dT%H"
@@ -135,6 +139,10 @@ class BacktestPlan:
         unknown = set(self.strategies) - set(STRATEGIES)
         if unknown:
             raise ValueError(f"unknown strategies: {sorted(unknown)}")
+        for strategy in self.strategies:
+            for grid in _GRIDS_NEEDED.get(strategy, ()):
+                if not getattr(self, grid):
+                    raise ValueError(f"{grid} is empty, but strategy {strategy!r} needs it")
         if not self.m_grid or min(self.m_grid) < 1:
             raise ValueError("m grid must contain positive window lengths")
         if max(self.m_grid) > self.tau_window_days - 1:
@@ -192,10 +200,28 @@ class ChosenParameters:
 
     @classmethod
     def from_json_dict(cls, data: Mapping) -> "ChosenParameters":
-        mode = CvMode(data["mode"])
+        """Read :meth:`to_json_dict` output; a bad or missing key raises ``ValueError``."""
+        if not isinstance(data, Mapping):
+            raise ValueError(f"chosen parameters must be a JSON object, got {type(data).__name__}")
+        try:
+            mode = CvMode(data.get("mode"))
+        except (TypeError, ValueError):
+            raise ValueError(f"chosen parameters: key 'mode' must be one of "
+                             f"{[m.value for m in CvMode]}, got {data.get('mode')!r}") from None
+        key = "static" if mode is CvMode.FIXED_WINDOW else "per_day"
+        table = data.get(key)
+        if not isinstance(table, Mapping):
+            raise ValueError(f"chosen parameters: mode {mode.value!r} needs an object "
+                             f"under key {key!r}")
         if mode is CvMode.FIXED_WINDOW:
-            return cls(mode=mode, static=data["static"])
-        per_day = {int(d): strats for d, strats in data["per_day"].items()}
+            return cls(mode=mode, static=table)
+        per_day = {}
+        for day, strats in table.items():
+            try:
+                per_day[int(day)] = strats
+            except ValueError:
+                raise ValueError(f"chosen parameters: key 'per_day' holds the "
+                                 f"non-integer day {day!r}") from None
         return cls(mode=mode, per_day=per_day)
 
 
@@ -272,7 +298,7 @@ class _MarketFrame:
                     )
         _check(self.timestamps, _unit(self.omega),
                lambda i: f"omega_star must lie in [0, 1], got {self.omega[i]}")
-        self.estimator = HourlyTauEstimator.from_columns(
+        self.estimator = HourlyTauEstimator(
             self.day, self.hour, *penalty_split(self.pi_s, self.pi_b, self.s_l)
         )
 
@@ -397,15 +423,13 @@ def _select(span: _Span, plan: BacktestPlan, windows: Sequence[tuple[int, int]])
     return chosen
 
 
-def cross_validate(records: Sequence[MarketRecord], plan: BacktestPlan,
-                   threads: int = 1) -> ChosenParameters:
+def cross_validate(records: Sequence[MarketRecord], plan: BacktestPlan) -> ChosenParameters:
     """Pick each strategy's parameters by total revenue on the CV window.
 
     Fixed-window mode evaluates the single window at the end of the warm
     start. Sliding mode re-selects for every evaluation day on the trailing
     window of the same length, ending at day-2 so the selection only sees
-    outcomes already settled at the day's gate closure. The work is serial
-    array code; ``threads`` is accepted for compatibility and changes nothing.
+    outcomes already settled at the day's gate closure.
     """
     frame = _frame_for(records)
     if frame.n_days < plan.warm_start_days:
@@ -654,10 +678,6 @@ def report_summary(report: BacktestReport) -> dict:
     }
 
 
-def write_report_json(report: BacktestReport, path) -> None:
-    Path(path).write_text(json.dumps(report_summary(report), indent=2, sort_keys=True) + "\n")
-
-
 def report_csv_rows(report: BacktestReport) -> list[tuple[str, str, str, str, str]]:
     """Per-period rows: timestamp,strategy,revenue,regret,cum_delta_regret."""
     rows = []
@@ -672,11 +692,3 @@ def report_csv_rows(report: BacktestReport) -> list[tuple[str, str, str, str, st
                 repr(float(cum[i])),
             ))
     return rows
-
-
-def write_report_csv(report: BacktestReport, path) -> None:
-    path = Path(path)
-    with path.open("w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["timestamp", "strategy", "revenue", "regret", "cum_delta_regret"])
-        writer.writerows(report_csv_rows(report))

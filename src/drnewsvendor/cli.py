@@ -160,6 +160,12 @@ def _apply_config(argv: list[str]) -> list[str]:
     return [rest[0], *tokens, *rest[1:]]
 
 
+def _add_threads(parser: argparse.ArgumentParser) -> None:
+    parser.add_argument("--threads", type=int, default=1,
+                        help="accepted for compatibility and ignored; every command runs "
+                             "serially and its results never depend on it")
+
+
 def _add_common(parser: argparse.ArgumentParser, default_out: str) -> None:
     parser.add_argument("--seed", type=int, default=0, help="master seed")
     parser.add_argument("--output", choices=("json", "csv"), default="json")
@@ -245,7 +251,6 @@ def _sim_config(args, m: int) -> mc.SimConfig:
         theta=args.theta,
         ball_kinds=kinds,
         master_seed=args.seed,
-        threads=args.threads,
     )
 
 
@@ -325,9 +330,7 @@ def _add_backtest_flags(parser: argparse.ArgumentParser) -> None:
     )
     parser.add_argument("--fallback-tau", type=float, default=None)
     parser.add_argument("--penalty-scale", type=float, default=1.0)
-    parser.add_argument("--threads", type=int, default=1,
-                        help="accepted for compatibility; the backtest runs as serial "
-                             "array code and results never depend on it")
+    _add_threads(parser)
 
 
 def _load_backtest_inputs(args):
@@ -339,7 +342,7 @@ def _load_backtest_inputs(args):
 
 def _cmd_crossval(args) -> int:
     records, plan = _load_backtest_inputs(args)
-    chosen = bt.cross_validate(records, plan, threads=args.threads)
+    chosen = bt.cross_validate(records, plan)
     if args.output == "json":
         _write_json(Path(args.out), {"command": "crossval", "seed": args.seed,
                                      **chosen.to_json_dict()})
@@ -364,7 +367,7 @@ def _cmd_backtest(args) -> int:
     if args.params:
         chosen = bt.ChosenParameters.from_json_dict(json.loads(Path(args.params).read_text()))
     else:
-        chosen = bt.cross_validate(records, plan, threads=args.threads)
+        chosen = bt.cross_validate(records, plan)
     report = bt.run_backtest(records, plan, chosen)
     if args.output == "json":
         _write_json(Path(args.out), {"command": "backtest", "seed": args.seed,
@@ -444,7 +447,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--theta", type=float, default=0.9)
     p.add_argument("--eps-grid", default="0:0.01:1")
     p.add_argument("--ball", choices=("uniform", "level-adjusted", "both"), default="both")
-    p.add_argument("--threads", type=int, default=1)
+    _add_threads(p)
     _add_common(p, "simulate.json")
     p.set_defaults(handler=_cmd_simulate)
 
@@ -459,7 +462,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--theta", type=float, default=0.9)
     p.add_argument("--eps-grid", default="0:0.01:1")
     p.add_argument("--ball", choices=("uniform", "level-adjusted", "both"), default="both")
-    p.add_argument("--threads", type=int, default=1)
+    _add_threads(p)
     _add_common(p, "msweep.json")
     p.set_defaults(handler=_cmd_msweep)
 

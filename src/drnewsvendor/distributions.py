@@ -361,6 +361,10 @@ class PiecewiseLinearBatch:
             slope = (xs[rows, j1] - x0) / (ps[rows, j1] - p0)
             return np.where(p0 == p, x0, slope * (p - p0) + x0)
 
+    def _quantile_above(self, s) -> np.ndarray:
+        """Row-wise quantile at levels ``1 - s``, as ``UnitDistribution._quantile_above``."""
+        return self.quantile(1.0 - np.asarray(s, dtype=float))
+
     def mean(self) -> np.ndarray:
         return self._means.copy()
 
@@ -398,9 +402,6 @@ class RngStream:
 
     def binomial(self, trials: int, p: float, n: int) -> np.ndarray:
         return self._gen.binomial(int(trials), float(p), size=int(n))
-
-    def integers(self, low: int, high: int, n: int) -> np.ndarray:
-        return self._gen.integers(low, high, size=int(n))
 
     @property
     def generator(self) -> np.random.Generator:

@@ -9,34 +9,16 @@ daily pattern of system imbalances.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Iterable, Sequence
+from typing import Sequence
 
 import numpy as np
 
-from .economics import PenaltyPair, bernoulli_outcomes
+from .economics import bernoulli_outcomes
 
 __all__ = [
-    "TauEstimatorConfig",
     "estimate_tau",
     "HourlyTauEstimator",
-    "hourly_tau_forecast",
 ]
-
-
-@dataclass(frozen=True)
-class TauEstimatorConfig:
-    """Moving-average window and exclusion behavior for tau forecasting."""
-
-    window_days: int = 90
-    per_hour: bool = True
-    fallback_tau: float | None = None
-
-    def __post_init__(self):
-        if self.window_days < 1:
-            raise ValueError(f"window must cover at least one day, got {self.window_days}")
-        if self.fallback_tau is not None and not (0.0 <= self.fallback_tau <= 1.0):
-            raise ValueError(f"fallback tau must lie in [0, 1], got {self.fallback_tau}")
 
 
 def estimate_tau(samples: Sequence[float]) -> float:
@@ -65,21 +47,12 @@ class HourlyTauEstimator:
     all zero are skipped; the raw penalties are kept for diagnostics.
     """
 
-    def __init__(self, history: Iterable[tuple[int, int, PenaltyPair]]):
-        rows = [(int(day), int(hour), pair.overage, pair.underage) for day, hour, pair in history]
-        days, hours = (np.array([r[i] for r in rows], dtype=np.int64) for i in (0, 1))
-        overage, underage = (np.array([r[i] for r in rows], dtype=float) for i in (2, 3))
-        self._index(days, hours, overage, underage)
-
-    @classmethod
-    def from_columns(cls, days, hours, overage, underage) -> "HourlyTauEstimator":
+    def __init__(self, days, hours, overage, underage):
         """The estimator over aligned per-period columns, as from :func:`penalty_split`."""
-        est = cls.__new__(cls)
-        est._index(np.asarray(days, dtype=np.int64), np.asarray(hours, dtype=np.int64),
-                   np.asarray(overage, dtype=float), np.asarray(underage, dtype=float))
-        return est
-
-    def _index(self, days, hours, overage, underage) -> None:
+        days, hours = np.asarray(days, dtype=np.int64), np.asarray(hours, dtype=np.int64)
+        overage, underage = np.asarray(overage, dtype=float), np.asarray(underage, dtype=float)
+        if not (days.ndim == 1 and days.shape == hours.shape == overage.shape == underage.shape):
+            raise ValueError("days, hours, overage and underage must be aligned 1-D columns")
         outcome = bernoulli_outcomes(overage, underage)
         usable = np.flatnonzero(~np.isnan(outcome))
         at = usable[np.lexsort((days[usable], hours[usable]))]
@@ -159,21 +132,3 @@ class HourlyTauEstimator:
             "mean_overage": float((po[hi - start] - po[lo - start]) / count),
             "mean_underage": float((pu[hi - start] - pu[lo - start]) / count),
         }
-
-
-def hourly_tau_forecast(
-    history: Iterable[tuple[int, int, PenaltyPair]],
-    window_days: int,
-    target: tuple[int, int],
-    fallback_tau: float | None = None,
-) -> float:
-    """Forecast tau for a (day, hour) target from same-hour history.
-
-    Uses the outcomes of the ``window_days`` days strictly before the
-    target day at the target hour, skipping unpenalized periods. Raises
-    when the window holds no usable observation unless ``fallback_tau``
-    is given.
-    """
-    day, hour = target
-    est = HourlyTauEstimator(history)
-    return est.forecast(day, hour, window_days, fallback_tau=fallback_tau)

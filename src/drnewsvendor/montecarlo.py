@@ -9,21 +9,21 @@ so the only sampled quantity is the estimate itself.
 
 Because an ``m``-draw frequency estimate only takes the values ``k/m``,
 replicates are drawn as binomial counts and aggregated per ``k`` before
-scoring; this is numerically identical to scoring each replicate and
-makes results bit-identical for any thread count (integer reduction).
+scoring; this is numerically identical to scoring each replicate, and
+the integer reduction makes results independent of the block order.
+Everything runs serially in the calling thread.
 """
 
 from __future__ import annotations
 
 import time
-from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Mapping, Sequence
 
 import numpy as np
 
 from .ambiguity import ball_bounds
-from .distributions import UnitDistribution, _validate_prob
+from .distributions import RngStream, UnitDistribution, _validate_prob
 from .economics import expected_loss
 from .solvers import dr_s_rule
 
@@ -56,7 +56,6 @@ class SimConfig:
     theta: float = 0.9
     ball_kinds: tuple[str, ...] = ("uniform", "level_adjusted")
     master_seed: int = 0
-    threads: int = 1
 
     def __post_init__(self):
         _validate_prob(self.true_tau, "true_tau")
@@ -74,8 +73,6 @@ class SimConfig:
         unknown = set(self.ball_kinds) - {"uniform", "level_adjusted"}
         if unknown:
             raise ValueError(f"unknown ball kinds: {sorted(unknown)}")
-        if self.threads < 1:
-            raise ValueError("threads must be positive")
 
 
 @dataclass(frozen=True)
@@ -137,19 +134,11 @@ def _draw_count_blocks(config: SimConfig, m: int, stream_base: int) -> np.ndarra
     integer rows make any later reduction order-independent.
     """
     n = config.n_replicates
-    n_blocks = (n + BLOCK_SIZE - 1) // BLOCK_SIZE
-
-    def one_block(b: int) -> np.ndarray:
-        size = min(BLOCK_SIZE, n - b * BLOCK_SIZE)
-        seq = np.random.SeedSequence(config.master_seed, spawn_key=(stream_base + b,))
-        draws = np.random.default_rng(seq).binomial(m, config.true_tau, size=size)
-        return np.bincount(draws, minlength=m + 1).astype(np.int64)
-
-    if config.threads == 1 or n_blocks == 1:
-        rows = [one_block(b) for b in range(n_blocks)]
-    else:
-        with ThreadPoolExecutor(max_workers=config.threads) as pool:
-            rows = list(pool.map(one_block, range(n_blocks)))
+    rows = []
+    for b, start in enumerate(range(0, n, BLOCK_SIZE)):
+        draws = RngStream(config.master_seed, stream_base + b).binomial(
+            m, config.true_tau, min(BLOCK_SIZE, n - start))
+        rows.append(np.bincount(draws, minlength=m + 1).astype(np.int64))
     return np.vstack(rows)
 
 
@@ -192,8 +181,8 @@ def _se(values: np.ndarray) -> float | None:
 def run_epsilon_sweep(config: SimConfig, *, _stream_base: int = 0) -> SimResult:
     """Expected-loss curves over the ball-radius grid plus the gamma scores.
 
-    Deterministic for a given master seed regardless of ``threads``; all
-    arms are scored against the same estimate draws.
+    Deterministic for a given master seed; all arms are scored against
+    the same estimate draws.
     """
     start = time.perf_counter()
     m = config.m
@@ -270,13 +259,7 @@ def run_m_sweep(config: SimConfig, m_values: Sequence[int]) -> MSweepResult:
     g_u, g_la = [], []
     se_u, se_la, se_d = [], [], []
     for m in m_values:
-        cfg = SimConfig(
-            true_dist=config.true_dist, true_tau=config.true_tau, m=int(m),
-            n_replicates=config.n_replicates, epsilon_grid=config.epsilon_grid,
-            theta=config.theta, ball_kinds=config.ball_kinds,
-            master_seed=config.master_seed, threads=config.threads,
-        )
-        res = run_epsilon_sweep(cfg, _stream_base=int(m) << 24)
+        res = run_epsilon_sweep(replace(config, m=int(m)), _stream_base=int(m) << 24)
         g_u.append(np.nan if res.gamma_u is None else res.gamma_u)
         g_la.append(np.nan if res.gamma_la is None else res.gamma_la)
         se_u.append(np.nan if res.gamma_se.get(_ARM_UNIFORM) is None else res.gamma_se[_ARM_UNIFORM])
@@ -312,8 +295,8 @@ def sweep_summary(result: SimResult, config: SimConfig) -> dict:
         "best_epsilon": dict(result.best_epsilon),
         "gamma_se": dict(result.gamma_se),
         "gamma_diff_se": result.gamma_diff_se,
-        # threads and runtime are execution details, not experiment inputs;
-        # leaving them out keeps artifacts byte-identical across machines
+        # runtime is an execution detail, not an experiment input; leaving
+        # it out keeps artifacts byte-identical across runs and machines
         "config": {
             "true_dist": repr(config.true_dist),
             "true_tau": config.true_tau,

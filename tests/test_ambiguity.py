@@ -140,6 +140,18 @@ def test_robustness_limit_near_one():
         assert float(lo.quantile(p)) >= 1.0 - 1e-2
 
 
+def test_band_quantile_keeps_the_upper_tail_where_the_level_rounds_to_one():
+    # at rho = 0.99 the mirror level of p >= 0.5 rounds to 1, so the quantile
+    # must come from the reference's upper end at the level's exact complement
+    band = deform_lower(Beta(0.5, 8), 0.99)
+    assert double_power_upper(0.5, 0.99) == 1.0
+    assert band.quantile(0.5) == pytest.approx(0.9998810170160655, rel=1e-12)
+    p = np.array([0.5, 0.75, 0.9])
+    q = np.asarray(band.quantile(p))
+    assert np.all(q < 1.0) and np.all(np.diff(q) > 0.0)
+    assert q == pytest.approx(np.asarray(band._quantile_above(1.0 - p)), rel=1e-12)
+
+
 def test_deformed_moments_against_quantile_integral_oracle():
     # the deformed mean/partials of a Beta reference come from the fixed
     # quantile-domain rule; check them against a uniform-grid trapezoid of

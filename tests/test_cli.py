@@ -5,6 +5,7 @@ import json
 import os
 import subprocess
 import sys
+import threading
 from pathlib import Path
 
 import pytest
@@ -158,6 +159,75 @@ def test_backtest_penalty_scale_flag(tmp_path):
     r0 = json.loads(base.read_text())["strategies"]["bn"]["regret_per_mwh"]
     r2 = json.loads(scaled.read_text())["strategies"]["bn"]["regret_per_mwh"]
     assert r2 > r0  # harsher penalties deepen the plain offer's regret
+
+
+@pytest.fixture(scope="module")
+def market_flags(tmp_path_factory):
+    """Backtest flags over a small synthetic market written once for the module."""
+    root = tmp_path_factory.mktemp("market")
+    market, fdir = root / "m.csv", root / "fc"
+    assert dispatch(["synth", "--days", "34", "--seed", "9", "--market-out", str(market),
+                     "--forecasts-out", str(fdir), "--out", str(root / "s.json")]) == 0
+    return ["--market", str(market), "--forecasts", str(fdir),
+            "--warm-start-days", "30", "--tau-window-days", "20", "--cv-days", "10",
+            "--m-grid", "8", "--rho-grid", "0,0.2", "--eps-grid", "0,0.1",
+            "--theta-grid", "0.9"]
+
+
+@pytest.mark.parametrize("params, names", [
+    ([], "JSON object"),
+    ({}, "'mode'"),
+    ({"mode": "weekly"}, "'mode'"),
+    ({"mode": "fixed_window"}, "'static'"),
+    ({"mode": "sliding", "static": {}}, "'per_day'"),
+    ({"mode": "sliding", "per_day": {"day 31": {}}}, "'day 31'"),
+])
+def test_backtest_malformed_params_exit_1(tmp_path, capsys, market_flags, params, names):
+    path = tmp_path / "chosen.json"
+    path.write_text(json.dumps(params))
+    code = dispatch(["backtest", *market_flags, "--params", str(path),
+                     "--out", str(tmp_path / "bt.json")])
+    assert code == 1
+    error = json.loads(capsys.readouterr().err)["error"]
+    assert error.startswith("chosen parameters") and names in error
+
+
+def test_crossval_empty_grid_exits_1(tmp_path, capsys, market_flags):
+    code = dispatch(["crossval", *market_flags, "--rho-grid", "",
+                     "--out", str(tmp_path / "chosen.json")])
+    assert code == 1
+    error = json.loads(capsys.readouterr().err)["error"]
+    assert error == "rho_grid is empty, but strategy 'dr_omega' needs it"
+
+
+def test_commands_start_no_threads(tmp_path, monkeypatch, market_flags):
+    started = []
+    start = threading.Thread.start
+
+    def counted(thread):
+        started.append(thread.name)
+        start(thread)
+
+    monkeypatch.setattr(threading.Thread, "start", counted)
+    sim = ["--dist", "beta:2,6", "--tau", "0.75", "--eps-grid", "0:0.1:1", "--threads", "8"]
+    commands = [
+        ["simulate", *sim, "--m", "10", "--n", "50000"],
+        ["msweep", *sim, "--m-min", "4", "--m-max", "6", "--n", "20000"],
+        ["crossval", *market_flags, "--threads", "8"],
+        ["backtest", *market_flags, "--threads", "8"],
+    ]
+    for i, argv in enumerate(commands):
+        assert dispatch([*argv, "--out", str(tmp_path / f"out{i}.json")]) == 0, argv[0]
+    assert started == []
+
+
+def test_solve_dr_omega_keeps_the_band_tail_at_large_radius(tmp_path):
+    # the lower band's mirror level rounds to 1 here; its quantile must not
+    out = tmp_path / "solve.json"
+    assert dispatch(["solve", "--strategy", "dr-omega", "--dist", "beta:0.5,8",
+                     "--tau", "0.5", "--rho", "0.99", "--out", str(out)]) == 0
+    q_lower = json.loads(out.read_text())["diagnostics"]["q_lower"]
+    assert q_lower == pytest.approx(0.9998810170160655, rel=1e-12)
 
 
 def test_msweep_csv(tmp_path):

@@ -9,14 +9,25 @@ from drnewsvendor import (
     HourlyTauEstimator,
     PenaltyPair,
     RngStream,
-    TauEstimatorConfig,
     estimate_tau,
-    hourly_tau_forecast,
 )
 
 OVER = PenaltyPair(5.0, 0.0)
 UNDER = PenaltyPair(0.0, 5.0)
 NONE_PAIR = PenaltyPair(0.0, 0.0)
+
+
+def estimator(history):
+    """The estimator over ``(day, hour, PenaltyPair)`` rows, passed as aligned columns."""
+    days, hours, pairs = zip(*history) if history else ((), (), ())
+    return HourlyTauEstimator(days, hours, [p.overage for p in pairs],
+                              [p.underage for p in pairs])
+
+
+def forecast(history, window_days, target, fallback_tau=None):
+    """Tau at a ``(day, hour)`` target from the same-hour history."""
+    day, hour = target
+    return estimator(history).forecast(day, hour, window_days, fallback_tau=fallback_tau)
 
 
 def test_estimate_tau_examples():
@@ -35,49 +46,49 @@ def test_estimate_tau_errors():
 
 def test_hourly_constant_overage():
     history = [(d, 10, OVER) for d in range(1, 61)]
-    assert hourly_tau_forecast(history, 30, (61, 10)) == 1.0
+    assert forecast(history, 30, (61, 10)) == 1.0
 
 
 def test_hourly_alternating_days():
     history = [(d, 5, OVER if d % 2 else UNDER) for d in range(1, 41)]
-    assert hourly_tau_forecast(history, 40, (41, 5)) == 0.5
+    assert forecast(history, 40, (41, 5)) == 0.5
 
 
 def test_hourly_counting_oracle_63_of_90():
     # 63 overage days and 27 underage days inside the 90-day window
     history = [(d, 7, OVER if d <= 63 else UNDER) for d in range(1, 91)]
-    assert hourly_tau_forecast(history, 90, (91, 7)) == pytest.approx(0.7)
+    assert forecast(history, 90, (91, 7)) == pytest.approx(0.7)
 
 
 def test_window_bounds_are_exact():
     # day 1 outcome must fall outside a 3-day window targeting day 5
     history = [(1, 0, OVER), (2, 0, UNDER), (3, 0, UNDER), (4, 0, UNDER)]
-    assert hourly_tau_forecast(history, 3, (5, 0)) == 0.0
-    assert hourly_tau_forecast(history, 4, (5, 0)) == 0.25
+    assert forecast(history, 3, (5, 0)) == 0.0
+    assert forecast(history, 4, (5, 0)) == 0.25
     # the target day itself never enters
     history.append((5, 0, OVER))
-    assert hourly_tau_forecast(history, 4, (5, 0)) == 0.25
+    assert forecast(history, 4, (5, 0)) == 0.25
 
 
 def test_no_balancing_periods_are_excluded():
     history = [(1, 3, OVER), (2, 3, NONE_PAIR), (3, 3, NONE_PAIR), (4, 3, UNDER)]
-    assert hourly_tau_forecast(history, 4, (5, 3)) == 0.5
+    assert forecast(history, 4, (5, 3)) == 0.5
 
 
 def test_empty_window_error_and_fallback():
     history = [(1, 3, NONE_PAIR), (2, 3, NONE_PAIR)]
     with pytest.raises(ValueError, match="fallback"):
-        hourly_tau_forecast(history, 2, (3, 3))
-    assert hourly_tau_forecast(history, 2, (3, 3), fallback_tau=0.5) == 0.5
+        forecast(history, 2, (3, 3))
+    assert forecast(history, 2, (3, 3), fallback_tau=0.5) == 0.5
     with pytest.raises(ValueError):
-        hourly_tau_forecast([], 5, (3, 7))
+        forecast([], 5, (3, 7))
 
 
 def test_shift_invariance_across_hours():
     base = [(d, 8, OVER if d % 3 else UNDER) for d in range(1, 31)]
-    before = hourly_tau_forecast(base, 30, (31, 8))
+    before = forecast(base, 30, (31, 8))
     noisy = base + [(d, 9, UNDER) for d in range(1, 31)] + [(d, 7, OVER) for d in range(1, 31)]
-    assert hourly_tau_forecast(noisy, 30, (31, 8)) == before
+    assert forecast(noisy, 30, (31, 8)) == before
 
 
 def test_consistency_on_stationary_data():
@@ -85,14 +96,14 @@ def test_consistency_on_stationary_data():
     m = 10_000
     draws = RngStream(42, 0).generator.random(m) < tau
     history = [(d + 1, 0, OVER if s else UNDER) for d, s in enumerate(draws)]
-    est = hourly_tau_forecast(history, m, (m + 1, 0))
+    est = forecast(history, m, (m + 1, 0))
     assert abs(est - tau) <= 0.02
 
 
 def test_estimator_diagnostics_expose_penalty_averages():
     history = [(1, 2, PenaltyPair(10.0, 0.0)), (2, 2, PenaltyPair(0.0, 4.0)),
                (3, 2, NONE_PAIR)]
-    est = HourlyTauEstimator(history)
+    est = estimator(history)
     diag = est.diagnostics(4, 2, 3)
     assert diag["tau_hat"] == pytest.approx(0.5)
     assert diag["count"] == 2.0
@@ -102,16 +113,12 @@ def test_estimator_diagnostics_expose_penalty_averages():
 
 def test_duplicate_day_rejected():
     with pytest.raises(ValueError, match="duplicate"):
-        HourlyTauEstimator([(1, 2, OVER), (1, 2, UNDER)])
+        estimator([(1, 2, OVER), (1, 2, UNDER)])
 
 
-def test_config_validation():
-    with pytest.raises(ValueError):
-        TauEstimatorConfig(window_days=0)
-    with pytest.raises(ValueError):
-        TauEstimatorConfig(fallback_tau=1.5)
-    cfg = TauEstimatorConfig(window_days=90, fallback_tau=0.5)
-    assert cfg.per_hour
+def test_misaligned_columns_rejected():
+    with pytest.raises(ValueError, match="aligned"):
+        HourlyTauEstimator([1, 2], [0], [5.0, 0.0], [0.0, 5.0])
 
 
 # ---------- the index against a plain window mean ----------
@@ -156,7 +163,7 @@ def reference_window(history, day, hour, window):
 @given(windowed_histories())
 def test_index_matches_plain_window_mean(case):
     history, targets, window, fallback = case
-    est = HourlyTauEstimator(history)
+    est = estimator(history)
     expected = []
     for day, hour in targets:
         pairs = reference_window(history, day, hour, window)
@@ -189,4 +196,4 @@ def test_index_matches_plain_window_mean(case):
 def test_duplicate_day_names_the_lowest_hour():
     history = [(4, 9, OVER), (4, 9, UNDER), (2, 3, OVER), (2, 3, NONE_PAIR), (2, 3, UNDER)]
     with pytest.raises(ValueError, match=r"^duplicate day for hour 3$"):
-        HourlyTauEstimator(history)
+        estimator(history)

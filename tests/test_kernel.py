@@ -97,7 +97,8 @@ def test_batch_quantile_and_mean_match_each_row(data):
 
 
 @settings(max_examples=200)
-@given(rows(), st.one_of(st.sampled_from([0.0, 1.0]), st.floats(0.0, 0.99)))
+# at rho = 0.99 the lower band's mirror level rounds to 1 for most taus
+@given(rows(), st.one_of(st.sampled_from([0.0, 0.99, 1.0]), st.floats(0.0, 0.99)))
 def test_dr_omega_kernel_matches_scalar(data, rho):
     dists, taus = data
     offers = dr_omega_offers(PiecewiseLinearBatch(dists), taus, rho)[0].tolist()
@@ -197,9 +198,10 @@ class NaiveBacktest:
         first = records[0].timestamp.date()
         self.periods = {((r.timestamp.date() - first).days + 1, r.timestamp.hour): r
                         for r in records}
-        self.estimator = HourlyTauEstimator(
-            (day, hour, penalties(r.pi_s, r.pi_b, r.s_l))
-            for (day, hour), r in self.periods.items())
+        pairs = [penalties(r.pi_s, r.pi_b, r.s_l) for r in self.periods.values()]
+        days, hours = zip(*self.periods)
+        self.estimator = HourlyTauEstimator(days, hours, [p.overage for p in pairs],
+                                            [p.underage for p in pairs])
         self.settled = {}
 
     def offer(self, strategy, params, day, hour):

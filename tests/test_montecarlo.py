@@ -69,16 +69,6 @@ def test_dr_uniform_curve_continuity():
     assert np.max(np.abs(np.diff(fine.curves["dr_uniform"]))[interior]) < 1e-3
 
 
-def test_determinism_across_thread_counts():
-    res1 = run_epsilon_sweep(small_config(threads=1))
-    res8 = run_epsilon_sweep(small_config(threads=8))
-    assert np.array_equal(res1.tau_hat_counts, res8.tau_hat_counts)
-    for arm in res1.curves:
-        assert np.array_equal(res1.curves[arm], res8.curves[arm])
-    assert res1.gamma_u == res8.gamma_u
-    assert res1.gamma_la == res8.gamma_la
-
-
 def test_determinism_across_runs_and_seed_sensitivity():
     a = run_epsilon_sweep(small_config())
     b = run_epsilon_sweep(small_config())
