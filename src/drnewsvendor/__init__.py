@@ -59,7 +59,6 @@ from .montecarlo import (
     SimConfig,
     SimResult,
     gamma,
-    loss_curve,
     run_epsilon_sweep,
     run_m_sweep,
 )

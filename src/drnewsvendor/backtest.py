@@ -27,7 +27,7 @@ import weakref
 from dataclasses import dataclass, replace
 from datetime import datetime
 from enum import Enum
-from itertools import islice, repeat
+from itertools import islice, product, repeat
 from operator import attrgetter
 from pathlib import Path
 from typing import Callable, Iterable, Mapping, Sequence
@@ -62,22 +62,18 @@ __all__ = [
     "scale_penalties",
 ]
 
-STRATEGIES = (
-    "oracle",
-    "bn",
-    "dr_omega",
-    "dr_s_uniform",
-    "dr_s_level_adjusted",
-    "robust_s",
-    "robust_omega",
-)
-
-# the grids beyond m_grid that each strategy's candidates are drawn from
-_GRIDS_NEEDED = {
-    "dr_omega": ("rho_grid",),
-    "dr_s_uniform": ("epsilon_grid",),
-    "dr_s_level_adjusted": ("epsilon_grid", "theta_grid"),
+# the parameters each strategy's offer rule reads, in candidate order; the
+# candidates for parameter "x" come from the plan's "x_grid"
+_PARAMS = {
+    "oracle": (),
+    "bn": ("m",),
+    "dr_omega": ("m", "rho"),
+    "dr_s_uniform": ("m", "epsilon"),
+    "dr_s_level_adjusted": ("m", "epsilon", "theta"),
+    "robust_s": (),
+    "robust_omega": ("m",),
 }
+STRATEGIES = tuple(_PARAMS)
 
 MARKET_HEADER = ("timestamp", "pi_s", "pi_b", "s_L", "omega_star")
 _TS_FORMAT = "%Y-%m-%dT%H"
@@ -139,12 +135,12 @@ class BacktestPlan:
         unknown = set(self.strategies) - set(STRATEGIES)
         if unknown:
             raise ValueError(f"unknown strategies: {sorted(unknown)}")
-        for strategy in self.strategies:
-            for grid in _GRIDS_NEEDED.get(strategy, ()):
-                if not getattr(self, grid):
-                    raise ValueError(f"{grid} is empty, but strategy {strategy!r} needs it")
         if not self.m_grid or min(self.m_grid) < 1:
             raise ValueError("m grid must contain positive window lengths")
+        for strategy in self.strategies:
+            for name in _PARAMS[strategy]:
+                if not getattr(self, f"{name}_grid"):
+                    raise ValueError(f"{name}_grid is empty, but strategy {strategy!r} needs it")
         if max(self.m_grid) > self.tau_window_days - 1:
             raise ValueError(
                 f"largest m ({max(self.m_grid)}) cannot exceed the tau window "
@@ -156,20 +152,11 @@ class BacktestPlan:
 
 def _param_grid(strategy: str, plan: BacktestPlan) -> list[dict]:
     """Deterministically ordered candidate parameters; ties favor earlier entries."""
-    if strategy in ("oracle", "robust_s"):
-        return [{}]
-    if strategy in ("bn", "robust_omega"):
-        return [{"m": m} for m in plan.m_grid]
-    if strategy == "dr_omega":
-        return [{"m": m, "rho": r} for m in plan.m_grid for r in plan.rho_grid]
-    if strategy == "dr_s_uniform":
-        return [{"m": m, "epsilon": e} for m in plan.m_grid for e in plan.epsilon_grid]
-    if strategy == "dr_s_level_adjusted":
-        return [
-            {"m": m, "epsilon": e, "theta": t}
-            for m in plan.m_grid for e in plan.epsilon_grid for t in plan.theta_grid
-        ]
-    raise ValueError(f"unknown strategy {strategy!r}")
+    if strategy not in _PARAMS:
+        raise ValueError(f"unknown strategy {strategy!r}")
+    names = _PARAMS[strategy]
+    grids = (getattr(plan, f"{name}_grid") for name in names)
+    return [dict(zip(names, values)) for values in product(*grids)]
 
 
 @dataclass(frozen=True)
@@ -181,13 +168,27 @@ class ChosenParameters:
     per_day: Mapping[int, Mapping[str, Mapping[str, float]]] | None = None
 
     def params_for(self, strategy: str, day: int) -> Mapping[str, float]:
+        """The parameters ``strategy`` uses on ``day``.
+
+        Raises ``ValueError`` naming the strategy, and the parameter when
+        one is missing, if the selection cannot price the strategy.
+        """
         if self.mode is CvMode.FIXED_WINDOW:
             assert self.static is not None
-            return self.static[strategy]
-        assert self.per_day is not None
-        if day not in self.per_day:
-            raise ValueError(f"no parameters chosen for day {day}")
-        return self.per_day[day][strategy]
+            table, where = self.static, ""
+        else:
+            assert self.per_day is not None
+            if day not in self.per_day:
+                raise ValueError(f"no parameters chosen for day {day}")
+            table, where = self.per_day[day], f" on day {day}"
+        params = table.get(strategy) if isinstance(table, Mapping) else None
+        if not isinstance(params, Mapping):
+            raise ValueError(f"chosen parameters: no parameters for strategy {strategy!r}{where}")
+        for name in _PARAMS[strategy]:
+            if name not in params:
+                raise ValueError(f"chosen parameters: strategy {strategy!r} has no "
+                                 f"parameter {name!r}{where}")
+        return params
 
     def to_json_dict(self) -> dict:
         if self.mode is CvMode.FIXED_WINDOW:

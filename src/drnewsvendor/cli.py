@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import functools
 import io
 import json
 import os
@@ -491,6 +492,16 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+@functools.lru_cache(maxsize=1)
+def _parser() -> argparse.ArgumentParser:
+    """The parser :func:`dispatch` uses, built once per process.
+
+    Parsing leaves no state on the parser, so in-process callers that
+    dispatch many commands skip rebuilding its seven subcommands.
+    """
+    return build_parser()
+
+
 def dispatch(argv: list[str] | None = None) -> int:
     """Parse and run; returns the exit status."""
     argv = list(sys.argv[1:] if argv is None else argv)
@@ -499,7 +510,7 @@ def dispatch(argv: list[str] | None = None) -> int:
     except (OSError, ValueError) as exc:
         print(json.dumps({"error": str(exc)}), file=sys.stderr)
         return 1
-    args = build_parser().parse_args(argv)
+    args = _parser().parse_args(argv)
     try:
         return args.handler(args)
     except (ValueError, OSError, KeyError) as exc:

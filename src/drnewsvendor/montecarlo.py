@@ -12,6 +12,15 @@ replicates are drawn as binomial counts and aggregated per ``k`` before
 scoring; this is numerically identical to scoring each replicate, and
 the integer reduction makes results independent of the block order.
 Everything runs serially in the calling thread.
+
+The robust arm's table prices the true quantile function Q only at the
+ball bounds that :func:`dr_s_rule` can select. With p = F(mean): a level
+u > p has Q(u) > mean, so the upper-bound branch cannot fire there, and a
+level u < p has Q(u) <= mean, so the lower-bound branch cannot either.
+This holds for any distribution on [0, 1], atoms included; a guard of
+1e-9 in level units absorbs the rounding of F and Q. Each priced value is
+the elementwise quantile it always was, so every offer, curve and
+artifact is bit-identical to pricing both bounds of every cell.
 """
 
 from __future__ import annotations
@@ -34,12 +43,14 @@ __all__ = [
     "run_epsilon_sweep",
     "run_m_sweep",
     "gamma",
-    "loss_curve",
     "sweep_csv_rows",
     "sweep_summary",
 ]
 
 BLOCK_SIZE = 16384
+# slack, in level units, for the rounding of ``cdf`` and ``quantile`` when
+# _dr_loss_table decides which ball bounds can become offers
+_LEVEL_GUARD = 1e-9
 _ARM_UNIFORM = "dr_uniform"
 _ARM_LEVEL_ADJUSTED = "dr_level_adjusted"
 
@@ -118,15 +129,6 @@ def gamma(l_bn: float, l_o: float, l_dr_star: float) -> float:
     return (l_bn - l_dr_star) / (l_bn - l_o)
 
 
-def loss_curve(dist: UnitDistribution, taus: Sequence[float], y_grid: Sequence[float]) -> np.ndarray:
-    """Expected-loss matrix, one row per chance of success, one column per offer."""
-    ys = np.asarray(y_grid, dtype=float)
-    taus = np.asarray(taus, dtype=float)
-    _validate_prob(taus, "taus")
-    unders, overs = dist.partial_expectations(ys)
-    return np.outer(1.0 - taus, unders) + np.outer(taus, overs)
-
-
 def _draw_count_blocks(config: SimConfig, m: int, stream_base: int) -> np.ndarray:
     """Binomial successes per replicate, bucketed by count, one row per block.
 
@@ -150,14 +152,26 @@ def _losses_for_offers(dist: UnitDistribution, tau_true: float, offers: np.ndarr
 
 
 def _dr_loss_table(config: SimConfig, m: int, kind: str) -> np.ndarray:
-    """Expected loss per (epsilon, tau_hat value) for one ball kind."""
+    """Expected loss per (epsilon, tau_hat value) for one ball kind.
+
+    Only the quantiles :func:`dr_s_rule` can pick are priced (see the
+    module docstring); the others enter the rule as ``+inf`` (upper bound)
+    and ``-inf`` (lower bound), which it never selects.
+    """
     grid = np.asarray(config.epsilon_grid, dtype=float)
     tau_hats = np.arange(m + 1, dtype=float) / m
     theta = config.theta if kind == "level_adjusted" else None
     lo, hi = ball_bounds(tau_hats[None, :], grid[:, None], kind, theta)
     dist = config.true_dist
-    offers, _ = dr_s_rule(np.asarray(dist.quantile(lo), dtype=float),
-                          np.asarray(dist.quantile(hi), dtype=float), dist.mean())
+    mean = dist.mean()
+    p = float(dist.cdf(mean))
+    at_hi, at_lo = hi <= p + _LEVEL_GUARD, lo >= p - _LEVEL_GUARD
+    levels, inverse = np.unique(np.concatenate((hi[at_hi], lo[at_lo])), return_inverse=True)
+    priced = np.asarray(dist.quantile(levels), dtype=float)[inverse]
+    q_hi, q_lo = np.full(hi.shape, np.inf), np.full(lo.shape, -np.inf)
+    n_hi = np.count_nonzero(at_hi)
+    q_hi[at_hi], q_lo[at_lo] = priced[:n_hi], priced[n_hi:]
+    offers, _ = dr_s_rule(q_lo, q_hi, mean)
     return _losses_for_offers(dist, config.true_tau, offers)
 
 

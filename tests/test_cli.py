@@ -181,6 +181,11 @@ def market_flags(tmp_path_factory):
     ({"mode": "fixed_window"}, "'static'"),
     ({"mode": "sliding", "static": {}}, "'per_day'"),
     ({"mode": "sliding", "per_day": {"day 31": {}}}, "'day 31'"),
+    ({"mode": "fixed_window", "static": {}}, "no parameters for strategy 'oracle'"),
+    ({"mode": "fixed_window", "static": {"oracle": {}, "bn": {"rho": 0.1}}},
+     "strategy 'bn' has no parameter 'm'"),
+    ({"mode": "sliding", "per_day": {str(d): {"oracle": {}} for d in range(31, 35)}},
+     "no parameters for strategy 'bn' on day 31"),
 ])
 def test_backtest_malformed_params_exit_1(tmp_path, capsys, market_flags, params, names):
     path = tmp_path / "chosen.json"
@@ -309,6 +314,12 @@ def test_config_file_supplies_flags_and_cli_overrides(tmp_path):
     assert payload["config"]["n_replicates"] == 5000
 
 
+def _src_env() -> dict:
+    """The environment for a fresh interpreter that imports this checkout's package."""
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    return dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+
+
 def test_usage_error_exits_2():
     with pytest.raises(SystemExit) as exc:
         dispatch(["solve", "--strategy", "nonsense"])
@@ -316,6 +327,28 @@ def test_usage_error_exits_2():
     with pytest.raises(SystemExit) as exc:
         dispatch([])
     assert exc.value.code == 2
+
+
+def test_repeated_dispatch_matches_fresh_processes(tmp_path):
+    sim = ["--dist", "beta:2,6", "--tau", "0.75", "--eps-grid", "0:0.1:1", "--n", "20000"]
+    commands = {
+        "simulate.json": ["simulate", *sim, "--m", "12"],
+        "msweep.csv": ["msweep", *sim, "--m-min", "3", "--m-max", "6", "--output", "csv"],
+    }
+    fresh, shared = tmp_path / "fresh", tmp_path / "shared"
+    for name, argv in commands.items():
+        proc = subprocess.run([sys.executable, "-c", "from drnewsvendor.cli import main; main()",
+                               *argv, "--out", str(fresh / name)],
+                              env=_src_env(), capture_output=True, text=True, timeout=300)
+        assert proc.returncode == 0, proc.stderr
+    # one process: a command, a usage error, another command
+    assert dispatch([*commands["simulate.json"], "--out", str(shared / "simulate.json")]) == 0
+    with pytest.raises(SystemExit) as exc:
+        dispatch(["msweep", "--tau", "not-a-number"])
+    assert exc.value.code == 2
+    assert dispatch([*commands["msweep.csv"], "--out", str(shared / "msweep.csv")]) == 0
+    for name in commands:
+        assert (shared / name).read_bytes() == (fresh / name).read_bytes(), name
 
 
 def test_domain_error_exits_1(tmp_path, capsys):
@@ -399,8 +432,6 @@ assert "scipy.integrate" not in sys.modules, "scipy.integrate was imported"
 
 def test_commands_never_import_scipy_integrate(tmp_path):
     # a fresh interpreter, so that no other test's imports count
-    src = str(Path(__file__).resolve().parents[1] / "src")
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
-    proc = subprocess.run([sys.executable, "-c", _NO_INTEGRATOR], cwd=tmp_path, env=env,
+    proc = subprocess.run([sys.executable, "-c", _NO_INTEGRATOR], cwd=tmp_path, env=_src_env(),
                           capture_output=True, text=True, timeout=300)
     assert proc.returncode == 0, proc.stderr

@@ -2,18 +2,24 @@
 
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 from scipy import stats
 
 from drnewsvendor import (
     Beta,
+    Heaviside,
+    PiecewiseLinear,
     SimConfig,
+    Uniform01,
     expected_loss,
     gamma,
-    loss_curve,
     run_epsilon_sweep,
     run_m_sweep,
 )
-from drnewsvendor.montecarlo import _dr_loss_table, sweep_csv_rows, sweep_summary
+from drnewsvendor.ambiguity import ball_bounds
+from drnewsvendor.montecarlo import _dr_loss_table, _losses_for_offers, sweep_csv_rows, sweep_summary
+from drnewsvendor.solvers import dr_s_rule
 
 
 def small_config(**kw):
@@ -111,6 +117,88 @@ def test_dr_table_matches_scalar_solver():
             assert table[i, k] == pytest.approx(expect, abs=1e-14)
 
 
+def _unpruned_loss_table(config: SimConfig, m: int, kind: str) -> np.ndarray:
+    """The DR loss table with both ball bounds of every cell priced."""
+    grid = np.asarray(config.epsilon_grid, dtype=float)
+    tau_hats = np.arange(m + 1, dtype=float) / m
+    theta = config.theta if kind == "level_adjusted" else None
+    lo, hi = ball_bounds(tau_hats[None, :], grid[:, None], kind, theta)
+    dist = config.true_dist
+    offers, _ = dr_s_rule(np.asarray(dist.quantile(lo), dtype=float),
+                          np.asarray(dist.quantile(hi), dtype=float), dist.mean())
+    return _losses_for_offers(dist, config.true_tau, offers)
+
+
+@st.composite
+def _atom_at_mean(draw) -> PiecewiseLinear:
+    """A forecast symmetric about 1/2 with an atom there, on dyadic knots.
+
+    Every knot is a multiple of 1/128, so the trapezoid mean is exactly 1/2
+    and the atom sits at the distribution's own mean.
+    """
+    half = draw(st.integers(1, 8))
+    steps = draw(st.lists(st.integers(1, 63 - half), min_size=1, max_size=6, unique=True))
+    heights = sorted(draw(st.lists(st.integers(0, 64), min_size=len(steps), max_size=len(steps))))
+    lower = np.array(sorted(steps)) / 128.0
+    values = np.array(heights) / 128.0
+    levels = np.concatenate((lower, [0.5 - half / 128.0, 0.5 + half / 128.0], 1.0 - lower[::-1]))
+    return PiecewiseLinear(levels, np.concatenate((values, [0.5, 0.5], 1.0 - values[::-1])))
+
+
+_unit_dists = st.one_of(
+    st.sampled_from([(0.5, 8.0), (8.0, 0.5)]).map(lambda ab: Beta(*ab)),
+    st.tuples(st.floats(0.3, 20.0), st.floats(0.3, 20.0)).map(lambda ab: Beta(*ab)),
+    _atom_at_mean(),
+    st.floats(0.0, 1.0).map(Heaviside),
+    st.just(Uniform01()),
+)
+
+
+@given(
+    dist=_unit_dists,
+    m=st.integers(1, 40),
+    kind=st.sampled_from(["uniform", "level_adjusted"]),
+    radii=st.lists(st.floats(0.0, 1.0), max_size=12),
+    theta=st.floats(0.0, 0.99),
+    tau=st.floats(0.05, 0.95),
+)
+def test_pruned_dr_table_is_bit_identical(dist, m, kind, radii, theta, tau):
+    if isinstance(dist, PiecewiseLinear):
+        assert dist.mean() == 0.5 and dist.cdf(0.5) > dist.cdf(0.5 - 1e-12)
+    grid = tuple(sorted({0.0, 1.0, *radii}))
+    cfg = SimConfig(true_dist=dist, true_tau=tau, m=m, n_replicates=1,
+                    epsilon_grid=grid, theta=theta)
+    table = _dr_loss_table(cfg, m, kind)
+    assert table.tobytes() == _unpruned_loss_table(cfg, m, kind).tobytes()
+
+
+class _CountingBeta(Beta):
+    """Beta that records how many levels each quantile call prices."""
+
+    def __init__(self, a, b):
+        super().__init__(a, b)
+        self.priced = []
+
+    def quantile(self, p):
+        self.priced.append(np.size(p))
+        return super().quantile(p)
+
+
+@pytest.mark.parametrize("kind, share", [("uniform", 0.05), ("level_adjusted", 1 / 3)])
+def test_dr_table_prices_few_levels(kind, share):
+    # the msweep default grid at its largest m: 101 radii by 76 estimates,
+    # two bounds each, 15,352 levels per table. Near tau_hat = 1/2 the
+    # level-adjusted ball is a tenth as wide, so around F(mean) = 0.555 one
+    # of its bounds stays priceable at every radius: it keeps 32%.
+    dist = _CountingBeta(2, 6)
+    cfg = SimConfig(true_dist=dist, true_tau=0.75, m=75, n_replicates=1)
+    table = _dr_loss_table(cfg, 75, kind)
+    assert len(dist.priced) == 1
+    assert dist.priced[0] <= share * 2 * 101 * 76
+    dist.priced.clear()
+    assert table.tobytes() == _unpruned_loss_table(cfg, 75, kind).tobytes()
+
+
 def test_gamma_standard_errors_shrink_with_n():
     small = run_epsilon_sweep(small_config(n_replicates=40_000))
     big = run_epsilon_sweep(small_config(n_replicates=400_000))
@@ -142,7 +230,7 @@ def test_loss_curve_geometry():
     dist = Beta(2, 6)
     taus = [0.1, 0.35, 0.5, 0.75, 0.9]
     y_grid = np.round(np.arange(0.0, 1.0001, 0.001), 9)
-    matrix = loss_curve(dist, taus, y_grid)
+    matrix = np.array([expected_loss(dist, y_grid, tau) for tau in taus])
     assert matrix.shape == (5, y_grid.size)
     # all curves cross at the mean
     at_mean = matrix[:, np.searchsorted(y_grid, 0.25)]
