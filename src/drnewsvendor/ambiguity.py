@@ -266,14 +266,14 @@ class BernoulliBall:
 
 
 def ball_bounds(tau_hat, epsilon, kind: BallKind | str = BallKind.UNIFORM,
-                theta: float | None = None) -> tuple[np.ndarray, np.ndarray]:
+                theta: float | np.ndarray | None = None) -> tuple[np.ndarray, np.ndarray]:
     """Lower and upper ball bounds around estimates ``tau_hat``, elementwise.
 
     The uniform half-width is ``epsilon``; the level-adjusted one is
     ``epsilon * (1 - 4*theta*tau_hat*(1-tau_hat))``, narrower near
     ``tau_hat = 0.5`` and widest at the bounds. Both are clipped to [0, 1].
-    ``tau_hat`` and ``epsilon`` broadcast against each other; the caller
-    validates ``tau_hat``.
+    ``tau_hat``, ``epsilon`` and ``theta`` broadcast against each other;
+    the caller validates ``tau_hat``.
     """
     kind = BallKind(kind)
     eps = np.asarray(epsilon, dtype=float)
@@ -286,8 +286,8 @@ def ball_bounds(tau_hat, epsilon, kind: BallKind | str = BallKind.UNIFORM,
     else:
         if theta is None:
             raise ValueError("level-adjusted balls require a shape parameter theta")
-        theta = float(theta)
-        if not (0.0 <= theta < 1.0):
+        theta = np.asarray(theta, dtype=float)
+        if not np.all((theta >= 0.0) & (theta < 1.0)):
             raise ValueError(f"theta must lie in [0, 1), got {theta}")
         if np.any(eps > MAX_LEVEL_ADJUSTED_EPSILON):
             raise ValueError(

@@ -12,29 +12,32 @@ Gate-closure model: offers for all 24 hours of day D are fixed on day
 D-1 using the day-D forecast (issued before gate closure) and penalty
 outcomes settled through day D-2 (one-day settlement lag).
 
-Offers and settlements are array code: for each strategy and parameter
-set, one revenue vector covers every period a call touches, and each
-selection window sums its slice of that vector in period order.
+Offers and settlements are array code. A market's forecasts are stacked
+once, one knot row per distinct forecast object; for each strategy, the
+grid points that share a tau window ``m`` are priced as one block of
+revenues, a row per grid point and a column per period, and each
+selection window sums its columns of every row in period order.
 """
 
 from __future__ import annotations
 
 import csv
 import math
+import numbers
 import operator
 import warnings
 import weakref
 from dataclasses import dataclass, replace
 from datetime import datetime
 from enum import Enum
-from itertools import islice, product, repeat
+from itertools import groupby, islice, product, repeat
 from operator import attrgetter
 from pathlib import Path
 from typing import Callable, Iterable, Mapping, Sequence
 
 import numpy as np
 
-from .ambiguity import BallKind, ball_bounds
+from .ambiguity import MAX_LEVEL_ADJUSTED_EPSILON, BallKind, ball_bounds
 from .distributions import (
     PiecewiseLinear,
     PiecewiseLinearBatch,
@@ -148,6 +151,32 @@ class BacktestPlan:
             )
         if self.fallback_tau is not None and not (0.0 <= self.fallback_tau <= 1.0):
             raise ValueError(f"fallback tau must lie in [0, 1], got {self.fallback_tau}")
+        for strategy in self.strategies:
+            for name in _PARAMS[strategy]:
+                for value in getattr(self, f"{name}_grid"):
+                    problem = _param_problem(strategy, name, value, self.tau_window_days - 1)
+                    if problem:
+                        raise ValueError(f"{name}_grid: {value!r} {problem}, as strategy "
+                                         f"{strategy!r} needs")
+
+
+def _param_problem(strategy: str, name: str, value, max_m: int) -> str | None:
+    """What keeps ``value`` from being parameter ``name`` of ``strategy``, or None."""
+    if name == "m":
+        ok = (isinstance(value, numbers.Integral) and not isinstance(value, bool)
+              and 1 <= value <= max_m)
+        return None if ok else f"must be an integer from 1 to {max_m}"
+    if isinstance(value, bool) or not isinstance(value, numbers.Real):
+        return "must be a number"
+    # each check asks "inside", so NaN fails it
+    if name == "rho":
+        return None if 0.0 <= value <= 1.0 else "must lie in [0, 1]"
+    if name == "theta":
+        return None if 0.0 <= value < 1.0 else "must lie in [0, 1)"
+    if strategy == "dr_s_level_adjusted":
+        return (None if 0.0 <= value <= MAX_LEVEL_ADJUSTED_EPSILON
+                else f"must lie in [0, {MAX_LEVEL_ADJUSTED_EPSILON}] for level-adjusted balls")
+    return None if value >= 0.0 else "must be non-negative"
 
 
 def _param_grid(strategy: str, plan: BacktestPlan) -> list[dict]:
@@ -167,11 +196,13 @@ class ChosenParameters:
     static: Mapping[str, Mapping[str, float]] | None = None
     per_day: Mapping[int, Mapping[str, Mapping[str, float]]] | None = None
 
-    def params_for(self, strategy: str, day: int) -> Mapping[str, float]:
-        """The parameters ``strategy`` uses on ``day``.
+    def params_for(self, strategy: str, day: int, plan: BacktestPlan) -> Mapping[str, float]:
+        """The parameters ``strategy`` uses on ``day`` under ``plan``.
 
         Raises ``ValueError`` naming the strategy, and the parameter when
-        one is missing, if the selection cannot price the strategy.
+        one is missing or holds a value the strategy cannot use under the
+        plan (an ``m`` beyond its tau window included), if the selection
+        cannot price the strategy.
         """
         if self.mode is CvMode.FIXED_WINDOW:
             assert self.static is not None
@@ -188,6 +219,10 @@ class ChosenParameters:
             if name not in params:
                 raise ValueError(f"chosen parameters: strategy {strategy!r} has no "
                                  f"parameter {name!r}{where}")
+            problem = _param_problem(strategy, name, params[name], plan.tau_window_days - 1)
+            if problem:
+                raise ValueError(f"chosen parameters: strategy {strategy!r} parameter {name!r} "
+                                 f"{problem}, got {params[name]!r}{where}")
         return params
 
     def to_json_dict(self) -> dict:
@@ -240,11 +275,16 @@ class BacktestReport:
 
 
 def _check(timestamps: Sequence[datetime], ok: np.ndarray,
-           describe: Callable[[int], str]) -> None:
-    """Raise for the first period where ``ok`` fails, naming its timestamp."""
-    if not np.all(ok):
-        i = int(np.argmin(ok))
-        raise ValueError(f"{timestamps[i].isoformat()}: {describe(i)}")
+           describe: Callable[..., str]) -> None:
+    """Raise for the first entry where ``ok`` fails, naming its period's timestamp.
+
+    The last axis of ``ok`` runs over periods and any axis before it over
+    grid points, so the first entry is the earliest period of the earliest
+    failing grid point; ``describe`` gets the entry's index.
+    """
+    if not ok.all():
+        index = np.unravel_index(int(np.argmin(ok)), ok.shape)
+        raise ValueError(f"{timestamps[index[-1]].isoformat()}: {describe(*index)}")
 
 
 def _unit(values: np.ndarray) -> np.ndarray:
@@ -258,10 +298,11 @@ def _day_range(days: np.ndarray, first_day: int, last_day: int) -> tuple[int, in
 
 
 class _MarketFrame:
-    """Period-ordered columns of a record list and its tau estimator.
+    """Period-ordered columns of a record list, its forecast table and its tau estimator.
 
     Periods are keyed by (day, hour), day 1 holding the first record; a
-    repeated key keeps the later record.
+    repeated key keeps the later record. The forecast table holds one knot
+    row per distinct forecast object.
     """
 
     def __init__(self, records: Sequence[MarketRecord]):
@@ -289,14 +330,15 @@ class _MarketFrame:
         self.timestamps = tuple(stamps[i] for i in kept.tolist())
         self.pi_s, self.pi_b = column("pi_s"), column("pi_b")
         self.s_l, self.omega = column("s_l"), column("omega_star")
-        self.forecasts = [records[i].forecast for i in kept.tolist()]
-        if not all(map(isinstance, self.forecasts, repeat(PiecewiseLinear))):
-            for ts, forecast in zip(self.timestamps, self.forecasts):
+        forecasts = [records[i].forecast for i in kept.tolist()]
+        if not all(map(isinstance, forecasts, repeat(PiecewiseLinear))):
+            for ts, forecast in zip(self.timestamps, forecasts):
                 if not isinstance(forecast, PiecewiseLinear):
                     raise ValueError(
                         f"{ts.isoformat()}: backtest forecasts must be quantile forecasts "
                         f"(PiecewiseLinear), got {forecast!r}"
                     )
+        self.forecast = PiecewiseLinearBatch(forecasts)
         _check(self.timestamps, _unit(self.omega),
                lambda i: f"omega_star must lie in [0, 1], got {self.omega[i]}")
         self.estimator = HourlyTauEstimator(
@@ -356,7 +398,7 @@ class _Span:
         self.day, self.hour = frame.day[periods], frame.hour[periods]
         self.pi_s, self.pi_b, self.s_l = frame.pi_s[periods], frame.pi_b[periods], frame.s_l[periods]
         self.omega = frame.omega[periods]
-        self.forecast = PiecewiseLinearBatch([frame.forecasts[i] for i in periods.tolist()])
+        self.forecast = frame.forecast.take(periods)
         self.mean = self.forecast.mean()
         self._estimator = frame.estimator
         self._fallback = plan.fallback_tau
@@ -375,37 +417,78 @@ class _Span:
             self._tau[m] = tau
         return tau
 
-    def offers(self, strategy: str, params: Mapping[str, float]) -> np.ndarray:
+    def offers(self, strategy: str, grid: Sequence[Mapping[str, float]]) -> np.ndarray:
+        """Each grid point's offers, one row per point and one column per period.
+
+        Consecutive points that share ``m`` are priced as one block. A check
+        fails at the earliest grid point, then the earliest period, as if
+        each point were priced in turn.
+        """
+        out = np.empty((len(grid), self.day.size))
+        start = 0
+        for m, points in groupby(grid, key=lambda params: params.get("m")):
+            points = list(points)
+            rows = out[start:start + len(points)]
+            rows[...] = self._block(strategy, m, points)  # a row every point shares broadcasts
+            self._check_offers(rows)
+            start += len(points)
+        return out
+
+    def _check_offers(self, y: np.ndarray) -> None:
+        _check(self.timestamps, _unit(y), lambda g, i: f"offer must lie in [0, 1], got {y[g, i]}")
+
+    def _block(self, strategy: str, m: int | None, points: list[Mapping[str, float]]) -> np.ndarray:
+        """Offers of grid points that share the tau window ``m``: a row per point, or one row."""
+        def column(name: str) -> np.ndarray:
+            return np.array([[params[name]] for params in points], dtype=float)
+
         if strategy == "oracle":
             y = self.omega
         elif strategy == "robust_s":
             y = self.mean
         else:
-            tau = self.tau_hat(int(params["m"]))
+            tau = self.tau_hat(m)
             if strategy == "bn":
                 y = self.forecast.quantile(tau)
             elif strategy == "robust_omega":
                 y = tau
             elif strategy == "dr_omega":
-                y = dr_omega_offers(self.forecast, tau, params["rho"])[0]
+                y = np.array([dr_omega_offers(self.forecast, tau, params["rho"])[0]
+                              for params in points])
             elif strategy in ("dr_s_uniform", "dr_s_level_adjusted"):
                 if strategy == "dr_s_uniform":
-                    lo, hi = ball_bounds(tau, params["epsilon"], BallKind.UNIFORM)
+                    lo, hi = ball_bounds(tau, column("epsilon"), BallKind.UNIFORM)
                 else:
-                    lo, hi = ball_bounds(tau, params["epsilon"], BallKind.LEVEL_ADJUSTED,
-                                         theta=params["theta"])
-                _check(self.timestamps, (0.0 <= lo) & (lo <= tau) & (tau <= hi) & (hi <= 1.0),
-                       lambda i: f"ball bounds must satisfy 0 <= lo <= tau_hat <= hi <= 1, "
-                                 f"got [{lo[i]}, {hi[i]}] around {tau[i]}")
-                y = dr_s_rule(self.forecast.quantile(lo), self.forecast.quantile(hi), self.mean)[0]
+                    lo, hi = ball_bounds(tau, column("epsilon"), BallKind.LEVEL_ADJUSTED,
+                                         theta=column("theta"))
+                ok = (0.0 <= lo) & (lo <= tau) & (tau <= hi) & (hi <= 1.0)
+                # price the points before the first bad ball; their offers are checked first
+                n = len(points) if ok.all() else int(np.argmin(ok.all(axis=1)))
+                y = dr_s_rule(self.forecast.quantile(lo[:n]), self.forecast.quantile(hi[:n]),
+                              self.mean)[0]
+                if n < len(points):
+                    self._check_offers(y)
+                    _check(self.timestamps, ok,
+                           lambda g, i: f"ball bounds must satisfy 0 <= lo <= tau_hat <= hi <= 1, "
+                                        f"got [{lo[g, i]}, {hi[g, i]}] around {tau[i]}")
             else:
                 raise ValueError(f"unknown strategy {strategy!r}")
-        _check(self.timestamps, _unit(y), lambda i: f"offer must lie in [0, 1], got {y[i]}")
         return y
 
-    def revenues(self, strategy: str, params: Mapping[str, float]) -> np.ndarray:
-        y = self.offers(strategy, params)
+    def revenues(self, strategy: str, grid: Sequence[Mapping[str, float]]) -> np.ndarray:
+        """Each grid point's revenues, one row per point and one column per period."""
+        y = self.offers(strategy, grid)
         return revenue(SettlementInput(self.pi_s, self.pi_b, self.s_l, y, self.omega))
+
+
+def _window_totals(rev: np.ndarray, windows: Sequence[tuple[int, int]]) -> np.ndarray:
+    """Each row's total over each index window of its columns; 0 for an empty window."""
+    totals = np.zeros((rev.shape[0], len(windows)))
+    for w, (a, b) in enumerate(windows):
+        if b > a:
+            # a running total of each row in period order; np.sum would sum pairwise
+            totals[:, w] = np.add.accumulate(rev[:, a:b], axis=1)[:, -1]
+    return totals
 
 
 def _select(span: _Span, plan: BacktestPlan, windows: Sequence[tuple[int, int]]) -> list[dict]:
@@ -413,12 +496,7 @@ def _select(span: _Span, plan: BacktestPlan, windows: Sequence[tuple[int, int]])
     chosen: list[dict] = [{} for _ in windows]
     for strategy in plan.strategies:
         grid = _param_grid(strategy, plan)
-        totals = np.empty((len(grid), len(windows)))
-        for g, params in enumerate(grid):
-            rev = span.revenues(strategy, params)
-            for w, (a, b) in enumerate(windows):
-                # a running total in period order; np.sum would sum pairwise
-                totals[g, w] = np.add.accumulate(rev[a:b])[-1] if b > a else 0.0
+        totals = _window_totals(span.revenues(strategy, grid), windows)
         for w, best in enumerate(np.argmax(totals, axis=0)):  # ties keep the earliest grid point
             chosen[w][strategy] = dict(grid[best])
     return chosen
@@ -472,7 +550,7 @@ def offers_for_day(records: Sequence[MarketRecord], plan: BacktestPlan,
         raise ValueError(f"no market records for day {day}")
     out: dict[str, dict[int, float]] = {}
     for strategy in plan.strategies:
-        offers = span.offers(strategy, chosen.params_for(strategy, day))
+        offers = span.offers(strategy, [chosen.params_for(strategy, day, plan)])[0]
         out[strategy] = dict(zip(span.hour.tolist(), offers.tolist()))
     return out
 
@@ -495,16 +573,16 @@ def run_backtest(records: Sequence[MarketRecord], plan: BacktestPlan,
         # one revenue vector per distinct parameter set, over the days that chose it
         groups: dict[tuple, tuple[Mapping[str, float], list[int]]] = {}
         for day in days:
-            params = chosen.params_for(strategy, day)
+            params = chosen.params_for(strategy, day, plan)
             groups.setdefault(tuple(sorted(params.items())), (params, []))[1].append(day)
         if len(groups) == 1:
             (params, _), = groups.values()
-            revenues[strategy] = span.revenues(strategy, params)
+            revenues[strategy] = span.revenues(strategy, [params])[0]
             continue
         series = np.empty(len(span))
         for params, on_days in groups.values():
             on = np.isin(span.day, on_days)
-            series[on] = _Span(frame, plan, span.periods[on]).revenues(strategy, params)
+            series[on] = _Span(frame, plan, span.periods[on]).revenues(strategy, [params])[0]
         revenues[strategy] = series
 
     reference = "bn" if "bn" in plan.strategies else None

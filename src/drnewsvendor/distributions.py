@@ -10,6 +10,7 @@ Heaviside cover simulation studies and limit cases.
 
 from __future__ import annotations
 
+import copy
 import csv
 import io
 from abc import ABC, abstractmethod
@@ -36,7 +37,7 @@ __all__ = [
 def _validate_prob(p, name: str):
     arr = np.asarray(p, dtype=float)
     # written as "not all inside" so that NaN fails too
-    if not np.all((arr >= 0.0) & (arr <= 1.0)):
+    if not ((arr >= 0.0) & (arr <= 1.0)).all():
         raise ValueError(f"{name} must lie in [0, 1], got {p!r}")
     return arr
 
@@ -330,43 +331,74 @@ class Heaviside(UnitDistribution):
 
 
 class PiecewiseLinearBatch:
-    """Many piecewise-linear forecasts stacked as knot matrices, one row each.
+    """Many piecewise-linear forecasts as a knot table and a row index.
 
-    ``quantile(p)`` evaluates row ``i`` at ``p[i]`` and ``mean()`` gives
-    every row's mean, bit-for-bit as the row's own PiecewiseLinear would.
-    Rows with fewer knots are padded with the (1, 1) anchor.
+    The table holds one knot row per distinct forecast object, and entry
+    ``i`` of the batch reads row ``rows[i]``, so forecasts shared by many
+    periods are stored once. ``quantile(p)`` evaluates entry ``i`` at
+    ``p[..., i]`` and ``mean()`` gives every entry's mean, bit for bit as
+    the entry's own PiecewiseLinear would. Rows with fewer knots are padded
+    with the (1, 1) anchor.
     """
 
     def __init__(self, dists: Sequence[PiecewiseLinear]):
-        sizes = np.fromiter((d._xs.size for d in dists), dtype=np.int64, count=len(dists))
+        index: dict[int, int] = {}
+        self._rows = np.fromiter((index.setdefault(id(d), len(index)) for d in dists),
+                                 dtype=np.int64, count=len(dists))
+        table = list({id(d): d for d in dists}.values())
+        sizes = np.fromiter((d._xs.size for d in table), dtype=np.int64, count=len(table))
         width = int(sizes.max()) if sizes.size else 2
-        self._ps = _stack_rows([d._ps for d in dists], sizes, width)
-        self._xs = _stack_rows([d._xs for d in dists], sizes, width)
-        self._means = np.fromiter((d._mean for d in dists), dtype=float, count=len(dists))
+        ps = _stack_rows([d._ps for d in table], sizes, width)
+        self._xs = _stack_rows([d._xs for d in table], sizes, width)
+        self._means = np.fromiter((d._mean for d in table), dtype=float, count=len(table))
+        # each segment's slope, as np.interp forms it; the last column (and a
+        # padded segment's 0/0) is read only at a knot hit, where it is unused
+        self._slopes = np.zeros_like(self._xs)
+        with np.errstate(all="ignore"):
+            self._slopes[:, :-1] = np.diff(self._xs) / np.diff(ps)
+        # one level row when every row shares it (as every loaded or synthetic
+        # market's rows do), else the level matrix: exactly one is set
+        shared = bool(table) and bool((ps == ps[0]).all())
+        self._levels = ps[0].copy() if shared else None
+        self._ps = None if shared else ps
+
+    def take(self, index) -> "PiecewiseLinearBatch":
+        """The entries ``index`` of this batch, reading the same knot table."""
+        out = copy.copy(self)
+        out._rows = self._rows[index]
+        return out
 
     def quantile(self, p) -> np.ndarray:
-        """Row-wise ``np.interp(p[i], levels[i], values[i])``, with its arithmetic."""
+        """Entry-wise ``np.interp(p[..., i], levels[i], values[i])``, with its arithmetic.
+
+        The last axis of ``p`` holds one probability per entry; leading
+        axes broadcast, so one call prices many grid points.
+        """
         p = _validate_prob(p, "p")
-        if p.shape != self._means.shape:
-            raise ValueError(f"need one probability per row ({self._means.size}), got shape {p.shape}")
-        ps, xs = self._ps, self._xs
-        rows = np.arange(p.size)
-        last = ps.shape[1] - 1
-        j = np.count_nonzero(ps <= p[:, None], axis=1) - 1
-        j1 = np.minimum(j + 1, last)
-        p0, x0 = ps[rows, j], xs[rows, j]
-        # a knot hit (p = 1 included) returns the knot value, as np.interp
-        # does; the slope past the last knot is 0/0 and never selected
+        rows = self._rows
+        if p.shape[-1:] != rows.shape:
+            raise ValueError(f"need one probability per row ({rows.size}) in the last axis, "
+                             f"got shape {p.shape}")
+        # j: the last knot at or below p, found on the shared levels when there are some
+        if self._levels is not None:
+            j = self._levels.searchsorted(p, side="right") - 1
+            p0 = self._levels[j]
+        else:
+            ps = self._ps[rows]
+            j = np.count_nonzero(ps <= p[..., None], axis=-1) - 1
+            p0 = ps[np.arange(rows.size), j]
+        knot = rows * self._xs.shape[1] + j
+        x0 = self._xs.take(knot)
+        # a knot hit (p = 1 included) returns the knot value, as np.interp does
         with np.errstate(all="ignore"):
-            slope = (xs[rows, j1] - x0) / (ps[rows, j1] - p0)
-            return np.where(p0 == p, x0, slope * (p - p0) + x0)
+            return np.where(p0 == p, x0, self._slopes.take(knot) * (p - p0) + x0)
 
     def _quantile_above(self, s) -> np.ndarray:
-        """Row-wise quantile at levels ``1 - s``, as ``UnitDistribution._quantile_above``."""
+        """Entry-wise quantile at levels ``1 - s``, as ``UnitDistribution._quantile_above``."""
         return self.quantile(1.0 - np.asarray(s, dtype=float))
 
     def mean(self) -> np.ndarray:
-        return self._means.copy()
+        return self._means[self._rows]
 
 
 def _stack_rows(rows: list[np.ndarray], sizes: np.ndarray, width: int) -> np.ndarray:

@@ -1,6 +1,8 @@
 """Backtest protocol: data IO, cross-validation, settlement, look-ahead guard."""
 
 import json
+import re
+import tracemalloc
 from dataclasses import replace
 from datetime import datetime
 
@@ -310,6 +312,23 @@ def test_plan_rejects_an_empty_grid_a_strategy_needs(grid, strategy):
     BacktestPlan(strategies=("oracle", "bn", "robust_s"), **{grid: ()})
 
 
+@pytest.mark.parametrize("grids, message", [
+    ({"rho_grid": (0.0, 1.5)}, "rho_grid: 1.5 must lie in [0, 1], as strategy 'dr_omega' needs"),
+    ({"epsilon_grid": (-0.1,)},
+     "epsilon_grid: -0.1 must be non-negative, as strategy 'dr_s_uniform' needs"),
+    ({"epsilon_grid": (0.1, 11.0), "strategies": ("dr_s_level_adjusted",)},
+     "epsilon_grid: 11.0 must lie in [0, 10.0] for level-adjusted balls, "
+     "as strategy 'dr_s_level_adjusted' needs"),
+    ({"theta_grid": (1.0,)}, "theta_grid: 1.0 must lie in [0, 1), as strategy "
+                             "'dr_s_level_adjusted' needs"),
+    ({"theta_grid": (float("nan"),)}, "theta_grid: nan must lie in [0, 1)"),
+    ({"m_grid": (2.5,)}, "m_grid: 2.5 must be an integer from 1 to 90, as strategy 'bn' needs"),
+])
+def test_plan_rejects_grid_values_a_strategy_cannot_use(grids, message):
+    with pytest.raises(ValueError, match=re.escape(message)):
+        BacktestPlan(**grids)
+
+
 def test_plan_rejects_fallback_tau_outside_unit_interval():
     for bad in (-0.1, 1.5, float("nan")):
         with pytest.raises(ValueError, match="fallback tau"):
@@ -451,6 +470,31 @@ def test_gate_closures_follow_records_changed_in_place():
     new = cross_validate(recs, plan)
     assert new == cross_validate([replace(r) for r in recs], plan)
     assert new != old
+
+
+def test_frame_stores_a_shared_forecast_once():
+    # every hour of the default synthetic market holds the same forecast object
+    recs = make_synthetic_market()
+    plan = BacktestPlan(m_grid=(10,))
+    chosen = cross_validate(recs, plan)
+    frame = backtest._frame_for(recs)
+    assert frame.forecast._xs.shape == (1, 22)
+    periods = frame.periods(plan.warm_start_days + 1, frame.n_days)
+    matrix = periods.size * frame.forecast._xs.shape[1] * 8  # one periods x knots float matrix
+    # the span run_backtest settles, and each strategy's revenues, allocate less than one
+    tracemalloc.start()
+    try:
+        span = backtest._Span(frame, plan, periods)
+        peaks = [tracemalloc.get_traced_memory()[1]]
+        for strategy in plan.strategies:
+            tracemalloc.reset_peak()
+            before = tracemalloc.get_traced_memory()[0]
+            span.revenues(strategy, [chosen.params_for(strategy, frame.n_days, plan)])
+            peaks.append(tracemalloc.get_traced_memory()[1] - before)
+    finally:
+        tracemalloc.stop()
+    assert span.forecast._xs.shape == (1, 22) and len(span) == 14_400
+    assert max(peaks) < matrix
 
 
 def test_gate_closure_frame_is_let_go_with_its_records():

@@ -174,6 +174,14 @@ def market_flags(tmp_path_factory):
             "--theta-grid", "0.9"]
 
 
+def _static(**changes):
+    """A fixed-window selection for the default strategies, with some replaced."""
+    params = {"oracle": {}, "bn": {"m": 8}, "dr_omega": {"m": 8, "rho": 0.2},
+              "dr_s_uniform": {"m": 8, "epsilon": 0.1},
+              "dr_s_level_adjusted": {"m": 8, "epsilon": 0.1, "theta": 0.9}, "robust_s": {}}
+    return {"mode": "fixed_window", "static": {**params, **changes}}
+
+
 @pytest.mark.parametrize("params, names", [
     ([], "JSON object"),
     ({}, "'mode'"),
@@ -186,6 +194,22 @@ def market_flags(tmp_path_factory):
      "strategy 'bn' has no parameter 'm'"),
     ({"mode": "sliding", "per_day": {str(d): {"oracle": {}} for d in range(31, 35)}},
      "no parameters for strategy 'bn' on day 31"),
+    # values: each must be one the strategy can use under the plan (tau window 20)
+    *[(_static(bn={"m": m}), f"strategy 'bn' parameter 'm' must be an integer from 1 to 19, "
+                             f"got {m!r}")
+      for m in (None, 500, 2.7, "5", True, 0)],
+    (_static(dr_omega={"m": 8, "rho": 1.5}), "strategy 'dr_omega' parameter 'rho' must lie in"),
+    (_static(dr_omega={"m": 8, "rho": False}), "strategy 'dr_omega' parameter 'rho' must be a "
+                                               "number, got False"),
+    (_static(dr_s_uniform={"m": 8, "epsilon": -0.1}),
+     "strategy 'dr_s_uniform' parameter 'epsilon' must be non-negative"),
+    (_static(dr_s_level_adjusted={"m": 8, "epsilon": 11.0, "theta": 0.9}),
+     "strategy 'dr_s_level_adjusted' parameter 'epsilon' must lie in [0, 10.0]"),
+    (_static(dr_s_level_adjusted={"m": 8, "epsilon": 0.1, "theta": 1.0}),
+     "strategy 'dr_s_level_adjusted' parameter 'theta' must lie in [0, 1)"),
+    ({"mode": "sliding", "per_day": {str(d): _static(bn={"m": 8 if d < 33 else 20})["static"]
+                                     for d in range(31, 35)}},
+     "strategy 'bn' parameter 'm' must be an integer from 1 to 19, got 20 on day 33"),
 ])
 def test_backtest_malformed_params_exit_1(tmp_path, capsys, market_flags, params, names):
     path = tmp_path / "chosen.json"

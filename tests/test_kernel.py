@@ -5,6 +5,8 @@ floats, one offer at a time; the array code must reproduce it bit for bit.
 """
 
 from dataclasses import replace
+from datetime import datetime, timedelta
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -19,6 +21,7 @@ from drnewsvendor import (
     CvMode,
     Heaviside,
     HourlyTauEstimator,
+    MarketRecord,
     PiecewiseLinear,
     SettlementInput,
     Uniform01,
@@ -37,6 +40,7 @@ from drnewsvendor import (
     solve_robust_s,
     standard_forecast_levels,
 )
+from drnewsvendor import backtest
 from drnewsvendor.ambiguity import ball_bounds
 from drnewsvendor.backtest import STRATEGIES, _param_grid
 from drnewsvendor.distributions import PiecewiseLinearBatch
@@ -84,15 +88,65 @@ def reference_dr_s(dist, tau, eps, theta):
     return mu
 
 
+@st.composite
+def on_shared_levels(draw):
+    """Forecasts on one level grid, each holding its own copy of the levels."""
+    levels = sorted(set(draw(st.lists(knot_level, min_size=1, max_size=24))))
+    values = st.lists(knot_value, min_size=len(levels), max_size=len(levels))
+    return [PiecewiseLinear(levels, sorted(draw(values)))
+            for _ in range(draw(st.integers(1, 6)))]
+
+
+def hourly_records(dists):
+    """One market record per forecast, an hour apart."""
+    start = datetime(2021, 1, 1)
+    return [MarketRecord(start + timedelta(hours=k), 50.0, 60.0, 1.0, 0.5, d)
+            for k, d in enumerate(dists)]
+
+
+@st.composite
+def indexed_batches(draw):
+    """A batch of entries that repeat forecast objects, and levels for a few grid points.
+
+    The batch comes from a forecast list with repeats, from an index into
+    a batch of distinct forecasts, or from a market frame's row index.
+    """
+    pool = draw(st.one_of(on_shared_levels(), st.lists(forecasts(), min_size=1, max_size=6)))
+    index = draw(st.lists(st.integers(0, len(pool) - 1), min_size=1, max_size=10))
+    entries = [pool[i] for i in index]
+    how = draw(st.sampled_from(["repeats", "take", "frame"]))
+    if how == "repeats":
+        batch = PiecewiseLinearBatch(entries)
+    elif how == "take":
+        batch = PiecewiseLinearBatch(pool).take(np.array(index))
+    else:
+        frame = backtest._MarketFrame(hourly_records(entries))
+        batch = frame.forecast.take(np.arange(len(entries)))
+    level = [st.one_of(st.sampled_from([0.0, 1.0]), unit, st.sampled_from(d.levels.tolist()))
+             for d in entries]
+    p = [[draw(lv) for lv in level] for _ in range(draw(st.integers(1, 3)))]
+    return pool, entries, batch, np.array(p)
+
+
 @settings(max_examples=200)
-@given(rows())
+@given(st.one_of(rows(), indexed_batches()))
 def test_batch_quantile_and_mean_match_each_row(data):
-    dists, taus = data
-    batch = PiecewiseLinearBatch(dists)
-    expect = [np.interp(t, np.r_[0.0, d.levels, 1.0], np.r_[0.0, d.values, 1.0])
-              for d, t in zip(dists, taus)]
-    assert batch.quantile(taus).tolist() == expect
-    assert batch.quantile(taus).tolist() == [d.quantile(t) for d, t in zip(dists, taus)]
+    if len(data) == 2:
+        dists, taus = data
+        batch, grid = PiecewiseLinearBatch(dists), taus[None, :]
+    else:
+        pool, dists, batch, grid = data
+        # one knot row per distinct forecast object, one level grid when they share it
+        assert batch._xs.shape[0] <= len(pool)
+        if all(np.array_equal(d.levels, pool[0].levels) for d in pool):
+            assert batch._levels is not None
+    for p in grid:
+        expect = np.array([np.interp(t, np.r_[0.0, d.levels, 1.0], np.r_[0.0, d.values, 1.0])
+                           for d, t in zip(dists, p)])
+        assert batch.quantile(p).tobytes() == expect.tobytes()
+        assert batch.quantile(p).tolist() == [d.quantile(t) for d, t in zip(dists, p)]
+    # many grid points at once: each row as its own call
+    assert batch.quantile(grid).tobytes() == np.array([batch.quantile(p) for p in grid]).tobytes()
     assert batch.mean().tolist() == [d.mean() for d in dists]
 
 
@@ -260,6 +314,127 @@ def test_cross_validation_and_backtest_match_naive_loop(mode):
     report = run_backtest(records, plan, chosen)
     keys = [key for key in sorted(naive.periods) if key[0] in eval_days]
     for strategy in plan.strategies:
-        expect = [naive.revenue(strategy, chosen.params_for(strategy, day), day, hour)
+        expect = [naive.revenue(strategy, chosen.params_for(strategy, day, plan), day, hour)
                   for day, hour in keys]
         assert report.revenues[strategy].tolist() == expect, strategy
+
+
+# ---------- grid-batched selection against one grid point at a time ----------
+
+
+@st.composite
+def gappy_markets(draw):
+    """Short hourly markets with dropped hours and days and shared forecast objects.
+
+    Forecasts come from a small pool of objects, on one level grid or on
+    mixed grids. On "zero days" prices are negative and the realization is
+    0, so the oracle's revenues there are -0.0.
+    """
+    n_days = draw(st.integers(6, 9))
+    seed = draw(st.integers(0, 2**16))
+    rng = np.random.default_rng(seed)
+    if draw(st.booleans()):
+        pool = draw(on_shared_levels())
+    else:
+        pool = draw(st.lists(forecasts(), min_size=2, max_size=4))
+    dropped_days = set(draw(st.lists(st.integers(2, n_days - 1), max_size=3)))
+    zero_days = set(draw(st.lists(st.integers(1, n_days), max_size=4)))
+    # the sparsest markets leave some selection windows empty
+    keep = draw(st.sampled_from([1.0, 0.7, 0.2, 0.03]))
+    records = []
+    for k, rec in enumerate(make_synthetic_market(n_days=n_days, master_seed=seed % 7)):
+        day = k // 24 + 1
+        if day in dropped_days or (rng.random() > keep and k not in (0, 24 * n_days - 1)):
+            continue
+        rec = replace(rec, forecast=pool[int(rng.integers(len(pool)))])
+        if day in zero_days:
+            rec = replace(rec, pi_s=-abs(rec.pi_s), pi_b=-abs(rec.pi_b), omega_star=0.0)
+        records.append(rec)
+    return records
+
+
+def small_lists(values, max_size):
+    return st.lists(st.sampled_from(values), min_size=1, max_size=max_size).map(tuple)
+
+
+sliding_plans = st.builds(
+    lambda m, rho, eps, theta, fallback: BacktestPlan(
+        warm_start_days=5, tau_window_days=3, cv_days=2, cv_mode=CvMode.SLIDING,
+        m_grid=m, rho_grid=rho, epsilon_grid=eps, theta_grid=theta, strategies=STRATEGIES,
+        fallback_tau=fallback),
+    small_lists([1, 2], 3), small_lists([0.0, 0.15, 0.5, 1.0], 3),
+    small_lists([0.0, 0.05, 0.2, 2.0], 4), small_lists([0.0, 0.5, 0.9], 2),
+    st.sampled_from([0.5, None]))
+
+# (the ball radius whose lower bound turns NaN at tau_hat >= a cut, the
+# ball width above which a DR-S offer turns 2, the radius whose DR-omega
+# offer turns -1 at tau_hat > a cut); a radius of -1 corrupts nothing
+corruptions = st.one_of(st.none(), st.tuples(
+    st.sampled_from([-1.0, 0.0, 0.05, 0.2, 2.0]), unit,
+    st.sampled_from([0.3, np.inf, 0.9, 0.05]),
+    st.sampled_from([-1.0, 0.0, 0.15, 0.5, 1.0]), unit))
+
+
+def corrupting(bad_eps, tau_cut, width_cut, bad_rho, rho_cut):
+    """Offer rules that fail the range checks at entries chosen by value alone."""
+    bounds, rule, dr_omega = backtest.ball_bounds, backtest.dr_s_rule, backtest.dr_omega_offers
+
+    def bad_bounds(tau, eps, kind, theta=None):
+        lo, hi = bounds(tau, eps, kind, theta=theta)
+        return np.where((np.asarray(eps) == bad_eps) & (tau >= tau_cut), np.nan, lo), hi
+
+    def bad_rule(q_lo, q_hi, mean):
+        y, branch = rule(q_lo, q_hi, mean)
+        return np.where(q_hi - q_lo > width_cut, 2.0, y), branch
+
+    def bad_dr_omega(dist, tau, rho):
+        y, *rest = dr_omega(dist, tau, rho)
+        return (np.where((rho == bad_rho) & (tau > rho_cut), -1.0, y), *rest)
+
+    return mock.patch.multiple(backtest, ball_bounds=bad_bounds, dr_s_rule=bad_rule,
+                               dr_omega_offers=bad_dr_omega)
+
+
+def point_by_point_totals(span, strategy, grid, windows):
+    """Window totals with each grid point priced alone, each window a 1-D running sum."""
+    totals = np.empty((len(grid), len(windows)))
+    for g, params in enumerate(grid):
+        rev = span.revenues(strategy, [params])[0]
+        for w, (a, b) in enumerate(windows):
+            totals[g, w] = np.add.accumulate(rev[a:b])[-1] if b > a else 0.0
+    return totals
+
+
+def batched_totals(span, strategy, grid, windows):
+    return backtest._window_totals(span.revenues(strategy, grid), windows)
+
+
+@settings(max_examples=200)
+@given(gappy_markets(), sliding_plans, corruptions)
+def test_grid_batched_selection_matches_point_by_point(records, plan, corruption):
+    frame = backtest._MarketFrame(records)
+    days = range(plan.warm_start_days + 1, frame.n_days + 1)
+    periods = frame.periods(days[0] - 1 - plan.cv_days, days[-1] - 2)
+
+    def select(price):
+        """Each strategy's totals (as bytes, so -0.0 counts) and choices, or the error."""
+        span = backtest._Span(frame, plan, periods)
+        windows = [backtest._day_range(span.day, d - 1 - plan.cv_days, d - 2) for d in days]
+        out = {}
+        try:
+            for strategy in plan.strategies:
+                grid = _param_grid(strategy, plan)
+                totals = price(span, strategy, grid, windows)
+                out[strategy] = (totals.tobytes(), [grid[g] for g in np.argmax(totals, axis=0)])
+        except ValueError as exc:
+            return str(exc)
+        chosen = backtest._select(backtest._Span(frame, plan, periods), plan, windows)
+        assert [{s: choice[w] for s, (_, choice) in out.items()} for w in range(len(days))] \
+            == chosen
+        return out
+
+    if corruption is None:
+        assert select(batched_totals) == select(point_by_point_totals)
+    else:
+        with corrupting(*corruption):
+            assert select(batched_totals) == select(point_by_point_totals)
