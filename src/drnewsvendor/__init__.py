@@ -10,13 +10,11 @@ from .ambiguity import (
     BallKind,
     BernoulliBall,
     DeformedCdf,
-    FsdAmbiguitySet,
     deform_lower,
     deform_upper,
     double_power_lower,
     double_power_upper,
     make_bernoulli_ball,
-    make_fsd_set,
 )
 from .backtest import (
     BacktestPlan,
@@ -45,15 +43,13 @@ from .distributions import (
 from .economics import (
     PenaltyPair,
     SettlementInput,
-    bernoulli_outcome,
     effective_balancing_price,
     expected_loss,
     penalties,
     regret_and_ratio,
     revenue,
-    scaled_loss,
 )
-from .estimation import HourlyTauEstimator, estimate_tau
+from .estimation import HourlyTauEstimator
 from .montecarlo import (
     MSweepResult,
     SimConfig,

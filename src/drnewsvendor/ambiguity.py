@@ -30,7 +30,6 @@ import numpy as np
 from scipy import special
 
 from .distributions import (
-    Heaviside,
     PiecewiseLinear,
     UnitDistribution,
     _match_input,
@@ -43,8 +42,6 @@ __all__ = [
     "DeformedCdf",
     "deform_upper",
     "deform_lower",
-    "FsdAmbiguitySet",
-    "make_fsd_set",
     "BallKind",
     "BernoulliBall",
     "ball_bounds",
@@ -55,12 +52,10 @@ __all__ = [
 MAX_LEVEL_ADJUSTED_EPSILON = 10.0
 
 
-def _check_rho(rho: float, *, allow_one: bool = False) -> float:
+def _check_rho(rho: float) -> float:
     rho = float(rho)
-    hi_ok = rho <= 1.0 if allow_one else rho < 1.0
-    if not (0.0 <= rho and hi_ok):
-        bound = "[0, 1]" if allow_one else "[0, 1)"
-        raise ValueError(f"deformation radius must lie in {bound}, got {rho}")
+    if not (0.0 <= rho < 1.0):
+        raise ValueError(f"deformation radius must lie in [0, 1), got {rho}")
     return rho
 
 
@@ -213,32 +208,6 @@ def deform_upper(reference: UnitDistribution, rho: float) -> DeformedCdf:
 def deform_lower(reference: UnitDistribution, rho: float) -> DeformedCdf:
     """Lower FSD bound of the reference at radius ``rho`` in [0, 1)."""
     return DeformedCdf(reference, rho, "lower")
-
-
-@dataclass(frozen=True)
-class FsdAmbiguitySet:
-    """First-order stochastic dominance band around a reference CDF."""
-
-    reference: UnitDistribution
-    radius: float
-    upper: UnitDistribution
-    lower: UnitDistribution
-
-
-def make_fsd_set(reference: UnitDistribution, rho: float) -> FsdAmbiguitySet:
-    """Bundle the reference with its deformed bounds.
-
-    ``rho = 1`` is stored as the Heaviside limit pair, matching the robust
-    limit of the operators.
-    """
-    rho = _check_rho(rho, allow_one=True)
-    if rho == 1.0:
-        return FsdAmbiguitySet(reference, rho, upper=Heaviside(0.0), lower=Heaviside(1.0))
-    return FsdAmbiguitySet(
-        reference, rho,
-        upper=deform_upper(reference, rho),
-        lower=deform_lower(reference, rho),
-    )
 
 
 class BallKind(Enum):

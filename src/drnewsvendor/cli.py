@@ -120,6 +120,15 @@ def _parse_grid(spec: str) -> tuple[float, ...]:
     return tuple(float(p) for p in spec.split(",") if p.strip())
 
 
+def _m_grid(spec: str) -> tuple[int, ...]:
+    """``--m-grid`` as window lengths in days: whole numbers only."""
+    values = _parse_grid(spec)
+    for v in values:
+        if not v.is_integer():
+            raise ValueError(f"--m-grid values must be whole numbers of days, got {v!r}")
+    return tuple(int(v) for v in values)
+
+
 def _dist_from_args(args) -> UnitDistribution:
     if getattr(args, "forecast", None):
         return read_quantile_forecast(args.forecast)
@@ -219,6 +228,8 @@ def _cmd_solve(args) -> int:
 
 
 def _cmd_deform(args) -> int:
+    if not 0.0 < args.grid_step < np.inf:
+        raise ValueError(f"--grid-step must be a positive finite number, got {args.grid_step!r}")
     dist = _dist_from_args(args)
     upper = deform_upper(dist, args.rho)
     lower = deform_lower(dist, args.rho)
@@ -272,7 +283,13 @@ def _cmd_simulate(args) -> int:
 
 
 def _cmd_msweep(args) -> int:
-    config = _sim_config(args, max(args.m_min, 1))
+    if args.m_min < 1:
+        raise ValueError(f"--m-min must be at least 1, got {args.m_min}")
+    if args.m_step < 1:
+        raise ValueError(f"--m-step must be at least 1, got {args.m_step}")
+    if args.m_max < args.m_min:
+        raise ValueError(f"--m-min {args.m_min} to --m-max {args.m_max} is an empty range")
+    config = _sim_config(args, args.m_min)
     m_values = list(range(args.m_min, args.m_max + 1, args.m_step))
     result = mc.run_m_sweep(config, m_values)
     if args.output == "json":
@@ -304,7 +321,7 @@ def _plan_from_args(args) -> bt.BacktestPlan:
         tau_window_days=args.tau_window_days,
         cv_days=args.cv_days,
         cv_mode=bt.CvMode(args.cv_mode),
-        m_grid=tuple(int(v) for v in _parse_grid(args.m_grid)),
+        m_grid=_m_grid(args.m_grid),
         rho_grid=_parse_grid(args.rho_grid),
         epsilon_grid=_parse_grid(args.eps_grid),
         theta_grid=_parse_grid(args.theta_grid),

@@ -264,10 +264,6 @@ class Beta(UnitDistribution):
     def mean(self) -> float:
         return self.a / (self.a + self.b)
 
-    def variance(self) -> float:
-        s = self.a + self.b
-        return self.a * self.b / (s * s * (s + 1.0))
-
     def partial_expectations(self, y):
         # E[(y-w)+] = y*I_y(a,b) - mu*I_y(a+1,b); exact, no quadrature needed
         arr = _validate_prob(y, "y")
@@ -487,14 +483,8 @@ def _share_knots(dist: PiecewiseLinear, previous: PiecewiseLinear | None) -> Pie
     return dist
 
 
-def write_quantile_forecast(dist: PiecewiseLinear, path) -> None:
-    """Write the inverse of :func:`read_quantile_forecast`."""
-    with Path(path).open("w", newline="") as fh:
-        fh.write(_forecast_text(dist))
-
-
 def _forecast_text(dist: PiecewiseLinear) -> str:
-    """The CSV text :func:`write_quantile_forecast` writes for ``dist``."""
+    """The CSV text :func:`read_quantile_forecast` reads back as ``dist``."""
     buf = io.StringIO()
     writer = csv.writer(buf)
     writer.writerow(["level", "value"])

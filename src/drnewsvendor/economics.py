@@ -1,8 +1,8 @@
 """Market settlement arithmetic under two-price imbalance settlement.
 
-Revenue, the overage/underage penalty split, extraction of the binary
-penalty-direction outcome, the scaled opportunity loss, and its
-expectation against a predictive distribution. Prices are plain reals in
+Revenue, the overage/underage penalty split, the binary penalty
+direction, and the expected scaled opportunity loss against a predictive
+distribution. Prices are plain reals in
 currency per MWh; no currency rounding is applied. Settlement, the
 penalty split and the expected loss work elementwise on arrays.
 """
@@ -23,9 +23,7 @@ __all__ = [
     "penalty_split",
     "revenue",
     "penalties",
-    "bernoulli_outcome",
     "bernoulli_outcomes",
-    "scaled_loss",
     "expected_loss",
     "StrategyRow",
     "regret_and_ratio",
@@ -99,22 +97,6 @@ def penalties(pi_s: float, pi_b: float, s_l: float) -> PenaltyPair:
 def bernoulli_outcomes(overage, underage) -> np.ndarray:
     """Binary penalty direction, elementwise: 1 for overage, 0 for underage, NaN when unpenalized."""
     return np.where(np.asarray(overage) > 0.0, 1.0, np.where(np.asarray(underage) > 0.0, 0.0, np.nan))
-
-
-def bernoulli_outcome(pair: PenaltyPair) -> int | None:
-    """One period's :func:`bernoulli_outcomes`, None when unpenalized."""
-    outcome = float(bernoulli_outcomes(pair.overage, pair.underage))
-    return None if np.isnan(outcome) else int(outcome)
-
-
-def scaled_loss(y: float, omega: float, s: float) -> float:
-    """Opportunity cost normalized by the penalty sum.
-
-    ``s`` is the binary penalty direction, or a probability in [0, 1] for
-    the expectation form.
-    """
-    s = float(_validate_prob(s, "s"))
-    return s * max(omega - y, 0.0) + (1.0 - s) * max(y - omega, 0.0)
 
 
 def expected_loss(dist: UnitDistribution, y, tau: float):

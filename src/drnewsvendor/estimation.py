@@ -9,26 +9,11 @@ daily pattern of system imbalances.
 
 from __future__ import annotations
 
-from typing import Sequence
-
 import numpy as np
 
 from .economics import bernoulli_outcomes
 
-__all__ = [
-    "estimate_tau",
-    "HourlyTauEstimator",
-]
-
-
-def estimate_tau(samples: Sequence[float]) -> float:
-    """Sample mean of observed binary outcomes."""
-    arr = np.asarray(samples, dtype=float)
-    if arr.size == 0:
-        raise ValueError("cannot estimate tau from an empty sample")
-    if np.any(arr < 0.0) or np.any(arr > 1.0):
-        raise ValueError("outcomes must lie in [0, 1]")
-    return float(arr.mean())
+__all__ = ["HourlyTauEstimator"]
 
 
 def _no_outcomes(hour: int, window_days: int, day: int) -> ValueError:
@@ -44,7 +29,7 @@ class HourlyTauEstimator:
     Usable outcomes are sorted once by (hour, day) under one prefix sum of
     the 0/1 outcomes, so each windowed forecast is a pair of binary
     searches on ``hour * stride + day`` keys. Periods whose penalty pair is
-    all zero are skipped; the raw penalties are kept for diagnostics.
+    all zero are skipped.
     """
 
     def __init__(self, days, hours, overage, underage):
@@ -65,7 +50,6 @@ class HourlyTauEstimator:
         self._stride = int(days.max()) - self._first + 1 if days.size else 1
         self._keys = hours * self._stride + (days - self._first)
         self._ones = np.concatenate(([0.0], np.cumsum(outcome[at])))
-        self._overage, self._underage = overage[at], underage[at]
 
     def _bounds(self, days: np.ndarray, hours: np.ndarray,
                 window_days: int) -> tuple[np.ndarray, np.ndarray]:
@@ -111,24 +95,3 @@ class HourlyTauEstimator:
                 raise _no_outcomes(hours[i], window_days, days[i])
             tau[missing] = float(fallback_tau)
         return tau
-
-    def diagnostics(self, day: int, hour: int, window_days: int) -> dict[str, float]:
-        """Windowed penalty averages alongside the frequency estimate."""
-        tau = self.forecast_many([day], [hour], window_days, fallback_tau=float("nan"))[0]
-        return {"tau_hat": float(tau), **self._window(day, hour, window_days)}
-
-    def _window(self, day: int, hour: int, window_days: int) -> dict[str, float]:
-        (lo,), (hi,) = self._bounds(np.array([day]), np.array([hour]), window_days)
-        count = int(hi - lo)
-        if count <= 0:
-            return {"count": 0.0, "mean_overage": 0.0, "mean_underage": 0.0}
-        # running sums from the hour's first outcome, so other hours' penalties
-        # never enter the rounding of this hour's means
-        start = int(np.searchsorted(self._keys, int(hour) * self._stride, side="left"))
-        po = np.concatenate(([0.0], np.cumsum(self._overage[start:hi])))
-        pu = np.concatenate(([0.0], np.cumsum(self._underage[start:hi])))
-        return {
-            "count": float(count),
-            "mean_overage": float((po[hi - start] - po[lo - start]) / count),
-            "mean_underage": float((pu[hi - start] - pu[lo - start]) / count),
-        }

@@ -100,8 +100,9 @@ def dr_s_rule(q_lo, q_hi, mean):
     right of the mean, and the mean itself otherwise (ties included).
     Returns ``(offer, branch)``, ``branch`` indexing :data:`DR_S_BRANCHES`.
     """
-    branch = np.where(q_hi < mean, 0, np.where(q_lo > mean, 1, 2))
-    return np.choose(branch, (q_hi, q_lo, mean)), branch
+    upper, lower = q_hi < mean, q_lo > mean
+    branch = np.where(upper, 0, np.where(lower, 1, 2))
+    return np.where(upper, q_hi, np.where(lower, q_lo, mean)), branch
 
 
 def solve_dr_omega(dist: UnitDistribution, tau_hat: float, rho: float) -> OfferDecision:

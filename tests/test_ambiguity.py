@@ -7,14 +7,12 @@ from scipy.integrate import trapezoid
 from drnewsvendor import (
     BallKind,
     Beta,
-    Heaviside,
     Uniform01,
     deform_lower,
     deform_upper,
     double_power_lower,
     double_power_upper,
     make_bernoulli_ball,
-    make_fsd_set,
 )
 
 from conftest import random_dist
@@ -77,7 +75,7 @@ def test_rho_domain_errors():
         double_power_upper(0.5, 1.0)
     with pytest.raises(ValueError):
         double_power_lower(0.5, -0.1)
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match=r"^deformation radius must lie in \[0, 1\), got 1.0$"):
         deform_upper(Uniform01(), 1.0)
 
 
@@ -110,9 +108,8 @@ def test_fsd_ordering_and_monotone_nesting(rng):
         ref = np.asarray(dist.cdf(xs))
         prev_up, prev_lo = ref, ref
         for rho in rho_grid:
-            band = make_fsd_set(dist, rho)
-            up = np.asarray(band.upper.cdf(xs))
-            lo = np.asarray(band.lower.cdf(xs))
+            up = np.asarray(deform_upper(dist, rho).cdf(xs))
+            lo = np.asarray(deform_lower(dist, rho).cdf(xs))
             assert np.all(lo <= ref + 1e-12) and np.all(ref <= up + 1e-12)
             assert np.all(prev_up <= up + 1e-12)   # upper grows with rho
             assert np.all(prev_lo >= lo - 1e-12)   # lower shrinks with rho
@@ -121,13 +118,10 @@ def test_fsd_ordering_and_monotone_nesting(rng):
 
 def test_fsd_set_limits():
     dist = Beta(2, 6)
-    degenerate = make_fsd_set(dist, 0.0)
     xs = np.linspace(0, 1, 101)
-    assert np.allclose(np.asarray(degenerate.upper.cdf(xs)), np.asarray(dist.cdf(xs)), atol=1e-12)
-    assert np.allclose(np.asarray(degenerate.lower.cdf(xs)), np.asarray(dist.cdf(xs)), atol=1e-12)
-    full = make_fsd_set(dist, 1.0)
-    assert isinstance(full.upper, Heaviside) and full.upper.location == 0.0
-    assert isinstance(full.lower, Heaviside) and full.lower.location == 1.0
+    ref = np.asarray(dist.cdf(xs))
+    assert np.allclose(np.asarray(deform_upper(dist, 0.0).cdf(xs)), ref, atol=1e-12)
+    assert np.allclose(np.asarray(deform_lower(dist, 0.0).cdf(xs)), ref, atol=1e-12)
 
 
 def test_robustness_limit_near_one():

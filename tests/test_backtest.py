@@ -31,8 +31,7 @@ from drnewsvendor import (
 )
 from drnewsvendor import backtest
 from drnewsvendor.backtest import report_csv_rows, report_summary
-from drnewsvendor.distributions import write_quantile_forecast
-from drnewsvendor.economics import bernoulli_outcome
+from drnewsvendor.distributions import _forecast_text
 
 SMALL_PLAN = BacktestPlan(
     warm_start_days=30, tau_window_days=20, cv_days=10, m_grid=(8,),
@@ -43,6 +42,19 @@ SMALL_PLAN = BacktestPlan(
 
 def small_market(days=45, seed=5, **kw):
     return make_synthetic_market(n_days=days, master_seed=seed, **kw)
+
+
+def penalty_direction(rec):
+    """1 when the period's overproduction is penalized, 0 underproduction, None neither.
+
+    The penalty rule written out: a system length of zero or more
+    penalizes overproduction by ``pi_s - pi_b``, a negative one
+    underproduction by ``pi_b - pi_s``, and a spread of the other sign
+    penalizes nothing.
+    """
+    if rec.s_l >= 0.0:
+        return 1 if rec.pi_s > rec.pi_b else None
+    return 0 if rec.pi_b > rec.pi_s else None
 
 
 # ---------- synthetic generator ----------
@@ -62,7 +74,7 @@ def test_synthetic_calibration():
     pi_s = np.array([r.pi_s for r in recs])
     spread = np.abs(np.array([r.pi_b for r in recs]) - pi_s)
     assert np.mean(spread / pi_s) == pytest.approx(0.135, abs=0.01)
-    outcomes = [bernoulli_outcome(penalties(r.pi_s, r.pi_b, r.s_l)) for r in recs]
+    outcomes = [penalty_direction(r) for r in recs]
     usable = [o for o in outcomes if o is not None]
     assert np.mean(usable) == pytest.approx(0.75, abs=0.02)
     assert 1.0 - len(usable) / len(outcomes) == pytest.approx(0.05, abs=0.02)
@@ -196,8 +208,7 @@ def test_forecast_dir_files_match_single_writes(tmp_path):
     write_forecast_dir(recs, tmp_path / "dir")
     for rec in recs:
         name = rec.timestamp.strftime("%Y-%m-%dT%H") + ".csv"
-        write_quantile_forecast(rec.forecast, tmp_path / "one.csv")
-        assert (tmp_path / "dir" / name).read_bytes() == (tmp_path / "one.csv").read_bytes()
+        assert (tmp_path / "dir" / name).read_bytes() == _forecast_text(rec.forecast).encode()
     assert len(list((tmp_path / "dir").iterdir())) == len(recs)
 
 
@@ -454,7 +465,7 @@ def test_gate_closures_follow_records_changed_in_place():
     # one settled outcome inside the tau window, replaced in the same list
     k = next(i for i, r in enumerate(recs)
              if (r.timestamp.date() - recs[0].timestamp.date()).days + 1 == day - 3
-             and bernoulli_outcome(penalties(r.pi_s, r.pi_b, r.s_l)) is not None)
+             and penalty_direction(r) is not None)
     recs[k] = _flip_outcome(recs[k])
     after = offers_for_day(recs, SMALL_PLAN, chosen, day)
     fresh = [replace(r) for r in recs]

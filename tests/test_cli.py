@@ -79,6 +79,17 @@ def test_deform_csv(tmp_path):
     assert lo <= ref <= up
 
 
+@pytest.mark.parametrize("step", ["0", "-0.1", "nan", "inf"])
+def test_deform_rejects_a_grid_step_it_cannot_use(tmp_path, capsys, step):
+    out = tmp_path / "deform.json"
+    code = dispatch(["deform", "--dist", "beta:2,6", "--rho", "0.3",
+                     "--grid-step", step, "--out", str(out)])
+    assert code == 1
+    error = json.loads(capsys.readouterr().err)["error"]
+    assert error == f"--grid-step must be a positive finite number, got {float(step)!r}"
+    assert not out.exists()
+
+
 def test_simulate_json_and_idempotence(tmp_path):
     out1 = tmp_path / "a.json"
     out2 = tmp_path / "b.json"
@@ -144,6 +155,20 @@ def test_msweep_json(tmp_path):
     assert payload["m_values"] == [4, 6]
     assert len(payload["gamma_u"]) == 2
     assert len(payload["gamma_la_se"]) == 2
+
+
+@pytest.mark.parametrize("flags, message", [
+    (["--m-min", "10", "--m-max", "5"], "--m-min 10 to --m-max 5 is an empty range"),
+    (["--m-step", "0"], "--m-step must be at least 1, got 0"),
+    (["--m-min", "0"], "--m-min must be at least 1, got 0"),
+])
+def test_msweep_rejects_a_bad_m_range(tmp_path, capsys, flags, message):
+    out = tmp_path / "ms.json"
+    code = dispatch(["msweep", "--dist", "beta:2,6", "--tau", "0.75", *flags,
+                     "--n", "1000", "--out", str(out)])
+    assert code == 1
+    assert json.loads(capsys.readouterr().err)["error"] == message
+    assert not out.exists()
 
 
 def test_backtest_penalty_scale_flag(tmp_path):
@@ -227,6 +252,25 @@ def test_crossval_empty_grid_exits_1(tmp_path, capsys, market_flags):
     assert code == 1
     error = json.loads(capsys.readouterr().err)["error"]
     assert error == "rho_grid is empty, but strategy 'dr_omega' needs it"
+
+
+@pytest.mark.parametrize("command", ["crossval", "backtest"])
+@pytest.mark.parametrize("value", ["10.7", "nan"])
+def test_m_grid_rejects_values_that_are_not_whole_days(tmp_path, capsys, market_flags,
+                                                       command, value):
+    out = tmp_path / "out.json"
+    code = dispatch([command, *market_flags, "--m-grid", value, "--out", str(out)])
+    assert code == 1
+    error = json.loads(capsys.readouterr().err)["error"]
+    assert error == f"--m-grid values must be whole numbers of days, got {float(value)!r}"
+    assert not out.exists()
+
+
+def test_m_grid_whole_float_matches_integer(tmp_path, market_flags):
+    for value in ("10", "10.0"):
+        assert dispatch(["crossval", *market_flags, "--m-grid", value,
+                         "--out", str(tmp_path / f"{value}.json")]) == 0
+    assert (tmp_path / "10.json").read_bytes() == (tmp_path / "10.0.json").read_bytes()
 
 
 def test_commands_start_no_threads(tmp_path, monkeypatch, market_flags):

@@ -13,7 +13,7 @@ from drnewsvendor import (
     read_quantile_forecast,
     standard_forecast_levels,
 )
-from drnewsvendor.distributions import write_quantile_forecast
+from drnewsvendor.distributions import _forecast_text
 
 from conftest import random_dist, random_piecewise
 
@@ -211,7 +211,7 @@ def test_rng_stream_validation():
 def test_quantile_forecast_round_trip(tmp_path, rng):
     dist = random_piecewise(rng)
     path = tmp_path / "fc.csv"
-    write_quantile_forecast(dist, path)
+    path.write_text(_forecast_text(dist))
     back = read_quantile_forecast(path)
     assert np.array_equal(back.levels, dist.levels)
     assert np.array_equal(back.values, dist.values)

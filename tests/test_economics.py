@@ -8,14 +8,13 @@ from drnewsvendor import (
     PenaltyPair,
     SettlementInput,
     Uniform01,
-    bernoulli_outcome,
     effective_balancing_price,
     expected_loss,
     penalties,
     regret_and_ratio,
     revenue,
-    scaled_loss,
 )
+from drnewsvendor.economics import bernoulli_outcomes
 
 from conftest import random_dist
 
@@ -66,19 +65,9 @@ def test_penalty_pair_validation():
 
 
 def test_bernoulli_outcome():
-    assert bernoulli_outcome(PenaltyPair(10, 0)) == 1
-    assert bernoulli_outcome(PenaltyPair(0, 20)) == 0
-    assert bernoulli_outcome(PenaltyPair(0, 0)) is None
-
-
-def test_scaled_loss_cases():
-    assert scaled_loss(0.4, 0.4, 1) == 0.0
-    assert scaled_loss(0.3, 0.5, 1) == pytest.approx(0.2)
-    assert scaled_loss(0.5, 0.3, 1) == 0.0        # wrong-side deviation unpenalized
-    assert scaled_loss(0.5, 0.3, 0) == pytest.approx(0.2)
-    assert scaled_loss(0.2, 0.6, 0.75) == pytest.approx(0.3)  # expectation form
-    with pytest.raises(ValueError):
-        scaled_loss(0.5, 0.5, 1.5)
+    outcome = bernoulli_outcomes([10.0, 0.0, 0.0], [0.0, 20.0, 0.0])
+    assert outcome[:2].tolist() == [1.0, 0.0]
+    assert np.isnan(outcome[2])
 
 
 def test_revenue_decomposition_against_penalty_split(rng):

@@ -1,4 +1,4 @@
-"""Chance-of-success estimators: sample means and hourly moving averages."""
+"""The chance-of-success estimator: hourly moving averages of penalty outcomes."""
 
 import numpy as np
 import pytest
@@ -9,7 +9,6 @@ from drnewsvendor import (
     HourlyTauEstimator,
     PenaltyPair,
     RngStream,
-    estimate_tau,
 )
 
 OVER = PenaltyPair(5.0, 0.0)
@@ -28,20 +27,6 @@ def forecast(history, window_days, target, fallback_tau=None):
     """Tau at a ``(day, hour)`` target from the same-hour history."""
     day, hour = target
     return estimator(history).forecast(day, hour, window_days, fallback_tau=fallback_tau)
-
-
-def test_estimate_tau_examples():
-    assert estimate_tau([1, 1, 1]) == 1.0
-    assert estimate_tau([1, 1, 0, 1]) == 0.75
-    draws = RngStream(3, 0).generator.integers(0, 2, 15)
-    assert estimate_tau(draws) == pytest.approx(float(np.mean(draws)))
-
-
-def test_estimate_tau_errors():
-    with pytest.raises(ValueError):
-        estimate_tau([])
-    with pytest.raises(ValueError):
-        estimate_tau([0.5, 2.0])
 
 
 def test_hourly_constant_overage():
@@ -100,17 +85,6 @@ def test_consistency_on_stationary_data():
     assert abs(est - tau) <= 0.02
 
 
-def test_estimator_diagnostics_expose_penalty_averages():
-    history = [(1, 2, PenaltyPair(10.0, 0.0)), (2, 2, PenaltyPair(0.0, 4.0)),
-               (3, 2, NONE_PAIR)]
-    est = estimator(history)
-    diag = est.diagnostics(4, 2, 3)
-    assert diag["tau_hat"] == pytest.approx(0.5)
-    assert diag["count"] == 2.0
-    assert diag["mean_overage"] == pytest.approx(5.0)
-    assert diag["mean_underage"] == pytest.approx(2.0)
-
-
 def test_duplicate_day_rejected():
     with pytest.raises(ValueError, match="duplicate"):
         estimator([(1, 2, OVER), (1, 2, UNDER)])
@@ -154,7 +128,7 @@ def windowed_histories(draw):
 
 
 def reference_window(history, day, hour, window):
-    """Outcomes and penalties at ``hour`` on days ``day - window`` to ``day - 1``."""
+    """Penalized periods at ``hour`` on days ``day - window`` to ``day - 1``."""
     return [pair for d, h, pair in history
             if h == hour and day - window <= d <= day - 1 and (pair.overage or pair.underage)]
 
@@ -169,17 +143,10 @@ def test_index_matches_plain_window_mean(case):
         pairs = reference_window(history, day, hour, window)
         tau = sum(1.0 if p.overage > 0.0 else 0.0 for p in pairs) / len(pairs) if pairs else None
         expected.append(tau)
-        diag = est.diagnostics(day, hour, window)
-        assert diag["count"] == float(len(pairs))
         if pairs:
-            assert diag["tau_hat"] == tau
             assert est.forecast(day, hour, window, fallback) == tau
-            # quarter-unit penalties sum exactly in any order
-            assert diag["mean_overage"] == sum(p.overage for p in pairs) / len(pairs)
-            assert diag["mean_underage"] == sum(p.underage for p in pairs) / len(pairs)
         else:
-            assert np.isnan(diag["tau_hat"])
-            assert diag["mean_overage"] == diag["mean_underage"] == 0.0
+            assert np.isnan(est.forecast(day, hour, window, fallback_tau=float("nan")))
     days, hours = (np.array(col) for col in zip(*targets))
     first_missing = next((t for t, tau in zip(targets, expected) if tau is None), None)
     if first_missing is not None and fallback is None:

@@ -130,6 +130,42 @@ def test_dr_s_rule_fires_exactly_one_branch(triples):
     assert np.array_equal(offer, np.minimum(np.maximum(mean, q_lo), q_hi))
 
 
+def choose_reference(q_lo, q_hi, mean):
+    """The DR-S rule through ``np.choose``, as a reference for the offers and branches."""
+    branch = np.where(q_hi < mean, 0, np.where(q_lo > mean, 1, 2))
+    return np.choose(branch, (q_hi, q_lo, mean)), branch
+
+
+@st.composite
+def dr_s_blocks(draw):
+    """A (grid x period) block of bound quantiles with a per-period mean.
+
+    Bounds may be ``+inf`` (upper) and ``-inf`` (lower), as the Monte-Carlo
+    table passes the ones it does not price, and any entry may be NaN.
+    """
+    grid, periods = draw(st.integers(1, 4)), draw(st.integers(1, 6))
+    special = st.sampled_from([0.0, -0.0, np.nan])
+
+    def block(extra):
+        cells = st.one_of(unit, special, st.just(extra))
+        return np.array(draw(st.lists(cells, min_size=grid * periods,
+                                      max_size=grid * periods))).reshape(grid, periods)
+
+    mean = np.array(draw(st.lists(st.one_of(unit, special), min_size=periods,
+                                  max_size=periods)))
+    return block(-np.inf), block(np.inf), mean
+
+
+@given(dr_s_blocks())
+def test_dr_s_rule_matches_a_choose_reference(case):
+    q_lo, q_hi, mean = case
+    offer, branch = dr_s_rule(q_lo, q_hi, mean)
+    expect_offer, expect_branch = choose_reference(q_lo, q_hi, mean)
+    assert offer.dtype == expect_offer.dtype and offer.shape == expect_offer.shape
+    assert offer.tobytes() == expect_offer.tobytes()
+    assert branch.dtype == expect_branch.dtype and branch.tobytes() == expect_branch.tobytes()
+
+
 @given(st.one_of(forecasts(), betas), unit, st.floats(min_value=0.0, max_value=1.0))
 def test_solve_dr_s_reports_the_branch_it_took(dist, tau, eps):
     decision = solve_dr_s(dist, make_bernoulli_ball(tau, eps))
