@@ -42,7 +42,6 @@ from .distributions import (
 )
 from .economics import (
     PenaltyPair,
-    SettlementInput,
     effective_balancing_price,
     expected_loss,
     penalties,

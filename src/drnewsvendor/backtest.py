@@ -45,7 +45,7 @@ from .distributions import (
     _share_knots,
     read_quantile_forecast,
 )
-from .economics import SettlementInput, StrategyRow, penalty_split, regret_and_ratio, revenue
+from .economics import StrategyRow, penalty_split, regret_and_ratio, revenue
 from .estimation import HourlyTauEstimator
 from .solvers import dr_omega_offers, dr_s_rule
 
@@ -478,7 +478,7 @@ class _Span:
     def revenues(self, strategy: str, grid: Sequence[Mapping[str, float]]) -> np.ndarray:
         """Each grid point's revenues, one row per point and one column per period."""
         y = self.offers(strategy, grid)
-        return revenue(SettlementInput(self.pi_s, self.pi_b, self.s_l, y, self.omega))
+        return revenue(self.pi_s, self.pi_b, self.s_l, y, self.omega)
 
 
 def _window_totals(rev: np.ndarray, windows: Sequence[tuple[int, int]]) -> np.ndarray:
@@ -566,7 +566,7 @@ def run_backtest(records: Sequence[MarketRecord], plan: BacktestPlan,
     if not len(span):
         raise ValueError("evaluation span holds no records")
 
-    oracle_rev = revenue(SettlementInput(span.pi_s, span.pi_b, span.s_l, span.omega, span.omega))
+    oracle_rev = revenue(span.pi_s, span.pi_b, span.s_l, span.omega, span.omega)
     days = np.unique(span.day).tolist()
     revenues: dict[str, np.ndarray] = {}
     for strategy in plan.strategies:
@@ -600,8 +600,8 @@ def run_backtest(records: Sequence[MarketRecord], plan: BacktestPlan,
 
 def scale_penalties(records: Sequence[MarketRecord], factor: float) -> list[MarketRecord]:
     """Scale every balancing-price spread away from the day-ahead price."""
-    if factor <= 0.0:
-        raise ValueError(f"scale factor must be positive, got {factor}")
+    if not 0.0 < factor < np.inf:
+        raise ValueError(f"scale factor must be positive and finite, got {factor}")
     if factor == 1.0:
         return list(records)
     return [

@@ -105,24 +105,32 @@ def _parse_dist(spec: str) -> UnitDistribution:
     raise ValueError(f"unknown distribution spec {spec!r}")
 
 
-def _parse_grid(spec: str) -> tuple[float, ...]:
-    """Grids as start:step:stop ranges or comma lists."""
+def _parse_grid(spec: str, flag: str) -> tuple[float, ...]:
+    """The grid ``flag`` gives, as a start:step:stop range or a comma list.
+
+    A range takes whole steps from start and ends at the last value that
+    does not pass stop, up to a slack of 1e-9 steps for rounding.
+    """
     spec = spec.strip()
-    if ":" in spec:
-        parts = spec.split(":")
-        if len(parts) != 3:
-            raise ValueError(f"range grid must be start:step:stop, got {spec!r}")
-        start, step, stop = (float(p) for p in parts)
-        if step <= 0.0 or stop < start:
-            raise ValueError(f"bad grid range {spec!r}")
-        n = int(round((stop - start) / step))
-        return tuple(float(v) for v in np.round(np.linspace(start, start + n * step, n + 1), 12))
-    return tuple(float(p) for p in spec.split(",") if p.strip())
+    try:
+        if ":" not in spec:
+            return tuple(float(p) for p in spec.split(",") if p.strip())
+        start, step, stop = (float(p) for p in spec.split(":"))
+    except ValueError:
+        raise ValueError(
+            f"{flag} must be a start:step:stop range or a comma list of numbers, got {spec!r}"
+        ) from None
+    if not (0.0 < step < np.inf and -np.inf < start <= stop < np.inf):
+        raise ValueError(
+            f"{flag} range {spec!r} needs finite bounds, a positive step and start <= stop"
+        )
+    n = int(np.floor((stop - start) / step + 1e-9))
+    return tuple(float(v) for v in np.round(np.linspace(start, start + n * step, n + 1), 12))
 
 
 def _m_grid(spec: str) -> tuple[int, ...]:
     """``--m-grid`` as window lengths in days: whole numbers only."""
-    values = _parse_grid(spec)
+    values = _parse_grid(spec, "--m-grid")
     for v in values:
         if not v.is_integer():
             raise ValueError(f"--m-grid values must be whole numbers of days, got {v!r}")
@@ -259,7 +267,7 @@ def _sim_config(args, m: int) -> mc.SimConfig:
         true_tau=args.tau,
         m=m,
         n_replicates=args.n,
-        epsilon_grid=_parse_grid(args.eps_grid),
+        epsilon_grid=_parse_grid(args.eps_grid, "--eps-grid"),
         theta=args.theta,
         ball_kinds=kinds,
         master_seed=args.seed,
@@ -322,9 +330,9 @@ def _plan_from_args(args) -> bt.BacktestPlan:
         cv_days=args.cv_days,
         cv_mode=bt.CvMode(args.cv_mode),
         m_grid=_m_grid(args.m_grid),
-        rho_grid=_parse_grid(args.rho_grid),
-        epsilon_grid=_parse_grid(args.eps_grid),
-        theta_grid=_parse_grid(args.theta_grid),
+        rho_grid=_parse_grid(args.rho_grid, "--rho-grid"),
+        epsilon_grid=_parse_grid(args.eps_grid, "--eps-grid"),
+        theta_grid=_parse_grid(args.theta_grid, "--theta-grid"),
         strategies=tuple(s.strip() for s in args.strategies.split(",") if s.strip()),
         fallback_tau=args.fallback_tau,
     )
@@ -352,10 +360,12 @@ def _add_backtest_flags(parser: argparse.ArgumentParser) -> None:
 
 
 def _load_backtest_inputs(args):
+    if not 0.0 < args.penalty_scale < np.inf:
+        raise ValueError(
+            f"--penalty-scale must be a positive finite number, got {args.penalty_scale!r}"
+        )
     records = bt.load_market_data(args.market, args.forecasts, strict=args.strict)
-    if args.penalty_scale != 1.0:
-        records = bt.scale_penalties(records, args.penalty_scale)
-    return records, _plan_from_args(args)
+    return bt.scale_penalties(records, args.penalty_scale), _plan_from_args(args)
 
 
 def _cmd_crossval(args) -> int:
@@ -429,7 +439,13 @@ def _cmd_synth(args) -> int:
     return 0
 
 
-def build_parser() -> argparse.ArgumentParser:
+@functools.lru_cache(maxsize=1)
+def _parser() -> argparse.ArgumentParser:
+    """The parser :func:`dispatch` uses, built once per process.
+
+    Parsing leaves no state on the parser, so in-process callers that
+    dispatch many commands skip rebuilding its seven subcommands.
+    """
     parser = argparse.ArgumentParser(
         prog="drnewsvendor",
         description="Bernoulli newsvendor offers, robust variants, sweeps and backtests",
@@ -507,16 +523,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(handler=_cmd_synth)
 
     return parser
-
-
-@functools.lru_cache(maxsize=1)
-def _parser() -> argparse.ArgumentParser:
-    """The parser :func:`dispatch` uses, built once per process.
-
-    Parsing leaves no state on the parser, so in-process callers that
-    dispatch many commands skip rebuilding its seven subcommands.
-    """
-    return build_parser()
 
 
 def dispatch(argv: list[str] | None = None) -> int:

@@ -153,8 +153,7 @@ class UnitDistribution(ABC):
         """Draw ``n`` i.i.d. values by inverse-transform sampling."""
         if n < 0:
             raise ValueError(f"sample size must be non-negative, got {n}")
-        u = rng.uniform(n)
-        return np.asarray(self.quantile(u), dtype=float)
+        return np.asarray(self.quantile(rng.generator.random(n)), dtype=float)
 
 
 class PiecewiseLinear(UnitDistribution):
@@ -424,12 +423,6 @@ class RngStream:
             raise ValueError("stream_id must be a non-negative integer")
         seq = np.random.SeedSequence(self.master_seed, spawn_key=(self.stream_id,))
         self._gen = np.random.default_rng(seq)
-
-    def uniform(self, n: int) -> np.ndarray:
-        return self._gen.random(int(n))
-
-    def binomial(self, trials: int, p: float, n: int) -> np.ndarray:
-        return self._gen.binomial(int(trials), float(p), size=int(n))
 
     @property
     def generator(self) -> np.random.Generator:

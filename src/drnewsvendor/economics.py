@@ -17,7 +17,6 @@ import numpy as np
 from .distributions import UnitDistribution, _validate_prob
 
 __all__ = [
-    "SettlementInput",
     "PenaltyPair",
     "effective_balancing_price",
     "penalty_split",
@@ -28,24 +27,6 @@ __all__ = [
     "StrategyRow",
     "regret_and_ratio",
 ]
-
-
-@dataclass(frozen=True)
-class SettlementInput:
-    """Settlement periods: prices, system length, offer and realization.
-
-    Fields are scalars for one period or aligned arrays for many.
-    """
-
-    pi_s: float
-    pi_b: float
-    s_l: float
-    y: float
-    omega_star: float
-
-    def __post_init__(self):
-        _validate_prob(self.y, "y")
-        _validate_prob(self.omega_star, "omega_star")
 
 
 @dataclass(frozen=True)
@@ -62,17 +43,21 @@ class PenaltyPair:
             raise ValueError("overage and underage penalties are mutually exclusive")
 
 
-def effective_balancing_price(pi_s: float, pi_b: float, s_l: float,
-                              y: float, omega_star: float) -> float:
+def effective_balancing_price(pi_s, pi_b, s_l, y, omega_star) -> np.ndarray:
     """Price applied to the imbalance: pi_b when it aggravates the system, pi_s otherwise."""
-    price = np.where((np.asarray(omega_star, dtype=float) - y) * s_l > 0.0, pi_b, pi_s)
-    return float(price) if price.ndim == 0 else price
+    return np.where((np.asarray(omega_star, dtype=float) - y) * s_l > 0.0, pi_b, pi_s)
 
 
-def revenue(inp: SettlementInput):
-    """Producer revenue: day-ahead payment plus the settled imbalance."""
-    pi_eff = effective_balancing_price(inp.pi_s, inp.pi_b, inp.s_l, inp.y, inp.omega_star)
-    return inp.pi_s * inp.y + pi_eff * (inp.omega_star - inp.y)
+def revenue(pi_s, pi_b, s_l, y, omega_star):
+    """Producer revenue, elementwise: day-ahead payment plus the settled imbalance.
+
+    Arguments are scalars for one period or aligned arrays for many; the
+    offer ``y`` and the realization ``omega_star`` must lie in [0, 1].
+    """
+    _validate_prob(y, "y")
+    _validate_prob(omega_star, "omega_star")
+    pi_eff = effective_balancing_price(pi_s, pi_b, s_l, y, omega_star)
+    return pi_s * y + pi_eff * (omega_star - y)
 
 
 def penalty_split(pi_s, pi_b, s_l) -> tuple[np.ndarray, np.ndarray]:

@@ -138,8 +138,8 @@ def _draw_count_blocks(config: SimConfig, m: int, stream_base: int) -> np.ndarra
     n = config.n_replicates
     rows = []
     for b, start in enumerate(range(0, n, BLOCK_SIZE)):
-        draws = RngStream(config.master_seed, stream_base + b).binomial(
-            m, config.true_tau, min(BLOCK_SIZE, n - start))
+        draws = RngStream(config.master_seed, stream_base + b).generator.binomial(
+            m, config.true_tau, size=min(BLOCK_SIZE, n - start))
         rows.append(np.bincount(draws, minlength=m + 1).astype(np.int64))
     return np.vstack(rows)
 

@@ -4,20 +4,19 @@ Generates hourly records with a stationary chance of success: each
 balanced period penalizes overage with probability ``tau`` (system long,
 balancing price below day-ahead) and underage otherwise, with the
 relative price spread drawn so its mean matches a target fraction of the
-day-ahead price. Generation is drawn from the supplied distribution and
-the forecast is its quantile representation, so forecasts are calibrated
-by construction.
+day-ahead price. Generation is drawn from Beta(2, 6) and the forecast is
+its quantile representation at the standard levels, so forecasts are
+calibrated by construction; day-ahead prices are uniform on [35, 65].
 """
 
 from __future__ import annotations
 
 from datetime import datetime, timedelta
-from typing import Sequence
 
 import numpy as np
 
 from .backtest import MarketRecord
-from .distributions import Beta, PiecewiseLinear, RngStream, UnitDistribution, standard_forecast_levels
+from .distributions import Beta, PiecewiseLinear, RngStream, standard_forecast_levels
 
 __all__ = ["make_synthetic_market"]
 
@@ -26,13 +25,9 @@ def make_synthetic_market(
     n_days: int = 731,
     master_seed: int = 0,
     tau: float = 0.75,
-    gen_dist: UnitDistribution | None = None,
     mean_rel_spread: float = 0.135,
     no_balancing_rate: float = 0.05,
-    price_low: float = 35.0,
-    price_high: float = 65.0,
     start: datetime = datetime(2018, 10, 1),
-    forecast_levels: Sequence[float] | None = None,
 ) -> list[MarketRecord]:
     """Build ``n_days`` of hourly records with stationary penalty asymmetry.
 
@@ -46,19 +41,16 @@ def make_synthetic_market(
         raise ValueError(f"tau must lie in [0, 1], got {tau}")
     if not (0.0 <= no_balancing_rate < 1.0):
         raise ValueError("no-balancing rate must lie in [0, 1)")
-    if mean_rel_spread <= 0.0 or mean_rel_spread >= 0.5:
-        raise ValueError("mean relative spread must lie in (0, 0.5)")
-    if gen_dist is None:
-        gen_dist = Beta(2.0, 6.0)
-    levels = np.asarray(
-        standard_forecast_levels() if forecast_levels is None else forecast_levels, dtype=float
-    )
-    forecast = PiecewiseLinear(levels, np.asarray(gen_dist.quantile(levels), dtype=float))
+    if not (0.0 < mean_rel_spread < 0.5):
+        raise ValueError(f"mean relative spread must lie in (0, 0.5), got {mean_rel_spread}")
+    generation = Beta(2.0, 6.0)
+    levels = standard_forecast_levels()
+    forecast = PiecewiseLinear(levels, np.asarray(generation.quantile(levels), dtype=float))
 
     n = n_days * 24
     gen = RngStream(master_seed, 0).generator
-    omega = np.asarray(gen_dist.quantile(gen.random(n)), dtype=float)
-    pi_s = gen.uniform(price_low, price_high, size=n)
+    omega = np.asarray(generation.quantile(gen.random(n)), dtype=float)
+    pi_s = gen.uniform(35.0, 65.0, size=n)
     balanced = gen.random(n) >= no_balancing_rate
     long_system = gen.random(n) < tau
     scale = mean_rel_spread / (1.0 - no_balancing_rate)

@@ -16,7 +16,6 @@ from drnewsvendor import (
     CvMode,
     MarketRecord,
     PiecewiseLinear,
-    SettlementInput,
     cross_validate,
     load_market_data,
     make_synthetic_market,
@@ -286,8 +285,8 @@ def test_chosen_point_maximizes_exhaustive_grid():
             for rec in recs:
                 d = (rec.timestamp.date() - recs[0].timestamp.date()).days + 1
                 if d == day:
-                    total += revenue(SettlementInput(
-                        rec.pi_s, rec.pi_b, rec.s_l, offers[rec.timestamp.hour], rec.omega_star))
+                    total += revenue(rec.pi_s, rec.pi_b, rec.s_l, offers[rec.timestamp.hour],
+                                     rec.omega_star)
         totals[eps] = total
     best = max(totals, key=lambda e: (totals[e], -e))
     assert chosen.static["dr_s_uniform"]["epsilon"] == best
@@ -532,8 +531,9 @@ def test_scale_penalties_identity_and_doubling():
         pb = penalties(b.pi_s, b.pi_b, b.s_l)
         assert pb.overage == pytest.approx(2 * pa.overage, rel=1e-12, abs=1e-12)
         assert pb.underage == pytest.approx(2 * pa.underage, rel=1e-12, abs=1e-12)
-    with pytest.raises(ValueError):
-        scale_penalties(recs, 0.0)
+    for factor in (0.0, -1.0, float("inf"), float("nan")):
+        with pytest.raises(ValueError, match=f"must be positive and finite, got {factor}"):
+            scale_penalties(recs, factor)
 
 
 def test_scaling_penalties_raises_dr_advantage():

@@ -8,8 +8,10 @@ import sys
 import threading
 from pathlib import Path
 
+import numpy as np
 import pytest
 
+from drnewsvendor import cli
 from drnewsvendor.cli import dispatch
 
 
@@ -271,6 +273,81 @@ def test_m_grid_whole_float_matches_integer(tmp_path, market_flags):
         assert dispatch(["crossval", *market_flags, "--m-grid", value,
                          "--out", str(tmp_path / f"{value}.json")]) == 0
     assert (tmp_path / "10.json").read_bytes() == (tmp_path / "10.0.json").read_bytes()
+
+
+SIM_FLAGS = ["--dist", "beta:2,6", "--tau", "0.75", "--m", "5", "--n", "1000"]
+
+
+@pytest.mark.parametrize("value", ["abc", "0:0:1", "1:0.1:0", "0:0.1", "0:nan:1", "0:0.1:inf"])
+def test_simulate_grid_errors_name_the_flag(tmp_path, capsys, value):
+    out = tmp_path / "sim.json"
+    code = dispatch(["simulate", *SIM_FLAGS, "--eps-grid", value, "--out", str(out)])
+    assert code == 1
+    error = json.loads(capsys.readouterr().err)["error"]
+    assert error.startswith("--eps-grid ") and repr(value) in error
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("flag", ["--eps-grid", "--rho-grid", "--theta-grid", "--m-grid"])
+@pytest.mark.parametrize("value", ["abc", "0:0:1"])
+def test_crossval_grid_errors_name_the_flag(tmp_path, capsys, market_flags, flag, value):
+    out = tmp_path / "chosen.json"
+    code = dispatch(["crossval", *market_flags, flag, value, "--out", str(out)])
+    assert code == 1
+    error = json.loads(capsys.readouterr().err)["error"]
+    assert error.startswith(f"{flag} ") and repr(value) in error
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("spec, grid", [
+    ("0:0.15:0.25", (0.0, 0.15)),
+    ("0:0.6:1", (0.0, 0.6)),
+    ("0.5:1:0.5", (0.5,)),
+])
+def test_range_grid_never_passes_stop(spec, grid):
+    assert cli._parse_grid(spec, "--eps-grid") == grid
+
+
+def test_range_grids_on_their_step_lattice_are_unchanged():
+    # the values a range gave when its length was rounded rather than floored
+    for start, step, stop in [(0, 0.01, 1), (0, 0.05, 1), (0, 0.1, 1), (0.2, 0.1, 0.9),
+                              (0, 0.025, 0.25), (1, 1, 75)]:
+        n = int(round((stop - start) / step))
+        expect = tuple(float(v) for v in np.round(np.linspace(start, start + n * step, n + 1), 12))
+        assert cli._parse_grid(f"{start}:{step}:{stop}", "--eps-grid") == expect
+    assert len(cli._parse_grid("0:0.01:1", "--eps-grid")) == 101
+
+
+def test_range_grid_past_stop_is_neither_evaluated_nor_rejected(tmp_path, market_flags):
+    for name, grid in (("range", "0:0.15:0.25"), ("list", "0,0.15")):
+        assert dispatch(["crossval", *market_flags, "--eps-grid", grid,
+                         "--out", str(tmp_path / f"{name}.json")]) == 0
+    assert (tmp_path / "range.json").read_bytes() == (tmp_path / "list.json").read_bytes()
+    assert dispatch(["simulate", *SIM_FLAGS, "--eps-grid", "0:0.6:1",
+                     "--out", str(tmp_path / "sim.json")]) == 0
+    config = json.loads((tmp_path / "sim.json").read_text())["config"]
+    assert config["epsilon_grid"] == [0.0, 0.6]
+
+
+@pytest.mark.parametrize("value", ["inf", "nan", "0", "-1"])
+def test_backtest_rejects_a_penalty_scale_it_cannot_use(tmp_path, capsys, market_flags, value):
+    out = tmp_path / "bt.json"
+    code = dispatch(["backtest", *market_flags, "--penalty-scale", value, "--out", str(out)])
+    assert code == 1
+    error = json.loads(capsys.readouterr().err)["error"]
+    assert error == f"--penalty-scale must be a positive finite number, got {float(value)!r}"
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("value", ["nan", "0", "0.5", "inf"])
+def test_synth_rejects_a_spread_outside_its_range(tmp_path, capsys, value):
+    market = tmp_path / "m.csv"
+    code = dispatch(["synth", "--days", "2", "--spread", value, "--market-out", str(market),
+                     "--forecasts-out", str(tmp_path / "fc"), "--out", str(tmp_path / "s.json")])
+    assert code == 1
+    error = json.loads(capsys.readouterr().err)["error"]
+    assert error.startswith("mean relative spread must lie in (0, 0.5)")
+    assert not market.exists()
 
 
 def test_commands_start_no_threads(tmp_path, monkeypatch, market_flags):

@@ -193,10 +193,10 @@ def test_beta_validation():
 
 
 def test_rng_stream_determinism_and_independence():
-    a = RngStream(123456789, 4).uniform(1000)
-    b = RngStream(123456789, 4).uniform(1000)
+    a = RngStream(123456789, 4).generator.random(1000)
+    b = RngStream(123456789, 4).generator.random(1000)
     assert np.array_equal(a, b)
-    c = RngStream(123456789, 5).uniform(1000)
+    c = RngStream(123456789, 5).generator.random(1000)
     assert not np.array_equal(a, c)
     assert abs(np.corrcoef(a, c)[0, 1]) < 0.1
 

@@ -6,7 +6,6 @@ import pytest
 from drnewsvendor import (
     Beta,
     PenaltyPair,
-    SettlementInput,
     Uniform01,
     effective_balancing_price,
     expected_loss,
@@ -26,11 +25,11 @@ def test_effective_balancing_price_cases():
 
 
 def test_revenue_examples():
-    assert revenue(SettlementInput(50, 40, +1, 0.3, 0.5)) == pytest.approx(23.0)
+    assert revenue(50, 40, +1, 0.3, 0.5) == pytest.approx(23.0)
     # deficit while the system is long settles at the day-ahead price
-    assert revenue(SettlementInput(50, 70, +1, 0.5, 0.3)) == pytest.approx(50 * 0.3)
+    assert revenue(50, 70, +1, 0.5, 0.3) == pytest.approx(50 * 0.3)
     # hand-computed second case: deficit aggravating a short system
-    assert revenue(SettlementInput(50, 70, -1, 0.5, 0.3)) == pytest.approx(11.0)
+    assert revenue(50, 70, -1, 0.5, 0.3) == pytest.approx(11.0)
 
 
 def test_revenue_zero_imbalance_ignores_balancing_price(rng):
@@ -38,8 +37,7 @@ def test_revenue_zero_imbalance_ignores_balancing_price(rng):
         pi_s = rng.uniform(1, 100)
         pi_b = rng.uniform(1, 100)
         w = float(rng.random())
-        inp = SettlementInput(pi_s, pi_b, rng.normal(), w, w)
-        assert revenue(inp) == pytest.approx(pi_s * w, rel=1e-12)
+        assert revenue(pi_s, pi_b, rng.normal(), w, w) == pytest.approx(pi_s * w, rel=1e-12)
 
 
 def test_penalties_cases():
@@ -80,7 +78,7 @@ def test_revenue_decomposition_against_penalty_split(rng):
         if s_l == 0.0:
             continue
         y, w = float(rng.random()), float(rng.random())
-        r = revenue(SettlementInput(pi_s, pi_b, s_l, y, w))
+        r = revenue(pi_s, pi_b, s_l, y, w)
         if s_l > 0:
             pi_o_raw, pi_u_raw = pi_s - pi_b, 0.0
         else:
@@ -178,6 +176,6 @@ def test_regret_and_ratio_misaligned_series():
 
 def test_settlement_input_validation():
     with pytest.raises(ValueError):
-        SettlementInput(50, 40, 1, 1.2, 0.5)
+        revenue(50, 40, 1, 1.2, 0.5)
     with pytest.raises(ValueError):
-        SettlementInput(50, 40, 1, 0.5, -0.1)
+        revenue(50, 40, 1, 0.5, -0.1)

@@ -23,7 +23,6 @@ from drnewsvendor import (
     HourlyTauEstimator,
     MarketRecord,
     PiecewiseLinear,
-    SettlementInput,
     Uniform01,
     cross_validate,
     deform_lower,
@@ -280,8 +279,7 @@ class NaiveBacktest:
         if key not in self.settled:
             rec = self.periods[(day, hour)]
             y = self.offer(strategy, params, day, hour)
-            self.settled[key] = revenue(SettlementInput(rec.pi_s, rec.pi_b, rec.s_l, y,
-                                                        rec.omega_star))
+            self.settled[key] = revenue(rec.pi_s, rec.pi_b, rec.s_l, y, rec.omega_star)
         return self.settled[key]
 
     def select(self, first_day, last_day):
