@@ -23,6 +23,7 @@ forecast their moments in closed form.
 
 from __future__ import annotations
 
+from collections.abc import Sequence
 from dataclasses import dataclass
 from enum import Enum
 
@@ -42,6 +43,7 @@ __all__ = [
     "DeformedCdf",
     "deform_upper",
     "deform_lower",
+    "band_quantiles",
     "BallKind",
     "BernoulliBall",
     "ball_bounds",
@@ -63,22 +65,30 @@ def double_power_upper(u, rho: float):
     """Push CDF values toward 1 (mass toward the lower support bound)."""
     rho = _check_rho(rho)
     arr = _validate_prob(u, "u")
-    beta = 1.0 - rho
     with np.errstate(divide="ignore"):
-        inner = -np.expm1(np.log1p(-arr) / beta)  # 1 - (1-u)^(1/beta), stable near 0 and 1
-        out = np.power(inner, beta)
-    return _match_input(u, out)
+        return _match_input(u, _power(double_power_upper, arr, 1.0 - rho))
 
 
 def double_power_lower(u, rho: float):
     """Push CDF values toward 0 (mass toward the upper support bound)."""
     rho = _check_rho(rho)
     arr = _validate_prob(u, "u")
-    beta = 1.0 - rho
     with np.errstate(divide="ignore"):
-        root = np.exp(np.log(arr) / beta)  # u^(1/beta)
-        out = -np.expm1(beta * np.log1p(-root))
-    return _match_input(u, out)
+        return _match_input(u, _power(double_power_lower, arr, 1.0 - rho))
+
+
+def _power(op, arr: np.ndarray, beta: float) -> np.ndarray:
+    """``op(arr)`` at ``beta = 1 - rho``, for levels and a radius already checked."""
+    if op is double_power_upper:
+        inner = -np.expm1(np.log1p(-arr) / beta)  # 1 - (1-u)^(1/beta), stable near 0 and 1
+        return np.power(inner, beta)
+    root = np.exp(np.log(arr) / beta)  # u^(1/beta)
+    return -np.expm1(beta * np.log1p(-root))
+
+
+# each band side's operator and its inverse, the mirror operator
+_OPERATORS = {"upper": (double_power_upper, double_power_lower),
+              "lower": (double_power_lower, double_power_upper)}
 
 
 def _complement(op, u, rho: float):
@@ -131,25 +141,14 @@ class DeformedCdf(UnitDistribution):
         self.reference = reference
         self.rho = _check_rho(rho)
         self.side = side
-        if side == "upper":
-            self._op, self._mirror = double_power_upper, double_power_lower
-        else:
-            self._op, self._mirror = double_power_lower, double_power_upper
+        self._op, self._mirror = _OPERATORS[side]
 
     def cdf(self, x):
         return self._op(self.reference.cdf(x), self.rho)
 
     def quantile(self, p):
         arr = _validate_prob(p, "p")
-        u = self._mirror(p, self.rho)
-        out = self.reference.quantile(u)
-        # a level that rounds to 1 would lose the reference's upper tail:
-        # take it from the upper end, at the exact complement of the level
-        top = (np.asarray(u) == 1.0) & (arr < 1.0)
-        if np.any(top):
-            s = np.where(top, _complement(self._mirror, p, self.rho), 0.0)
-            out = _match_input(p, np.where(top, self.reference._quantile_above(s), out))
-        return out
+        return _match_input(p, band_quantiles(self.reference, arr, self.rho, (self.side,))[0])
 
     def _quantile_below(self, p):
         return self._reference_at(self._mirror(p, self.rho), _complement(self._mirror, p, self.rho))
@@ -198,6 +197,29 @@ class DeformedCdf(UnitDistribution):
 
     def __repr__(self) -> str:
         return f"DeformedCdf({self.reference!r}, rho={self.rho:g}, side={self.side!r})"
+
+
+def band_quantiles(reference, p: np.ndarray, rho: float, sides: Sequence[str]) -> np.ndarray:
+    """The quantiles at levels ``p`` of the bands of ``reference`` at radius ``rho``.
+
+    Row ``k`` holds the band on side ``sides[k]`` ("upper" or "lower"):
+    the reference quantile at the mirror operator's level. Every row is
+    priced in one reference quantile call. A level that rounds to 1 while
+    ``p < 1`` would lose the reference's upper tail, so there the quantile
+    is read from the upper end, at the level's exact complement.
+    ``reference`` is a distribution or a :class:`PiecewiseLinearBatch`;
+    ``p`` and ``rho`` in [0, 1) are the caller's to validate.
+    """
+    mirrors = [_OPERATORS[side][1] for side in sides]
+    beta = 1.0 - rho
+    with np.errstate(divide="ignore"):
+        u = np.stack([_power(op, p, beta) for op in mirrors])
+    out = reference.quantile(u)
+    top = (u == 1.0) & (p < 1.0)
+    if top.any():
+        s = np.where(top, np.stack([_complement(op, p, rho) for op in mirrors]), 0.0)
+        out = np.where(top, reference._quantile_above(s), out)
+    return out
 
 
 def deform_upper(reference: UnitDistribution, rho: float) -> DeformedCdf:

@@ -27,13 +27,13 @@ import numbers
 import operator
 import warnings
 import weakref
+from collections.abc import Callable, Iterable, Mapping, Sequence
 from dataclasses import dataclass, replace
 from datetime import datetime
 from enum import Enum
 from itertools import groupby, islice, product, repeat
 from operator import attrgetter
 from pathlib import Path
-from typing import Callable, Iterable, Mapping, Sequence
 
 import numpy as np
 
@@ -46,7 +46,7 @@ from .distributions import (
     read_quantile_forecast,
 )
 from .economics import StrategyRow, penalty_split, regret_and_ratio, revenue
-from .estimation import HourlyTauEstimator
+from .estimation import HourlyTauEstimator, fill_empty_windows
 from .solvers import dr_omega_offers, dr_s_rule
 
 __all__ = [
@@ -88,9 +88,12 @@ class _WeaklyReferable:
     __slots__ = ("__weakref__",)
 
 
-@dataclass(frozen=True, slots=True)
+@dataclass(frozen=True, slots=True, eq=False)
 class MarketRecord(_WeaklyReferable):
-    """One settlement period with its day-ahead quantile forecast."""
+    """One settlement period with its day-ahead quantile forecast.
+
+    Records compare and hash by identity, as their forecasts do.
+    """
 
     timestamp: datetime
     pi_s: float
@@ -236,7 +239,11 @@ class ChosenParameters:
 
     @classmethod
     def from_json_dict(cls, data: Mapping) -> "ChosenParameters":
-        """Read :meth:`to_json_dict` output; a bad or missing key raises ``ValueError``."""
+        """Read :meth:`to_json_dict` output; a bad or missing key raises ``ValueError``.
+
+        A sliding selection's day keys must be canonical decimal integers
+        (``str(int(key)) == key``): ``"03"``, ``" 4"`` or ``"+5"`` is rejected.
+        """
         if not isinstance(data, Mapping):
             raise ValueError(f"chosen parameters must be a JSON object, got {type(data).__name__}")
         try:
@@ -254,10 +261,14 @@ class ChosenParameters:
         per_day = {}
         for day, strats in table.items():
             try:
-                per_day[int(day)] = strats
-            except ValueError:
-                raise ValueError(f"chosen parameters: key 'per_day' holds the "
-                                 f"non-integer day {day!r}") from None
+                number = int(day)
+            except (TypeError, ValueError):
+                number = None
+            # one spelling per day, so two keys can never name the same day
+            if number is None or str(number) != day:
+                raise ValueError(f"chosen parameters: key 'per_day' holds the day key {day!r}; "
+                                 f"days are written as plain decimal integers such as '31'")
+            per_day[number] = strats
         return cls(mode=mode, per_day=per_day)
 
 
@@ -274,17 +285,19 @@ class BacktestReport:
     eval_days: tuple[int, int]
 
 
-def _check(timestamps: Sequence[datetime], ok: np.ndarray,
-           describe: Callable[..., str]) -> None:
+def _check(timestamps: Sequence[datetime], ok: np.ndarray, describe: Callable[..., str],
+           periods: np.ndarray | None = None) -> None:
     """Raise for the first entry where ``ok`` fails, naming its period's timestamp.
 
     The last axis of ``ok`` runs over periods and any axis before it over
     grid points, so the first entry is the earliest period of the earliest
-    failing grid point; ``describe`` gets the entry's index.
+    failing grid point; ``describe`` gets the entry's index. Period ``i``
+    is ``timestamps[periods[i]]``, or ``timestamps[i]`` without ``periods``.
     """
     if not ok.all():
         index = np.unravel_index(int(np.argmin(ok)), ok.shape)
-        raise ValueError(f"{timestamps[index[-1]].isoformat()}: {describe(*index)}")
+        i = index[-1] if periods is None else periods[index[-1]]
+        raise ValueError(f"{timestamps[i].isoformat()}: {describe(*index)}")
 
 
 def _unit(values: np.ndarray) -> np.ndarray:
@@ -298,7 +311,7 @@ def _day_range(days: np.ndarray, first_day: int, last_day: int) -> tuple[int, in
 
 
 class _MarketFrame:
-    """Period-ordered columns of a record list, its forecast table and its tau estimator.
+    """Period-ordered columns of a record list, its forecast table and its tau columns.
 
     Periods are keyed by (day, hour), day 1 holding the first record; a
     repeated key keeps the later record. The forecast table holds one knot
@@ -344,6 +357,19 @@ class _MarketFrame:
         self.estimator = HourlyTauEstimator(
             self.day, self.hour, *penalty_split(self.pi_s, self.pi_b, self.s_l)
         )
+        self._tau: dict[int, np.ndarray] = {}
+
+    def tau_column(self, m: int) -> np.ndarray:
+        """Every period's tau estimate on window ``m``; NaN where the window is empty.
+
+        Tau depends on (day, hour, m) alone, so each ``m`` is estimated once
+        per frame, for all periods, and every span reads its periods from it.
+        """
+        tau = self._tau.get(m)
+        if tau is None:
+            # target day-1: the window [day-1-m, day-2] respects the settlement lag
+            tau = self._tau[m] = self.estimator.window_means(self.day - 1, self.hour, m)
+        return tau
 
     def periods(self, first_day: int, last_day: int) -> np.ndarray:
         """Indices of the periods of days ``first_day`` to ``last_day``."""
@@ -351,8 +377,8 @@ class _MarketFrame:
 
 
 # The frame of the last record sequence asked for: a weak reference to its
-# first record, strong references to the rest, and the frame.
-_FRAME: tuple[weakref.ref, tuple[MarketRecord, ...], _MarketFrame] | None = None
+# first record, a list of the rest, and the frame.
+_FRAME: tuple[weakref.ref, list[MarketRecord], _MarketFrame] | None = None
 
 
 def _release(first: weakref.ref) -> None:
@@ -367,53 +393,57 @@ def _frame_for(records: Sequence[MarketRecord]) -> _MarketFrame:
     """The frame of ``records``, reused while calls pass the same record objects.
 
     Records are frozen, so the same objects in the same order give the same
-    columns; a list edited in place, or new records, build a new frame. The
-    frame is let go with its sequence's first record, so a history that its
-    caller has dropped is freed before the next one is loaded. The slot is
-    replaced in one assignment, so concurrent calls can at worst build a
+    columns; a list edited in place, or new records, build a new frame.
+    Records compare by identity, so the check is one list comparison, which
+    passes over each record that is the held one without calling anything.
+    The frame is let go with its sequence's first record, so a history that
+    its caller has dropped is freed before the next one is loaded. The slot
+    is replaced in one assignment, so concurrent calls can at worst build a
     frame twice.
     """
     global _FRAME
     held = _FRAME
-    if held is not None:
-        first, rest, frame = held
-        if (len(rest) + 1 == len(records) and first() is records[0]
-                and all(map(operator.is_, rest, islice(records, 1, None)))):
+    # a list slices in one copy; any other sequence is walked
+    rest = records[1:] if isinstance(records, list) else list(islice(records, 1, None))
+    if held is not None and len(records):
+        first, held_rest, frame = held
+        if first() is records[0] and held_rest == rest:
             return frame
     frame = _MarketFrame(records)
-    _FRAME = (weakref.ref(records[0], _release), tuple(islice(records, 1, None)), frame)
+    _FRAME = (weakref.ref(records[0], _release), rest, frame)
     return frame
 
 
 class _Span:
     """Every strategy's offers and revenues over a period-ordered set of periods.
 
-    Tau is estimated only for the span's own periods, so a window without
-    usable outcomes raises only where an offer needs it.
+    Tau is read from the frame's columns for the span's own periods, so a
+    window without usable outcomes raises only where an offer needs it.
     """
 
     def __init__(self, frame: _MarketFrame, plan: BacktestPlan, periods: np.ndarray):
         self.periods = periods
-        self.timestamps = tuple(frame.timestamps[i] for i in periods.tolist())
         self.day, self.hour = frame.day[periods], frame.hour[periods]
         self.pi_s, self.pi_b, self.s_l = frame.pi_s[periods], frame.pi_b[periods], frame.s_l[periods]
         self.omega = frame.omega[periods]
         self.forecast = frame.forecast.take(periods)
         self.mean = self.forecast.mean()
-        self._estimator = frame.estimator
+        self._frame = frame
         self._fallback = plan.fallback_tau
         self._tau: dict[int, np.ndarray] = {}
 
     def __len__(self) -> int:
         return self.day.size
 
+    def _check(self, ok: np.ndarray, describe: Callable[..., str]) -> None:
+        _check(self._frame.timestamps, ok, describe, self.periods)
+
     def tau_hat(self, m: int) -> np.ndarray:
         tau = self._tau.get(m)
         if tau is None:
-            # target day-1: the window [day-1-m, day-2] respects the settlement lag
-            tau = self._estimator.forecast_many(self.day - 1, self.hour, m, self._fallback)
-            _check(self.timestamps, _unit(tau),
-                   lambda i: f"tau_hat must lie in [0, 1], got {tau[i]}")
+            tau = fill_empty_windows(self._frame.tau_column(m)[self.periods],
+                                     self.day - 1, self.hour, m, self._fallback)
+            self._check(_unit(tau), lambda i: f"tau_hat must lie in [0, 1], got {tau[i]}")
             self._tau[m] = tau
         return tau
 
@@ -435,7 +465,7 @@ class _Span:
         return out
 
     def _check_offers(self, y: np.ndarray) -> None:
-        _check(self.timestamps, _unit(y), lambda g, i: f"offer must lie in [0, 1], got {y[g, i]}")
+        self._check(_unit(y), lambda g, i: f"offer must lie in [0, 1], got {y[g, i]}")
 
     def _block(self, strategy: str, m: int | None, points: list[Mapping[str, float]]) -> np.ndarray:
         """Offers of grid points that share the tau window ``m``: a row per point, or one row."""
@@ -464,13 +494,13 @@ class _Span:
                 ok = (0.0 <= lo) & (lo <= tau) & (tau <= hi) & (hi <= 1.0)
                 # price the points before the first bad ball; their offers are checked first
                 n = len(points) if ok.all() else int(np.argmin(ok.all(axis=1)))
-                y = dr_s_rule(self.forecast.quantile(lo[:n]), self.forecast.quantile(hi[:n]),
-                              self.mean)[0]
+                q = self.forecast.quantile(np.concatenate((lo[:n], hi[:n])))  # both bounds at once
+                y = dr_s_rule(q[:n], q[n:], self.mean)[0]
                 if n < len(points):
                     self._check_offers(y)
-                    _check(self.timestamps, ok,
-                           lambda g, i: f"ball bounds must satisfy 0 <= lo <= tau_hat <= hi <= 1, "
-                                        f"got [{lo[g, i]}, {hi[g, i]}] around {tau[i]}")
+                    self._check(ok, lambda g, i: f"ball bounds must satisfy 0 <= lo <= tau_hat "
+                                                 f"<= hi <= 1, got [{lo[g, i]}, {hi[g, i]}] "
+                                                 f"around {tau[i]}")
             else:
                 raise ValueError(f"unknown strategy {strategy!r}")
         return y
@@ -562,9 +592,10 @@ def run_backtest(records: Sequence[MarketRecord], plan: BacktestPlan,
     first_eval = plan.warm_start_days + 1
     if frame.n_days < first_eval:
         raise ValueError("no evaluation days after the warm start")
-    span = _Span(frame, plan, frame.periods(first_eval, frame.n_days))
-    if not len(span):
+    first, end = _day_range(frame.day, first_eval, frame.n_days)
+    if first == end:
         raise ValueError("evaluation span holds no records")
+    span = _Span(frame, plan, np.arange(first, end))
 
     oracle_rev = revenue(span.pi_s, span.pi_b, span.s_l, span.omega, span.omega)
     days = np.unique(span.day).tolist()
@@ -588,7 +619,7 @@ def run_backtest(records: Sequence[MarketRecord], plan: BacktestPlan,
     reference = "bn" if "bn" in plan.strategies else None
     rows = regret_and_ratio(revenues, oracle_rev, span.omega, reference=reference)
     return BacktestReport(
-        timestamps=span.timestamps,
+        timestamps=frame.timestamps[first:end],
         volumes=span.omega.copy(),
         oracle_revenues=oracle_rev,
         revenues=revenues,

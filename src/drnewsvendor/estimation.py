@@ -13,7 +13,7 @@ import numpy as np
 
 from .economics import bernoulli_outcomes
 
-__all__ = ["HourlyTauEstimator"]
+__all__ = ["HourlyTauEstimator", "fill_empty_windows"]
 
 
 def _no_outcomes(hour: int, window_days: int, day: int) -> ValueError:
@@ -78,6 +78,11 @@ class HourlyTauEstimator:
         ``days`` and ``hours`` are aligned arrays. Without a fallback, the
         first target whose window holds no usable outcome raises.
         """
+        tau = self.window_means(days, hours, window_days)
+        return fill_empty_windows(tau, days, hours, window_days, fallback_tau)
+
+    def window_means(self, days, hours, window_days: int) -> np.ndarray:
+        """:meth:`forecast_many` with NaN where a window holds no usable outcome."""
         if window_days < 1:
             raise ValueError(f"window must cover at least one day, got {window_days}")
         days = np.asarray(days, dtype=np.int64)
@@ -88,10 +93,20 @@ class HourlyTauEstimator:
         filled = count > 0
         # the prefix sums count whole numbers, so each difference is exact
         tau[filled] = (self._ones[hi] - self._ones[lo])[filled] / count[filled]
-        missing = ~filled
-        if np.any(missing):
-            if fallback_tau is None:
-                i = int(np.argmax(missing))
-                raise _no_outcomes(hours[i], window_days, days[i])
-            tau[missing] = float(fallback_tau)
         return tau
+
+
+def fill_empty_windows(tau: np.ndarray, days, hours, window_days: int,
+                       fallback_tau: float | None) -> np.ndarray:
+    """``tau`` with its empty windows (NaN) set to ``fallback_tau``.
+
+    ``days`` and ``hours`` are the targets of :meth:`HourlyTauEstimator.window_means`.
+    Without a fallback, the first target whose window is empty raises.
+    """
+    missing = np.isnan(tau)
+    if missing.any():
+        if fallback_tau is None:
+            i = int(np.argmax(missing))
+            raise _no_outcomes(int(hours[i]), window_days, int(days[i]))
+        tau = np.where(missing, float(fallback_tau), tau)
+    return tau

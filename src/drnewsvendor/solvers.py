@@ -18,7 +18,7 @@ from typing import Mapping
 
 import numpy as np
 
-from .ambiguity import BernoulliBall, deform_lower, deform_upper
+from .ambiguity import BernoulliBall, band_quantiles, deform_lower, deform_upper
 from .distributions import Heaviside, UnitDistribution, _match_input, _validate_prob
 
 __all__ = [
@@ -70,21 +70,22 @@ def dr_omega_offers(dist, tau_hat, rho: float):
     """Forecast-robust offers at estimates ``tau_hat``, elementwise.
 
     The offer is the tau_hat-weighted combination of the two deformed
-    quantiles at level tau_hat. ``rho = 1`` is handled as its analytic
-    limit, where the bands are the Heaviside pair and the offer equals
-    tau_hat itself. ``dist`` is a distribution or a
+    quantiles at level tau_hat, both read in one quantile call of ``dist``
+    (:func:`~drnewsvendor.ambiguity.band_quantiles`). ``rho = 1`` is
+    handled as its analytic limit, where the bands are the Heaviside pair
+    and the offer equals tau_hat itself. ``dist`` is a distribution or a
     :class:`PiecewiseLinearBatch` (row ``i`` at ``tau_hat[i]``). Returns
     ``(offer, q_upper, q_lower)``.
     """
     rho = float(rho)
     if not (0.0 <= rho <= 1.0):
         raise ValueError(f"rho must lie in [0, 1], got {rho}")
-    tau_hat = np.asarray(tau_hat, dtype=float)
     if rho == 1.0:
+        tau_hat = np.asarray(tau_hat, dtype=float)
         q_upper, q_lower = np.zeros_like(tau_hat), np.ones_like(tau_hat)
     else:
-        q_upper = np.asarray(deform_upper(dist, rho).quantile(tau_hat), dtype=float)
-        q_lower = np.asarray(deform_lower(dist, rho).quantile(tau_hat), dtype=float)
+        tau_hat = _validate_prob(tau_hat, "p")
+        q_upper, q_lower = band_quantiles(dist, tau_hat, rho, ("upper", "lower"))
     return tau_hat * q_lower + (1.0 - tau_hat) * q_upper, q_upper, q_lower
 
 

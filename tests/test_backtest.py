@@ -4,7 +4,9 @@ import json
 import re
 import tracemalloc
 from dataclasses import replace
-from datetime import datetime
+from datetime import datetime, timedelta, timezone
+from itertools import cycle, islice
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -30,7 +32,8 @@ from drnewsvendor import (
 )
 from drnewsvendor import backtest
 from drnewsvendor.backtest import report_csv_rows, report_summary
-from drnewsvendor.distributions import _forecast_text
+from drnewsvendor.distributions import PiecewiseLinearBatch, _forecast_text
+from drnewsvendor.estimation import HourlyTauEstimator
 
 SMALL_PLAN = BacktestPlan(
     warm_start_days=30, tau_window_days=20, cv_days=10, m_grid=(8,),
@@ -470,8 +473,15 @@ def test_gate_closures_follow_records_changed_in_place():
     fresh = [replace(r) for r in recs]
     assert after == offers_for_day(fresh, SMALL_PLAN, chosen, day)
     assert after["bn"][recs[k].timestamp.hour] != before["bn"][recs[k].timestamp.hour]
-    # a new list holding the same records
+    # a new list or a tuple holding the same records reuses the frame
+    frame = backtest._frame_for(recs)
     assert offers_for_day(list(recs), SMALL_PLAN, chosen, day) == after
+    assert offers_for_day(tuple(recs), SMALL_PLAN, chosen, day) == after
+    assert backtest._frame_for(tuple(recs)) is frame
+    # a value-equal copy of one record is a new record: records compare by identity
+    copied = list(recs)
+    copied[k] = replace(recs[k])
+    assert backtest._frame_for(copied) is not frame
 
     # the same for cross-validation, after a larger change in place
     plan = replace(SMALL_PLAN, cv_mode=CvMode.SLIDING)
@@ -480,6 +490,46 @@ def test_gate_closures_follow_records_changed_in_place():
     new = cross_validate(recs, plan)
     assert new == cross_validate([replace(r) for r in recs], plan)
     assert new != old
+
+
+def test_gate_closures_follow_a_timestamp_moved_to_another_utc_offset():
+    # the same instant in another offset compares equal, but falls in another local hour
+    recs = [replace(r, timestamp=r.timestamp.replace(tzinfo=timezone.utc))
+            for r in small_market(seed=17)]
+    chosen = cross_validate(recs, SMALL_PLAN)
+    day = SMALL_PLAN.warm_start_days + 7
+    before = offers_for_day(recs, SMALL_PLAN, chosen, day)
+    k = (day - 1) * 24 + 10
+    moved = recs[k].timestamp.astimezone(timezone(timedelta(hours=1)))
+    assert moved == recs[k].timestamp and moved.hour == 11
+    recs[k] = replace(recs[k], timestamp=moved)
+    after = offers_for_day(recs, SMALL_PLAN, chosen, day)
+    assert after == offers_for_day([replace(r) for r in recs], SMALL_PLAN, chosen, day)
+    # hour 11 now holds two records and keeps the later one; hour 10 holds none
+    assert set(before["bn"]) - set(after["bn"]) == {10}
+
+
+def test_gate_closures_estimate_tau_once_per_m_and_price_a_block_in_one_call():
+    recs = small_market(seed=29)
+    chosen = ChosenParameters(mode=CvMode.FIXED_WINDOW, static={
+        "oracle": {}, "bn": {"m": 5}, "dr_omega": {"m": 8, "rho": 0.1},
+        "dr_s_uniform": {"m": 5, "epsilon": 0.1},
+        "dr_s_level_adjusted": {"m": 8, "epsilon": 0.1, "theta": 0.9}, "robust_s": {}})
+    days = list(islice(cycle(range(SMALL_PLAN.warm_start_days + 1, 46)), 100))
+    with mock.patch.object(HourlyTauEstimator, "window_means", autospec=True,
+                           side_effect=HourlyTauEstimator.window_means) as window_means:
+        for day in days:
+            offers_for_day(recs, SMALL_PLAN, chosen, day)
+    # tau is estimated once per window length, over the whole frame
+    assert sorted(call.args[3] for call in window_means.call_args_list) == [5, 8]
+    # one quantile call per offer block: both DR-S ball bounds, both DR-omega bands
+    for strategy in ("bn", "dr_omega", "dr_s_uniform", "dr_s_level_adjusted"):
+        plan = replace(SMALL_PLAN, strategies=(strategy,))
+        with mock.patch.object(PiecewiseLinearBatch, "quantile", autospec=True,
+                               side_effect=PiecewiseLinearBatch.quantile) as quantile:
+            offers_for_day(recs, plan, chosen, days[-1])
+        assert quantile.call_count == 1, strategy
+        assert np.shape(quantile.call_args.args[1]) == ((24,) if strategy == "bn" else (2, 24))
 
 
 def test_frame_stores_a_shared_forecast_once():

@@ -237,6 +237,9 @@ def _static(**changes):
     ({"mode": "sliding", "per_day": {str(d): _static(bn={"m": 8 if d < 33 else 20})["static"]
                                      for d in range(31, 35)}},
      "strategy 'bn' parameter 'm' must be an integer from 1 to 19, got 20 on day 33"),
+    # day keys: one canonical spelling each, so "31" and "031" cannot merge
+    *[({"mode": "sliding", "per_day": {"31": {}, key: {}}}, repr(key))
+      for key in ("031", " 32", "+32", "32 ", "\u0666", "\u0663\u0662", "3_2", "")],
 ])
 def test_backtest_malformed_params_exit_1(tmp_path, capsys, market_flags, params, names):
     path = tmp_path / "chosen.json"

@@ -436,3 +436,33 @@ def test_grid_batched_selection_matches_point_by_point(records, plan, corruption
     else:
         with corrupting(*corruption):
             assert select(batched_totals) == select(point_by_point_totals)
+
+
+@settings(max_examples=200)
+@given(gappy_markets(), st.sampled_from([1, 2, 3]), st.sampled_from([None, 0.5, 0.0]),
+       st.data())
+def test_frame_tau_column_matches_the_estimator_on_any_span(records, m, fallback, data):
+    frame = backtest._MarketFrame(records)
+    first = data.draw(st.integers(1, frame.n_days))
+    periods = frame.periods(first, data.draw(st.integers(first, frame.n_days)))
+    plan = BacktestPlan(warm_start_days=5, tau_window_days=4, cv_days=1, m_grid=(m,),
+                        fallback_tau=fallback)
+
+    def estimate(tau_hat):
+        """The estimates' bytes, or the error that stopped them."""
+        try:
+            return tau_hat().tobytes()
+        except ValueError as exc:
+            return str(exc)
+
+    span = backtest._Span(frame, plan, periods)
+    expect = estimate(lambda: frame.estimator.forecast_many(span.day - 1, span.hour, m, fallback))
+    assert estimate(lambda: span.tau_hat(m)) == expect
+    # the column holds NaN exactly where a window is empty; no fallback names the first
+    empty = np.isnan(frame.tau_column(m)[periods])
+    if fallback is None and empty.any():
+        i = int(np.argmax(empty))
+        assert expect == (f"no usable outcomes for hour {span.hour[i]} in the {m} days before "
+                          f"day {span.day[i] - 1}; supply a fallback tau to proceed")
+    else:
+        assert isinstance(expect, bytes)
