@@ -256,35 +256,15 @@ class BernoulliBall:
             )
 
 
-def ball_bounds(tau_hat, epsilon, kind: BallKind | str = BallKind.UNIFORM,
-                theta: float | np.ndarray | None = None) -> tuple[np.ndarray, np.ndarray]:
+def ball_bounds(tau_hat, epsilon, theta=0.0) -> tuple[np.ndarray, np.ndarray]:
     """Lower and upper ball bounds around estimates ``tau_hat``, elementwise.
 
-    The uniform half-width is ``epsilon``; the level-adjusted one is
-    ``epsilon * (1 - 4*theta*tau_hat*(1-tau_hat))``, narrower near
-    ``tau_hat = 0.5`` and widest at the bounds. Both are clipped to [0, 1].
-    ``tau_hat``, ``epsilon`` and ``theta`` broadcast against each other;
-    the caller validates ``tau_hat``.
+    The half-width is ``epsilon * (1 - 4*theta*tau_hat*(1-tau_hat))``: the
+    level-adjusted ball, and at ``theta = 0`` (a factor of exactly 1) the
+    uniform ball. The bounds are clipped to [0, 1]. The arguments broadcast
+    and are the caller's to check (see :func:`make_bernoulli_ball`).
     """
-    kind = BallKind(kind)
-    eps = np.asarray(epsilon, dtype=float)
-    if np.any(eps < 0.0):
-        raise ValueError(f"ball radius must be non-negative, got {epsilon}")
-    if kind is BallKind.UNIFORM:
-        if theta is not None:
-            raise ValueError("theta only applies to level-adjusted balls")
-        half = eps
-    else:
-        if theta is None:
-            raise ValueError("level-adjusted balls require a shape parameter theta")
-        theta = np.asarray(theta, dtype=float)
-        if not np.all((theta >= 0.0) & (theta < 1.0)):
-            raise ValueError(f"theta must lie in [0, 1), got {theta}")
-        if np.any(eps > MAX_LEVEL_ADJUSTED_EPSILON):
-            raise ValueError(
-                f"level-adjusted radius capped at {MAX_LEVEL_ADJUSTED_EPSILON}, got {epsilon}"
-            )
-        half = eps * (1.0 - 4.0 * theta * tau_hat * (1.0 - tau_hat))
+    half = epsilon * (1.0 - 4.0 * theta * tau_hat * (1.0 - tau_hat))
     return np.maximum(tau_hat - half, 0.0), np.minimum(tau_hat + half, 1.0)
 
 
@@ -296,16 +276,34 @@ def make_bernoulli_ball(
 ) -> BernoulliBall:
     """Build a uniform or level-adjusted ball around the estimate ``tau_hat``.
 
-    The bounds are those of :func:`ball_bounds`.
+    The bounds are those of :func:`ball_bounds`, with ``theta = 0`` for
+    the uniform ball.
     """
     tau_hat = float(_validate_prob(tau_hat, "tau_hat"))
     kind = BallKind(kind)
-    lo, hi = ball_bounds(tau_hat, float(epsilon), kind, theta)
+    epsilon = float(epsilon)
+    # written as "inside", so that a NaN radius fails too
+    if not epsilon >= 0.0:
+        raise ValueError(f"ball radius must be non-negative, got {epsilon}")
+    if kind is BallKind.UNIFORM:
+        if theta is not None:
+            raise ValueError("theta only applies to level-adjusted balls")
+    else:
+        if theta is None:
+            raise ValueError("level-adjusted balls require a shape parameter theta")
+        theta = float(theta)
+        if not (0.0 <= theta < 1.0):
+            raise ValueError(f"theta must lie in [0, 1), got {theta}")
+        if epsilon > MAX_LEVEL_ADJUSTED_EPSILON:
+            raise ValueError(
+                f"level-adjusted radius capped at {MAX_LEVEL_ADJUSTED_EPSILON}, got {epsilon}"
+            )
+    lo, hi = ball_bounds(tau_hat, epsilon, 0.0 if theta is None else theta)
     return BernoulliBall(
         center=tau_hat,
-        radius=float(epsilon),
+        radius=epsilon,
         kind=kind,
-        shape=None if theta is None else float(theta),
+        shape=theta,
         tau_lo=float(lo),
         tau_hi=float(hi),
     )

@@ -27,7 +27,7 @@ import numbers
 import operator
 import warnings
 import weakref
-from collections.abc import Callable, Iterable, Mapping, Sequence
+from collections.abc import Iterable, Mapping, Sequence
 from dataclasses import dataclass, replace
 from datetime import datetime
 from enum import Enum
@@ -37,7 +37,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .ambiguity import MAX_LEVEL_ADJUSTED_EPSILON, BallKind, ball_bounds
+from .ambiguity import MAX_LEVEL_ADJUSTED_EPSILON, ball_bounds
 from .distributions import (
     PiecewiseLinear,
     PiecewiseLinearBatch,
@@ -285,25 +285,6 @@ class BacktestReport:
     eval_days: tuple[int, int]
 
 
-def _check(timestamps: Sequence[datetime], ok: np.ndarray, describe: Callable[..., str],
-           periods: np.ndarray | None = None) -> None:
-    """Raise for the first entry where ``ok`` fails, naming its period's timestamp.
-
-    The last axis of ``ok`` runs over periods and any axis before it over
-    grid points, so the first entry is the earliest period of the earliest
-    failing grid point; ``describe`` gets the entry's index. Period ``i``
-    is ``timestamps[periods[i]]``, or ``timestamps[i]`` without ``periods``.
-    """
-    if not ok.all():
-        index = np.unravel_index(int(np.argmin(ok)), ok.shape)
-        i = index[-1] if periods is None else periods[index[-1]]
-        raise ValueError(f"{timestamps[i].isoformat()}: {describe(*index)}")
-
-
-def _unit(values: np.ndarray) -> np.ndarray:
-    return (values >= 0.0) & (values <= 1.0)
-
-
 def _day_range(days: np.ndarray, first_day: int, last_day: int) -> tuple[int, int]:
     """Index range of the entries of the sorted ``days`` in ``first_day..last_day``."""
     return (int(np.searchsorted(days, first_day, side="left")),
@@ -352,8 +333,6 @@ class _MarketFrame:
                         f"(PiecewiseLinear), got {forecast!r}"
                     )
         self.forecast = PiecewiseLinearBatch(forecasts)
-        _check(self.timestamps, _unit(self.omega),
-               lambda i: f"omega_star must lie in [0, 1], got {self.omega[i]}")
         self.estimator = HourlyTauEstimator(
             self.day, self.hour, *penalty_split(self.pi_s, self.pi_b, self.s_l)
         )
@@ -435,16 +414,12 @@ class _Span:
     def __len__(self) -> int:
         return self.day.size
 
-    def _check(self, ok: np.ndarray, describe: Callable[..., str]) -> None:
-        _check(self._frame.timestamps, ok, describe, self.periods)
-
     def tau_hat(self, m: int) -> np.ndarray:
         tau = self._tau.get(m)
         if tau is None:
-            tau = fill_empty_windows(self._frame.tau_column(m)[self.periods],
-                                     self.day - 1, self.hour, m, self._fallback)
-            self._check(_unit(tau), lambda i: f"tau_hat must lie in [0, 1], got {tau[i]}")
-            self._tau[m] = tau
+            # a window mean k/n of 0/1 outcomes, or the plan's checked fallback
+            tau = self._tau[m] = fill_empty_windows(self._frame.tau_column(m)[self.periods],
+                                                    self.day - 1, self.hour, m, self._fallback)
         return tau
 
     def offers(self, strategy: str, grid: Sequence[Mapping[str, float]]) -> np.ndarray:
@@ -465,7 +440,12 @@ class _Span:
         return out
 
     def _check_offers(self, y: np.ndarray) -> None:
-        self._check(_unit(y), lambda g, i: f"offer must lie in [0, 1], got {y[g, i]}")
+        """Raise for the first offer (by row, then column) that rounding left outside [0, 1]."""
+        ok = (y >= 0.0) & (y <= 1.0)
+        if not ok.all():
+            g, i = np.unravel_index(int(np.argmin(ok)), ok.shape)
+            raise ValueError(f"{self._frame.timestamps[self.periods[i]].isoformat()}: "
+                             f"offer must lie in [0, 1], got {y[g, i]}")
 
     def _block(self, strategy: str, m: int | None, points: list[Mapping[str, float]]) -> np.ndarray:
         """Offers of grid points that share the tau window ``m``: a row per point, or one row."""
@@ -486,21 +466,10 @@ class _Span:
                 y = np.array([dr_omega_offers(self.forecast, tau, params["rho"])[0]
                               for params in points])
             elif strategy in ("dr_s_uniform", "dr_s_level_adjusted"):
-                if strategy == "dr_s_uniform":
-                    lo, hi = ball_bounds(tau, column("epsilon"), BallKind.UNIFORM)
-                else:
-                    lo, hi = ball_bounds(tau, column("epsilon"), BallKind.LEVEL_ADJUSTED,
-                                         theta=column("theta"))
-                ok = (0.0 <= lo) & (lo <= tau) & (tau <= hi) & (hi <= 1.0)
-                # price the points before the first bad ball; their offers are checked first
-                n = len(points) if ok.all() else int(np.argmin(ok.all(axis=1)))
-                q = self.forecast.quantile(np.concatenate((lo[:n], hi[:n])))  # both bounds at once
-                y = dr_s_rule(q[:n], q[n:], self.mean)[0]
-                if n < len(points):
-                    self._check_offers(y)
-                    self._check(ok, lambda g, i: f"ball bounds must satisfy 0 <= lo <= tau_hat "
-                                                 f"<= hi <= 1, got [{lo[g, i]}, {hi[g, i]}] "
-                                                 f"around {tau[i]}")
+                theta = column("theta") if strategy == "dr_s_level_adjusted" else 0.0
+                lo, hi = ball_bounds(tau, column("epsilon"), theta)
+                q = self.forecast.quantile(np.concatenate((lo, hi)))  # both bounds at once
+                y = dr_s_rule(q[:len(points)], q[len(points):], self.mean)[0]
             else:
                 raise ValueError(f"unknown strategy {strategy!r}")
         return y
@@ -572,7 +541,7 @@ def offers_for_day(records: Sequence[MarketRecord], plan: BacktestPlan,
     parameters hold no selection for ``day``; when records are out of
     timestamp order or a forecast is not a quantile forecast; when a tau
     window holds no usable outcome and the plan sets no fallback; and when
-    a tau estimate, ball bound or offer leaves [0, 1].
+    an offer leaves [0, 1].
     """
     frame = _frame_for(records)
     span = _Span(frame, plan, frame.periods(day, day))

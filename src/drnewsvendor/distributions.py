@@ -156,6 +156,14 @@ class UnitDistribution(ABC):
         return np.asarray(self.quantile(rng.generator.random(n)), dtype=float)
 
 
+class _KnotError(ValueError):
+    """A :class:`PiecewiseLinear` knot check that first fails at index ``knot``."""
+
+    def __init__(self, message: str, knot: int):
+        super().__init__(message)
+        self.knot = knot
+
+
 class PiecewiseLinear(UnitDistribution):
     """Distribution whose quantile function linearly interpolates forecast quantiles.
 
@@ -174,15 +182,19 @@ class PiecewiseLinear(UnitDistribution):
         values = np.asarray(values, dtype=float)
         if levels.ndim != 1 or levels.shape != values.shape or levels.size == 0:
             raise ValueError("levels and values must be equal-length 1-D sequences")
-        # each check asks "all inside", so a NaN knot fails it
-        if not np.all((levels > 0.0) & (levels < 1.0)):
-            raise ValueError(f"levels must be finite and lie strictly inside (0, 1), got {levels}")
-        if not np.all(np.diff(levels) > 0.0):
-            raise ValueError("levels must be strictly increasing")
-        if not np.all((values >= 0.0) & (values <= 1.0)):
-            raise ValueError(f"values must be finite and lie in [0, 1], got {values}")
-        if not np.all(np.diff(values) >= 0.0):
-            raise ValueError("values must be non-decreasing")
+        # each check asks "all inside", so a NaN knot fails it; a check on
+        # consecutive knots (offset 1) blames the later one
+        for ok, offset, problem in (
+            ((levels > 0.0) & (levels < 1.0), 0,
+             "levels must be finite and lie strictly inside (0, 1), got {levels}"),
+            (np.diff(levels) > 0.0, 1, "levels must be strictly increasing"),
+            ((values >= 0.0) & (values <= 1.0), 0,
+             "values must be finite and lie in [0, 1], got {values}"),
+            (np.diff(values) >= 0.0, 1, "values must be non-decreasing"),
+        ):
+            if not ok.all():
+                raise _KnotError(problem.format(levels=levels, values=values),
+                                 int(np.argmin(ok)) + offset)
         self._ps = np.concatenate(([0.0], levels, [1.0]))
         self._xs = np.concatenate(([0.0], values, [1.0]))
         self._mean = float(self._knot_integrals()[-1])
@@ -237,10 +249,12 @@ class Beta(UnitDistribution):
     """Beta(a, b) distribution via the regularized incomplete beta function."""
 
     def __init__(self, a: float, b: float):
-        if not (a > 0.0 and b > 0.0):
-            raise ValueError(f"Beta shape parameters must be positive, got a={a}, b={b}")
         self.a = float(a)
         self.b = float(b)
+        # written as "inside", so that NaN fails too
+        if not (0.0 < self.a < np.inf and 0.0 < self.b < np.inf):
+            raise ValueError(f"Beta shape parameters must be positive and finite, "
+                             f"got a={self.a}, b={self.b}")
 
     def cdf(self, x):
         arr = np.clip(np.asarray(x, dtype=float), 0.0, 1.0)
@@ -435,31 +449,36 @@ def standard_forecast_levels() -> np.ndarray:
 
 
 def read_quantile_forecast(path) -> PiecewiseLinear:
-    """Parse a ``level,value`` quantile CSV into a PiecewiseLinear distribution."""
+    """Parse a two-column ``level,value`` quantile CSV into a PiecewiseLinear.
+
+    Every error names the file and, but for an empty file, the line.
+    """
     path = Path(path)
     levels: list[float] = []
     values: list[float] = []
+    lines: list[int] = []
     with path.open(newline="") as fh:
         reader = csv.reader(fh)
         header = next(reader, None)
-        if header is None or [h.strip() for h in header[:2]] != ["level", "value"]:
-            raise ValueError(f"{path}: expected header 'level,value', got {header!r}")
+        if header is None or [h.strip() for h in header] != ["level", "value"]:
+            raise ValueError(f"{path}:1: expected header 'level,value', got {header!r}")
         for lineno, row in enumerate(reader, start=2):
             if not row:
                 continue
-            if len(row) < 2:
+            if len(row) != 2:
                 raise ValueError(f"{path}:{lineno}: expected two columns, got {row!r}")
             try:
                 levels.append(float(row[0]))
                 values.append(float(row[1]))
             except ValueError as exc:
                 raise ValueError(f"{path}:{lineno}: non-numeric entry {row!r}") from exc
+            lines.append(lineno)
     if not levels:
         raise ValueError(f"{path}: no quantile rows")
     try:
         return PiecewiseLinear(levels, values)
-    except ValueError as exc:
-        raise ValueError(f"{path}: {exc}") from exc
+    except _KnotError as exc:
+        raise ValueError(f"{path}: {exc} (line {lines[exc.knot]})") from exc
 
 
 def _share_knots(dist: PiecewiseLinear, previous: PiecewiseLinear | None) -> PiecewiseLinear:

@@ -75,7 +75,8 @@ class SimConfig:
         if self.n_replicates < 1:
             raise ValueError(f"need at least one replicate, got {self.n_replicates}")
         grid = np.asarray(self.epsilon_grid, dtype=float)
-        if grid.size == 0 or np.any(grid < 0.0) or np.any(grid > 1.0):
+        # written as "all inside", so that a NaN radius fails too
+        if grid.size == 0 or not np.all((grid >= 0.0) & (grid <= 1.0)):
             raise ValueError("epsilon grid must lie in [0, 1]")
         if np.any(np.diff(grid) <= 0.0):
             raise ValueError("epsilon grid must be strictly ascending")
@@ -160,8 +161,8 @@ def _dr_loss_table(config: SimConfig, m: int, kind: str) -> np.ndarray:
     """
     grid = np.asarray(config.epsilon_grid, dtype=float)
     tau_hats = np.arange(m + 1, dtype=float) / m
-    theta = config.theta if kind == "level_adjusted" else None
-    lo, hi = ball_bounds(tau_hats[None, :], grid[:, None], kind, theta)
+    theta = config.theta if kind == "level_adjusted" else 0.0
+    lo, hi = ball_bounds(tau_hats[None, :], grid[:, None], theta)
     dist = config.true_dist
     mean = dist.mean()
     p = float(dist.cdf(mean))

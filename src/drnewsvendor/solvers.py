@@ -6,7 +6,9 @@ mean) useful for diagnosis. They are pure functions of their inputs.
 
 The two robust rules are written once, as array functions
 (:func:`dr_omega_offers`, :func:`dr_s_rule`) that the scalar solvers,
-the backtest and the Monte-Carlo harness all call.
+the backtest and the Monte-Carlo harness all call. They check nothing:
+the scalar solvers check their inputs, and the backtest and the harness
+feed them values their plan and configuration have checked.
 """
 
 from __future__ import annotations
@@ -74,17 +76,14 @@ def dr_omega_offers(dist, tau_hat, rho: float):
     (:func:`~drnewsvendor.ambiguity.band_quantiles`). ``rho = 1`` is
     handled as its analytic limit, where the bands are the Heaviside pair
     and the offer equals tau_hat itself. ``dist`` is a distribution or a
-    :class:`PiecewiseLinearBatch` (row ``i`` at ``tau_hat[i]``). Returns
-    ``(offer, q_upper, q_lower)``.
+    :class:`PiecewiseLinearBatch` (row ``i`` at ``tau_hat[i]``).
+    ``tau_hat`` in [0, 1] and ``rho`` in [0, 1] are the caller's to
+    validate. Returns ``(offer, q_upper, q_lower)``.
     """
-    rho = float(rho)
-    if not (0.0 <= rho <= 1.0):
-        raise ValueError(f"rho must lie in [0, 1], got {rho}")
+    tau_hat = np.asarray(tau_hat, dtype=float)
     if rho == 1.0:
-        tau_hat = np.asarray(tau_hat, dtype=float)
         q_upper, q_lower = np.zeros_like(tau_hat), np.ones_like(tau_hat)
     else:
-        tau_hat = _validate_prob(tau_hat, "p")
         q_upper, q_lower = band_quantiles(dist, tau_hat, rho, ("upper", "lower"))
     return tau_hat * q_lower + (1.0 - tau_hat) * q_upper, q_upper, q_lower
 
@@ -112,10 +111,13 @@ def solve_dr_omega(dist: UnitDistribution, tau_hat: float, rho: float) -> OfferD
     See :func:`dr_omega_offers`.
     """
     tau_hat = float(_validate_prob(tau_hat, "tau_hat"))
+    rho = float(rho)
+    if not (0.0 <= rho <= 1.0):
+        raise ValueError(f"rho must lie in [0, 1], got {rho}")
     y, q_upper, q_lower = dr_omega_offers(dist, tau_hat, rho)
     return OfferDecision(
         float(y), Method.DR_OMEGA,
-        {"tau_hat": tau_hat, "rho": float(rho), "q_upper": float(q_upper),
+        {"tau_hat": tau_hat, "rho": rho, "q_upper": float(q_upper),
          "q_lower": float(q_lower)},
     )
 

@@ -2,9 +2,12 @@
 
 import numpy as np
 import pytest
+from hypothesis import example, given
+from hypothesis import strategies as st
 from scipy.integrate import trapezoid
 
 from drnewsvendor import (
+    BacktestPlan,
     BallKind,
     Beta,
     Uniform01,
@@ -14,6 +17,7 @@ from drnewsvendor import (
     double_power_upper,
     make_bernoulli_ball,
 )
+from drnewsvendor.ambiguity import ball_bounds
 
 from conftest import random_dist
 
@@ -220,3 +224,49 @@ def test_bernoulli_ball_validation():
         make_bernoulli_ball(0.5, 0.1, BallKind.LEVEL_ADJUSTED, theta=1.0)
     with pytest.raises(ValueError):
         make_bernoulli_ball(0.5, 11.0, BallKind.LEVEL_ADJUSTED, theta=0.5)
+    # a NaN radius is blamed on the radius, not on the bounds it would give
+    with pytest.raises(ValueError, match="ball radius must be non-negative, got nan"):
+        make_bernoulli_ball(0.75, float("nan"))
+    with pytest.raises(ValueError, match="ball radius must be non-negative, got nan"):
+        make_bernoulli_ball(0.75, float("nan"), BallKind.LEVEL_ADJUSTED, theta=0.5)
+
+
+unit_tau = st.one_of(st.sampled_from([0.0, -0.0, 1.0, 0.5]), st.floats(0.0, 1.0))
+
+
+@given(st.lists(unit_tau, min_size=1, max_size=8),
+       st.one_of(st.sampled_from([0.0, np.inf]), st.floats(0.0, np.inf)))
+def test_uniform_ball_is_the_theta_zero_ball(taus, eps):
+    # the factor 1 - 4*0*tau*(1-tau) is exactly 1, so the bounds are bit for bit
+    tau = np.array(taus)
+    lo, hi = ball_bounds(tau, eps, 0.0)
+    assert lo.tobytes() == np.maximum(tau - eps, 0.0).tobytes()
+    assert hi.tobytes() == np.minimum(tau + eps, 1.0).tobytes()
+    ball = make_bernoulli_ball(taus[0], eps)
+    assert (ball.tau_lo, ball.tau_hi) == (lo[0], hi[0])
+
+
+# mostly values the plan accepts, and anything else
+any_number = st.floats(allow_nan=True, allow_infinity=True)
+radii = st.one_of(st.floats(0.0, 10.0), st.sampled_from([0.0, 10.0, np.inf]), any_number)
+shapes = st.one_of(st.floats(0.0, 1.0, exclude_max=True),
+                   st.sampled_from([0.0, 0.9999999999999999]), any_number)
+
+
+@given(unit_tau, radii, shapes, st.sampled_from(["dr_s_uniform", "dr_s_level_adjusted"]))
+@example(0.5, 10.0, 0.9999999999999999, "dr_s_level_adjusted")
+# just outside the ranges the plan accepts
+@example(0.5, 0.1, 1.0, "dr_s_level_adjusted")
+@example(0.5, 0.1, 1.5, "dr_s_level_adjusted")
+@example(0.5, 10.5, 0.9, "dr_s_level_adjusted")
+@example(0.5, -0.1, 0.0, "dr_s_uniform")
+@example(0.5, np.nan, 0.0, "dr_s_uniform")
+def test_plan_valid_balls_hold_their_center(tau, eps, theta, strategy):
+    # ball_bounds checks nothing: the plan's radius and shape checks are
+    # what keep every ball it is fed inside [0, 1] and around its center
+    try:
+        BacktestPlan(epsilon_grid=(eps,), theta_grid=(theta,), strategies=(strategy,))
+    except ValueError:
+        return
+    lo, hi = ball_bounds(tau, eps, theta if strategy == "dr_s_level_adjusted" else 0.0)
+    assert 0.0 <= lo <= tau <= hi <= 1.0

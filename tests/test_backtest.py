@@ -1,8 +1,10 @@
 """Backtest protocol: data IO, cross-validation, settlement, look-ahead guard."""
 
+import io
 import json
 import re
 import tracemalloc
+from contextlib import redirect_stderr, redirect_stdout
 from dataclasses import replace
 from datetime import datetime, timedelta, timezone
 from itertools import cycle, islice
@@ -10,6 +12,8 @@ from unittest import mock
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from drnewsvendor import (
     BacktestPlan,
@@ -32,6 +36,7 @@ from drnewsvendor import (
 )
 from drnewsvendor import backtest
 from drnewsvendor.backtest import report_csv_rows, report_summary
+from drnewsvendor.cli import dispatch
 from drnewsvendor.distributions import PiecewiseLinearBatch, _forecast_text
 from drnewsvendor.estimation import HourlyTauEstimator
 
@@ -199,6 +204,65 @@ def test_load_rejects_non_finite_forecast_knots(tmp_path):
     (fdir / "2020-01-01T01.csv").write_text("level,value\n0.25,0.1\n0.5,nan\n0.75,0.9\n")
     with pytest.raises(ValueError, match=r"m.csv:3: .*2020-01-01T01.csv: values must be finite"):
         load_market_data(m, fdir)
+
+
+@pytest.fixture(scope="module")
+def six_day_files(tmp_path_factory):
+    """A six-day hourly market on disk, and the crossval flags that select on it."""
+    root = tmp_path_factory.mktemp("six_days")
+    records = small_market(days=6, seed=3)
+    market, fdir = root / "m.csv", root / "fc"
+    write_market_csv(records, market)
+    write_forecast_dir(records, fdir)
+    flags = ["--market", str(market), "--forecasts", str(fdir), "--warm-start-days", "5",
+             "--tau-window-days", "3", "--cv-days", "2", "--m-grid", "1,2",
+             "--rho-grid", "0,0.2", "--eps-grid", "0,0.1", "--theta-grid", "0.9",
+             "--fallback-tau", "0.5",
+             "--out", str(root / "chosen.json")]
+    forecasts = sorted(fdir.iterdir())
+    return market, fdir, [market, forecasts[0], forecasts[70], forecasts[-1]], flags
+
+
+# ",0.5" is appended to the cell, giving its row an extra column
+BAD_TOKENS = ["", "nan", "inf", "-1", "1e309", "abc", ",0.5"]
+
+
+@settings(max_examples=60)
+@given(st.data())
+def test_a_bad_cell_is_loaded_or_rejected_naming_its_file(six_day_files, data):
+    market, fdir, files, flags = six_day_files
+    path = data.draw(st.sampled_from(files))
+    text = path.read_text()
+    lines = text.splitlines()
+    row = data.draw(st.integers(0, len(lines) - 1))
+    cells = lines[row].split(",")
+    col = data.draw(st.integers(0, len(cells) - 1))
+    token = data.draw(st.sampled_from(BAD_TOKENS))
+    cells[col] = cells[col] + token if token.startswith(",") else token
+    lines[row] = ",".join(cells)
+    path.write_text("\n".join(lines) + "\n")
+    try:
+        try:
+            records = load_market_data(market, fdir)
+        except ValueError as exc:
+            assert str(path) in str(exc)
+        else:
+            assert len(records) == 6 * 24
+        err = io.StringIO()
+        with redirect_stderr(err), redirect_stdout(io.StringIO()):
+            code = dispatch(["crossval", *flags])
+        if code:
+            assert code == 1
+            lines = err.getvalue().splitlines()
+            assert len(lines) == 1 and "error" in json.loads(lines[0])
+    finally:
+        path.write_text(text)
+
+
+def test_six_day_files_cross_validate(six_day_files):
+    *_, flags = six_day_files
+    with redirect_stdout(io.StringIO()):
+        assert dispatch(["crossval", *flags]) == 0
 
 
 def test_forecast_dir_files_match_single_writes(tmp_path):

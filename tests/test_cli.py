@@ -148,6 +148,26 @@ def test_solve_rejects_non_finite_forecast_knots(tmp_path, capsys):
     assert "fc.csv: values must be finite" in error
 
 
+@pytest.mark.parametrize("flags, message", [
+    (["--strategy", "dr-s", "--tau", "0.75", "--eps", "nan"],
+     "ball radius must be non-negative, got nan"),
+    (["--strategy", "dr-s", "--tau", "0.75", "--eps", "nan", "--ball", "level-adjusted",
+      "--theta", "0.5"], "ball radius must be non-negative, got nan"),
+    (["--strategy", "dr-s", "--tau", "0.75", "--eps", "0.1", "--ball", "level-adjusted"],
+     "level-adjusted balls require a shape parameter theta"),
+    (["--strategy", "robust-s", "--dist", "beta:1,inf"],
+     "Beta shape parameters must be positive and finite, got a=1.0, b=inf"),
+    (["--strategy", "robust-s", "--dist", "beta:inf,1"],
+     "Beta shape parameters must be positive and finite, got a=inf, b=1.0"),
+])
+def test_solve_rejects_a_radius_or_shape_it_cannot_use(tmp_path, capsys, flags, message):
+    out = tmp_path / "solve.json"
+    code = dispatch(["solve", "--dist", "beta:2,6", *flags, "--out", str(out)])
+    assert code == 1
+    assert json.loads(capsys.readouterr().err)["error"] == message
+    assert not out.exists()
+
+
 def test_msweep_json(tmp_path):
     out = tmp_path / "ms.json"
     assert dispatch(["msweep", "--dist", "beta:2,6", "--tau", "0.75",

@@ -1,5 +1,7 @@
 """Distribution primitives: CDF/quantile round trips, moments, sampling."""
 
+import re
+
 import numpy as np
 import pytest
 from scipy import integrate, stats
@@ -59,6 +61,13 @@ def test_quantile_domain_errors():
             dist.quantile(-0.01)
         with pytest.raises(ValueError):
             dist.quantile(1.01)
+
+
+@pytest.mark.parametrize("a, b", [(1, np.inf), (np.inf, 1), (0, 1), (1, -2), (np.nan, 1)])
+def test_beta_rejects_shapes_that_are_not_positive_and_finite(a, b):
+    with pytest.raises(ValueError, match=re.escape(
+            f"Beta shape parameters must be positive and finite, got a={float(a)}, b={float(b)}")):
+        Beta(a, b)
 
 
 def test_cdf_monotone_and_quantile_monotone(rng):
@@ -234,6 +243,26 @@ def test_quantile_forecast_errors(tmp_path):
     nan_value.write_text("level,value\n0.25,0.1\n0.5,nan\n0.75,0.9\n")
     with pytest.raises(ValueError, match=r"bad4.csv: values must be finite"):
         read_quantile_forecast(nan_value)
+
+
+@pytest.mark.parametrize("text, message", [
+    # exactly two columns, in the header and in every row
+    ("level,value,extra\n0.1,0.2\n", r"fc.csv:1: expected header"),
+    ("level,value\n0.1,0.2,7\n", r"fc.csv:2: expected two columns"),
+    ("level,value\n0.1,0.2\n0.5,0.3,\n", r"fc.csv:3: expected two columns"),
+    # a knot error keeps its text and ends with the first offending line
+    ("level,value\n0.1,0.2\n\n0.5,0.1\n0.7,0.05\n",
+     r"fc.csv: values must be non-decreasing \(line 4\)$"),
+    ("level,value\n0.1,0.2\n0.5,0.3\n0.5,0.4\n",
+     r"fc.csv: levels must be strictly increasing \(line 4\)$"),
+    ("level,value\n0.1,0.2\n0.5,inf\n0.7,nan\n", r"fc.csv: values must be finite.*\(line 3\)$"),
+    ("level,value\n1e309,0.2\n", r"fc.csv: levels must be finite.*\(line 2\)$"),
+])
+def test_quantile_forecast_names_the_line(tmp_path, text, message):
+    path = tmp_path / "fc.csv"
+    path.write_text(text)
+    with pytest.raises(ValueError, match=message):
+        read_quantile_forecast(path)
 
 
 @pytest.mark.parametrize("levels, values, what", [

@@ -166,7 +166,7 @@ def test_dr_s_kernel_matches_scalar(data, eps, theta):
     dists, taus = data
     kind = BallKind.UNIFORM if theta is None else BallKind.LEVEL_ADJUSTED
     batch = PiecewiseLinearBatch(dists)
-    lo, hi = ball_bounds(taus, eps, kind, theta)
+    lo, hi = ball_bounds(taus, eps, 0.0 if theta is None else theta)
     offers = dr_s_rule(batch.quantile(lo), batch.quantile(hi), batch.mean())[0].tolist()
     scalar = [solve_dr_s(d, make_bernoulli_ball(t, eps, kind, theta)).y_star
               for d, t in zip(dists, taus)]
@@ -364,22 +364,16 @@ sliding_plans = st.builds(
     small_lists([0.0, 0.05, 0.2, 2.0], 4), small_lists([0.0, 0.5, 0.9], 2),
     st.sampled_from([0.5, None]))
 
-# (the ball radius whose lower bound turns NaN at tau_hat >= a cut, the
-# ball width above which a DR-S offer turns 2, the radius whose DR-omega
-# offer turns -1 at tau_hat > a cut); a radius of -1 corrupts nothing
+# (the ball width above which a DR-S offer turns 2, the radius whose
+# DR-omega offer turns -1 at tau_hat > a cut); a radius of -1 corrupts nothing
 corruptions = st.one_of(st.none(), st.tuples(
-    st.sampled_from([-1.0, 0.0, 0.05, 0.2, 2.0]), unit,
     st.sampled_from([0.3, np.inf, 0.9, 0.05]),
     st.sampled_from([-1.0, 0.0, 0.15, 0.5, 1.0]), unit))
 
 
-def corrupting(bad_eps, tau_cut, width_cut, bad_rho, rho_cut):
-    """Offer rules that fail the range checks at entries chosen by value alone."""
-    bounds, rule, dr_omega = backtest.ball_bounds, backtest.dr_s_rule, backtest.dr_omega_offers
-
-    def bad_bounds(tau, eps, kind, theta=None):
-        lo, hi = bounds(tau, eps, kind, theta=theta)
-        return np.where((np.asarray(eps) == bad_eps) & (tau >= tau_cut), np.nan, lo), hi
+def corrupting(width_cut, bad_rho, rho_cut):
+    """Offer rules that fail the offer range check at entries chosen by value alone."""
+    rule, dr_omega = backtest.dr_s_rule, backtest.dr_omega_offers
 
     def bad_rule(q_lo, q_hi, mean):
         y, branch = rule(q_lo, q_hi, mean)
@@ -389,8 +383,7 @@ def corrupting(bad_eps, tau_cut, width_cut, bad_rho, rho_cut):
         y, *rest = dr_omega(dist, tau, rho)
         return (np.where((rho == bad_rho) & (tau > rho_cut), -1.0, y), *rest)
 
-    return mock.patch.multiple(backtest, ball_bounds=bad_bounds, dr_s_rule=bad_rule,
-                               dr_omega_offers=bad_dr_omega)
+    return mock.patch.multiple(backtest, dr_s_rule=bad_rule, dr_omega_offers=bad_dr_omega)
 
 
 def point_by_point_totals(span, strategy, grid, windows):

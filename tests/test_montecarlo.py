@@ -121,8 +121,8 @@ def _unpruned_loss_table(config: SimConfig, m: int, kind: str) -> np.ndarray:
     """The DR loss table with both ball bounds of every cell priced."""
     grid = np.asarray(config.epsilon_grid, dtype=float)
     tau_hats = np.arange(m + 1, dtype=float) / m
-    theta = config.theta if kind == "level_adjusted" else None
-    lo, hi = ball_bounds(tau_hats[None, :], grid[:, None], kind, theta)
+    theta = config.theta if kind == "level_adjusted" else 0.0
+    lo, hi = ball_bounds(tau_hats[None, :], grid[:, None], theta)
     dist = config.true_dist
     offers, _ = dr_s_rule(np.asarray(dist.quantile(lo), dtype=float),
                           np.asarray(dist.quantile(hi), dtype=float), dist.mean())
@@ -272,6 +272,8 @@ def test_config_validation():
         small_config(epsilon_grid=(0.5, 0.2))
     with pytest.raises(ValueError):
         small_config(epsilon_grid=(0.0, 1.2))
+    with pytest.raises(ValueError, match="epsilon grid must lie in"):
+        small_config(epsilon_grid=(0.0, float("nan")))
     with pytest.raises(ValueError):
         small_config(theta=1.0)
     with pytest.raises(ValueError):
