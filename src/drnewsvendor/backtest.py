@@ -143,10 +143,6 @@ class BacktestPlan:
             raise ValueError(f"unknown strategies: {sorted(unknown)}")
         if not self.m_grid or min(self.m_grid) < 1:
             raise ValueError("m grid must contain positive window lengths")
-        for strategy in self.strategies:
-            for name in _PARAMS[strategy]:
-                if not getattr(self, f"{name}_grid"):
-                    raise ValueError(f"{name}_grid is empty, but strategy {strategy!r} needs it")
         if max(self.m_grid) > self.tau_window_days - 1:
             raise ValueError(
                 f"largest m ({max(self.m_grid)}) cannot exceed the tau window "
@@ -156,7 +152,10 @@ class BacktestPlan:
             raise ValueError(f"fallback tau must lie in [0, 1], got {self.fallback_tau}")
         for strategy in self.strategies:
             for name in _PARAMS[strategy]:
-                for value in getattr(self, f"{name}_grid"):
+                grid = getattr(self, f"{name}_grid")
+                if not grid:
+                    raise ValueError(f"{name}_grid is empty, but strategy {strategy!r} needs it")
+                for value in grid:
                     problem = _param_problem(strategy, name, value, self.tau_window_days - 1)
                     if problem:
                         raise ValueError(f"{name}_grid: {value!r} {problem}, as strategy "
@@ -184,8 +183,6 @@ def _param_problem(strategy: str, name: str, value, max_m: int) -> str | None:
 
 def _param_grid(strategy: str, plan: BacktestPlan) -> list[dict]:
     """Deterministically ordered candidate parameters; ties favor earlier entries."""
-    if strategy not in _PARAMS:
-        raise ValueError(f"unknown strategy {strategy!r}")
     names = _PARAMS[strategy]
     grids = (getattr(plan, f"{name}_grid") for name in names)
     return [dict(zip(names, values)) for values in product(*grids)]
@@ -226,6 +223,10 @@ class ChosenParameters:
             if problem:
                 raise ValueError(f"chosen parameters: strategy {strategy!r} parameter {name!r} "
                                  f"{problem}, got {params[name]!r}{where}")
+        for name in params:
+            if name not in _PARAMS[strategy]:
+                raise ValueError(f"chosen parameters: strategy {strategy!r} does not read "
+                                 f"parameter {name!r}{where}; it reads {list(_PARAMS[strategy])}")
         return params
 
     def to_json_dict(self) -> dict:
@@ -243,6 +244,8 @@ class ChosenParameters:
 
         A sliding selection's day keys must be canonical decimal integers
         (``str(int(key)) == key``): ``"03"``, ``" 4"`` or ``"+5"`` is rejected.
+        Every day table and every strategy entry must be an object, and every
+        strategy one of :data:`STRATEGIES`.
         """
         if not isinstance(data, Mapping):
             raise ValueError(f"chosen parameters must be a JSON object, got {type(data).__name__}")
@@ -257,7 +260,7 @@ class ChosenParameters:
             raise ValueError(f"chosen parameters: mode {mode.value!r} needs an object "
                              f"under key {key!r}")
         if mode is CvMode.FIXED_WINDOW:
-            return cls(mode=mode, static=table)
+            return cls(mode=mode, static=_strategy_table(table, ""))
         per_day = {}
         for day, strats in table.items():
             try:
@@ -268,8 +271,23 @@ class ChosenParameters:
             if number is None or str(number) != day:
                 raise ValueError(f"chosen parameters: key 'per_day' holds the day key {day!r}; "
                                  f"days are written as plain decimal integers such as '31'")
-            per_day[number] = strats
+            if not isinstance(strats, Mapping):
+                raise ValueError(f"chosen parameters: day {number} must map to an object of "
+                                 f"strategies, got {strats!r}")
+            per_day[number] = _strategy_table(strats, f" on day {number}")
         return cls(mode=mode, per_day=per_day)
+
+
+def _strategy_table(table: Mapping, where: str) -> Mapping:
+    """``table``, once each key is a roster strategy and each entry an object."""
+    for strategy, params in table.items():
+        if strategy not in _PARAMS:
+            raise ValueError(f"chosen parameters: unknown strategy {strategy!r}{where}; "
+                             f"strategies are {list(STRATEGIES)}")
+        if not isinstance(params, Mapping):
+            raise ValueError(f"chosen parameters: strategy {strategy!r}{where} must map to an "
+                             f"object of parameters, got {params!r}")
+    return table
 
 
 @dataclass(frozen=True)
@@ -294,9 +312,10 @@ def _day_range(days: np.ndarray, first_day: int, last_day: int) -> tuple[int, in
 class _MarketFrame:
     """Period-ordered columns of a record list, its forecast table and its tau columns.
 
-    Periods are keyed by (day, hour), day 1 holding the first record; a
-    repeated key keeps the later record. The forecast table holds one knot
-    row per distinct forecast object.
+    Periods are keyed by local (day, hour), day 1 holding the first record.
+    Records must advance that key strictly, as ``load_market_data`` requires
+    of its rows, so each record is one period. The forecast table holds one
+    knot row per distinct forecast object.
     """
 
     def __init__(self, records: Sequence[MarketRecord]):
@@ -313,20 +332,23 @@ class _MarketFrame:
         ordinal = np.fromiter(map(datetime.toordinal, stamps), np.int64, len(stamps))
         hour = np.fromiter(map(attrgetter("hour"), stamps), np.int64, len(stamps))
         key = (ordinal - ordinal[0] + 1) * 24 + hour
-        _, last_reversed = np.unique(key[::-1], return_index=True)
-        kept = len(stamps) - 1 - last_reversed
+        stalled = np.flatnonzero(np.diff(key) <= 0)  # e.g. a daylight-saving fall-back
+        if stalled.size:
+            prev, cur = stamps[stalled[0]], stamps[stalled[0] + 1]
+            raise ValueError(f"{cur.isoformat()} does not advance the local hour of "
+                             f"{prev.isoformat()}; periods are keyed by local date and hour")
 
         def column(name: str) -> np.ndarray:
-            return np.fromiter(map(attrgetter(name), records), float, len(records))[kept]
+            return np.fromiter(map(attrgetter(name), records), float, len(records))
 
-        self.day, self.hour = np.divmod(key[kept], 24)
+        self.day, self.hour = np.divmod(key, 24)
         self.n_days = int(self.day[-1])
-        self.timestamps = tuple(stamps[i] for i in kept.tolist())
+        self.timestamps = tuple(stamps)
         self.pi_s, self.pi_b = column("pi_s"), column("pi_b")
         self.s_l, self.omega = column("s_l"), column("omega_star")
-        forecasts = [records[i].forecast for i in kept.tolist()]
+        forecasts = list(map(attrgetter("forecast"), records))
         if not all(map(isinstance, forecasts, repeat(PiecewiseLinear))):
-            for ts, forecast in zip(self.timestamps, forecasts):
+            for ts, forecast in zip(stamps, forecasts):
                 if not isinstance(forecast, PiecewiseLinear):
                     raise ValueError(
                         f"{ts.isoformat()}: backtest forecasts must be quantile forecasts "
@@ -465,13 +487,11 @@ class _Span:
             elif strategy == "dr_omega":
                 y = np.array([dr_omega_offers(self.forecast, tau, params["rho"])[0]
                               for params in points])
-            elif strategy in ("dr_s_uniform", "dr_s_level_adjusted"):
+            else:  # the two DR-S balls
                 theta = column("theta") if strategy == "dr_s_level_adjusted" else 0.0
                 lo, hi = ball_bounds(tau, column("epsilon"), theta)
                 q = self.forecast.quantile(np.concatenate((lo, hi)))  # both bounds at once
                 y = dr_s_rule(q[:len(points)], q[len(points):], self.mean)[0]
-            else:
-                raise ValueError(f"unknown strategy {strategy!r}")
         return y
 
     def revenues(self, strategy: str, grid: Sequence[Mapping[str, float]]) -> np.ndarray:
@@ -574,15 +594,13 @@ def run_backtest(records: Sequence[MarketRecord], plan: BacktestPlan,
         groups: dict[tuple, tuple[Mapping[str, float], list[int]]] = {}
         for day in days:
             params = chosen.params_for(strategy, day, plan)
-            groups.setdefault(tuple(sorted(params.items())), (params, []))[1].append(day)
-        if len(groups) == 1:
-            (params, _), = groups.values()
-            revenues[strategy] = span.revenues(strategy, [params])[0]
-            continue
+            key = tuple(params[name] for name in _PARAMS[strategy])
+            groups.setdefault(key, (params, []))[1].append(day)
         series = np.empty(len(span))
         for params, on_days in groups.values():
             on = np.isin(span.day, on_days)
-            series[on] = _Span(frame, plan, span.periods[on]).revenues(strategy, [params])[0]
+            part = span if on.all() else _Span(frame, plan, span.periods[on])
+            series[on] = part.revenues(strategy, [params])[0]
         revenues[strategy] = series
 
     reference = "bn" if "bn" in plan.strategies else None
@@ -714,19 +732,19 @@ def write_forecast_dir(records: Iterable[MarketRecord], dirpath) -> None:
     """One ``level,value`` file per delivery hour, named by its timestamp."""
     dirpath = Path(dirpath)
     dirpath.mkdir(parents=True, exist_ok=True)
-    # records usually share a few forecast objects: format each one once,
-    # keyed by identity and holding the object so that its id stays its own
-    texts: dict[int, tuple[PiecewiseLinear, str]] = {}
+    # records usually share a few forecast objects, which hash by identity:
+    # format each one once
+    texts: dict[PiecewiseLinear, str] = {}
     for rec in records:
         if not isinstance(rec.forecast, PiecewiseLinear):
             raise ValueError(
                 f"{rec.timestamp.isoformat()}: only quantile forecasts can be written to disk"
             )
-        entry = texts.get(id(rec.forecast))
-        if entry is None:
-            entry = texts[id(rec.forecast)] = (rec.forecast, _forecast_text(rec.forecast))
+        text = texts.get(rec.forecast)
+        if text is None:
+            text = texts[rec.forecast] = _forecast_text(rec.forecast)
         with (dirpath / (rec.timestamp.strftime(_TS_FORMAT) + ".csv")).open("w", newline="") as fh:
-            fh.write(entry[1])
+            fh.write(text)
 
 
 _REFERENCE_NOTE = (

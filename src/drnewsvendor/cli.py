@@ -210,9 +210,7 @@ def _cmd_solve(args) -> int:
         elif strategy == "dr_s":
             if args.eps is None:
                 raise ValueError("--eps is required for dr-s")
-            kind = _BALL_BY_FLAG[args.ball]
-            theta = args.theta if kind is BallKind.LEVEL_ADJUSTED else None
-            ball = make_bernoulli_ball(args.tau, args.eps, kind, theta=theta)
+            ball = make_bernoulli_ball(args.tau, args.eps, _BALL_BY_FLAG[args.ball], args.theta)
             decision = solve_dr_s(dist, ball)
         else:
             decision = solve_robust_omega(args.tau)

@@ -351,10 +351,11 @@ class PiecewiseLinearBatch:
     """
 
     def __init__(self, dists: Sequence[PiecewiseLinear]):
-        index: dict[int, int] = {}
-        self._rows = np.fromiter((index.setdefault(id(d), len(index)) for d in dists),
+        # forecasts hash by identity: one row per object, in order of first use
+        index: dict[PiecewiseLinear, int] = {}
+        self._rows = np.fromiter((index.setdefault(d, len(index)) for d in dists),
                                  dtype=np.int64, count=len(dists))
-        table = list({id(d): d for d in dists}.values())
+        table = list(index)
         sizes = np.fromiter((d._xs.size for d in table), dtype=np.int64, count=len(table))
         width = int(sizes.max()) if sizes.size else 2
         ps = _stack_rows([d._ps for d in table], sizes, width)
@@ -380,14 +381,12 @@ class PiecewiseLinearBatch:
     def quantile(self, p) -> np.ndarray:
         """Entry-wise ``np.interp(p[..., i], levels[i], values[i])``, with its arithmetic.
 
-        The last axis of ``p`` holds one probability per entry; leading
-        axes broadcast, so one call prices many grid points.
+        The last axis of the float array ``p`` holds one probability per
+        entry; leading axes broadcast, so one call prices many grid points.
+        Levels in [0, 1], one per entry, are the caller's to ensure, as
+        :func:`~drnewsvendor.ambiguity.ball_bounds` leaves its arguments.
         """
-        p = _validate_prob(p, "p")
         rows = self._rows
-        if p.shape[-1:] != rows.shape:
-            raise ValueError(f"need one probability per row ({rows.size}) in the last axis, "
-                             f"got shape {p.shape}")
         # j: the last knot at or below p, found on the shared levels when there are some
         if self._levels is not None:
             j = self._levels.searchsorted(p, side="right") - 1

@@ -37,6 +37,9 @@ def make_synthetic_market(
     """
     if n_days < 1:
         raise ValueError("need at least one day")
+    if start.minute or start.second or start.microsecond:
+        # market files key each period by its hour
+        raise ValueError(f"start must be on the hour, got {start.isoformat()}")
     if not (0.0 <= tau <= 1.0):
         raise ValueError(f"tau must lie in [0, 1], got {tau}")
     if not (0.0 <= no_balancing_rate < 1.0):

@@ -99,6 +99,9 @@ def test_synthetic_validation():
         make_synthetic_market(tau=1.3)
     with pytest.raises(ValueError):
         make_synthetic_market(mean_rel_spread=0.7)
+    # market files key each period by its hour, so the loader would refuse the market
+    with pytest.raises(ValueError, match=re.escape("start must be on the hour, got 2020-01-01T00:30:00")):
+        make_synthetic_market(n_days=3, start=datetime(2020, 1, 1, 0, 30))
 
 
 # ---------- file interfaces ----------
@@ -563,14 +566,50 @@ def test_gate_closures_follow_a_timestamp_moved_to_another_utc_offset():
     chosen = cross_validate(recs, SMALL_PLAN)
     day = SMALL_PLAN.warm_start_days + 7
     before = offers_for_day(recs, SMALL_PLAN, chosen, day)
+    original = list(recs)
     k = (day - 1) * 24 + 10
     moved = recs[k].timestamp.astimezone(timezone(timedelta(hours=1)))
     assert moved == recs[k].timestamp and moved.hour == 11
     recs[k] = replace(recs[k], timestamp=moved)
-    after = offers_for_day(recs, SMALL_PLAN, chosen, day)
-    assert after == offers_for_day([replace(r) for r in recs], SMALL_PLAN, chosen, day)
-    # hour 11 now holds two records and keeps the later one; hour 10 holds none
-    assert set(before["bn"]) - set(after["bn"]) == {10}
+    # hour 11 would now hold two records: the edited list is not read through the held frame
+    for edited in (recs, [replace(r) for r in recs]):
+        with pytest.raises(ValueError, match=re.escape(
+                f"{recs[k + 1].timestamp.isoformat()} does not advance the local hour of "
+                f"{moved.isoformat()}; periods are keyed by local date and hour")):
+            offers_for_day(edited, SMALL_PLAN, chosen, day)
+    assert offers_for_day(original, SMALL_PLAN, chosen, day) == before
+
+
+@settings(max_examples=80)
+@given(st.data())
+def test_a_record_must_advance_the_local_hour(data):
+    # strictly increasing instants, naive or each in a UTC offset of its own
+    aware = data.draw(st.booleans())
+    steps = data.draw(st.lists(st.integers(1, 150), max_size=6))
+    instants = [datetime(2020, 3, 1, 1) + timedelta(minutes=sum(steps[:i]))
+                for i in range(len(steps) + 1)]
+    if aware:
+        offsets = data.draw(st.lists(st.integers(-3, 3), min_size=len(instants),
+                                     max_size=len(instants)))
+        stamps = [t.replace(tzinfo=timezone.utc).astimezone(timezone(timedelta(hours=h)))
+                  for t, h in zip(instants, offsets)]
+    else:
+        stamps = instants
+    forecast = PiecewiseLinear([0.5], [0.3])
+    records = [MarketRecord(ts, 50.0, 40.0, 1.0, 0.5, forecast) for ts in stamps]
+    plan = BacktestPlan(strategies=("oracle",))
+    chosen = ChosenParameters(mode=CvMode.FIXED_WINDOW, static={"oracle": {}})
+    keys = [(ts.date(), ts.hour) for ts in stamps]
+    stalled = [i for i in range(1, len(keys)) if keys[i] <= keys[i - 1]]
+    if stalled:
+        prev, cur = stamps[stalled[0] - 1], stamps[stalled[0]]
+        with pytest.raises(ValueError, match=re.escape(
+                f"{cur.isoformat()} does not advance the local hour of {prev.isoformat()}; "
+                f"periods are keyed by local date and hour")):
+            offers_for_day(records, plan, chosen, 1)
+    else:
+        offers_for_day(records, plan, chosen, 1)
+        assert backtest._frame_for(records).timestamps == tuple(stamps)
 
 
 def test_gate_closures_estimate_tau_once_per_m_and_price_a_block_in_one_call():
@@ -675,6 +714,39 @@ def test_sliding_mode_reselects_daily():
     assert set(chosen.per_day) == set(eval_days)
     report = run_backtest(recs, plan, chosen)
     assert len(report.timestamps) == 8 * 24
+
+
+def test_sliding_backtest_settles_each_day_at_its_own_parameters():
+    # parameter sets repeat and alternate across days, one written in another key order
+    recs = small_market(days=38, seed=31)
+    plan = replace(SMALL_PLAN, cv_mode=CvMode.SLIDING)
+    first = {"oracle": {}, "bn": {"m": 8}, "dr_omega": {"m": 8, "rho": 0.1},
+             "dr_s_uniform": {"m": 8, "epsilon": 0.1},
+             "dr_s_level_adjusted": {"m": 8, "epsilon": 0.1, "theta": 0.9}, "robust_s": {}}
+    second = {"oracle": {}, "bn": {"m": 5}, "dr_omega": {"rho": 0.3, "m": 8},
+              "dr_s_uniform": {"epsilon": 0.05, "m": 12},
+              "dr_s_level_adjusted": {"theta": 0.5, "m": 5, "epsilon": 0.2}, "robust_s": {}}
+    reordered = {name: dict(reversed(params.items())) for name, params in first.items()}
+    days = range(plan.warm_start_days + 1, 39)
+    chosen = ChosenParameters(mode=CvMode.SLIDING, per_day=dict(zip(days, (
+        first, second, reordered, second, first, reordered, second, first))))
+    report = run_backtest(recs, plan, chosen)
+    first_date = recs[0].timestamp.date()
+    for day in days:
+        on_day = [r for r in recs if (r.timestamp.date() - first_date).days + 1 == day]
+        at = np.isin(report.timestamps, [r.timestamp for r in on_day])
+
+        def column(name):
+            return np.array([getattr(r, name) for r in on_day])
+
+        for strategy, by_hour in offers_for_day(recs, plan, chosen, day).items():
+            y = np.array([by_hour[r.timestamp.hour] for r in on_day])
+            expect = revenue(column("pi_s"), column("pi_b"), column("s_l"), y, column("omega_star"))
+            assert report.revenues[strategy][at].tolist() == expect.tolist(), (strategy, day)
+    # a parameter the strategy does not read is named, not grouped on
+    extra = {**second, "bn": {"m": 5, "zzz": [1]}}
+    with pytest.raises(ValueError, match=r"strategy 'bn' does not read parameter 'zzz' on day 32"):
+        run_backtest(recs, plan, replace(chosen, per_day={**chosen.per_day, 32: extra}))
 
 
 def test_sliding_selection_respects_gate_closure():

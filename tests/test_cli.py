@@ -159,6 +159,8 @@ def test_solve_rejects_non_finite_forecast_knots(tmp_path, capsys):
      "Beta shape parameters must be positive and finite, got a=1.0, b=inf"),
     (["--strategy", "robust-s", "--dist", "beta:inf,1"],
      "Beta shape parameters must be positive and finite, got a=inf, b=1.0"),
+    (["--strategy", "dr-s", "--tau", "0.5", "--eps", "0.1", "--theta", "0.5"],
+     "theta only applies to level-adjusted balls"),
 ])
 def test_solve_rejects_a_radius_or_shape_it_cannot_use(tmp_path, capsys, flags, message):
     out = tmp_path / "solve.json"
@@ -166,6 +168,17 @@ def test_solve_rejects_a_radius_or_shape_it_cannot_use(tmp_path, capsys, flags, 
     assert code == 1
     assert json.loads(capsys.readouterr().err)["error"] == message
     assert not out.exists()
+
+
+def test_synth_rejects_a_start_off_the_hour(tmp_path, capsys):
+    market = tmp_path / "s.csv"
+    code = dispatch(["synth", "--days", "3", "--start", "2020-01-01T00:30",
+                     "--market-out", str(market), "--forecasts-out", str(tmp_path / "fc"),
+                     "--out", str(tmp_path / "synth.json")])
+    assert code == 1
+    error = json.loads(capsys.readouterr().err)["error"]
+    assert error == "start must be on the hour, got 2020-01-01T00:30:00"
+    assert not market.exists()
 
 
 def test_msweep_json(tmp_path):
@@ -260,6 +273,16 @@ def _static(**changes):
     # day keys: one canonical spelling each, so "31" and "031" cannot merge
     *[({"mode": "sliding", "per_day": {"31": {}, key: {}}}, repr(key))
       for key in ("031", " 32", "+32", "32 ", "\u0666", "\u0663\u0662", "3_2", "")],
+    # shapes: objects only, roster strategies, and only the parameters a strategy reads
+    ({"mode": "sliding", "per_day": {**{str(d): _static()["static"] for d in range(31, 35)},
+                                     "999": 5}}, "day 999 must map to an object of strategies"),
+    ({"mode": "sliding", "per_day": {**{str(d): _static()["static"] for d in range(31, 35)},
+                                     "999": {"bn": 3}}},
+     "strategy 'bn' on day 999 must map to an object of parameters, got 3"),
+    (_static(robust_omega=5), "strategy 'robust_omega' must map to an object of parameters"),
+    (_static(junk={}), "unknown strategy 'junk'"),
+    (_static(bn={"m": 8, "zzz": "a"}), "strategy 'bn' does not read parameter 'zzz'"),
+    (_static(bn={"m": 8, "zzz": [1]}), "strategy 'bn' does not read parameter 'zzz'"),
 ])
 def test_backtest_malformed_params_exit_1(tmp_path, capsys, market_flags, params, names):
     path = tmp_path / "chosen.json"
