@@ -24,14 +24,13 @@ from __future__ import annotations
 import csv
 import math
 import numbers
-import operator
 import warnings
 import weakref
 from collections.abc import Iterable, Mapping, Sequence
 from dataclasses import dataclass, replace
 from datetime import datetime
 from enum import Enum
-from itertools import groupby, islice, product, repeat
+from itertools import groupby, islice, product
 from operator import attrgetter
 from pathlib import Path
 
@@ -103,10 +102,26 @@ class MarketRecord(_WeaklyReferable):
     forecast: PiecewiseLinear
 
     def __post_init__(self):
+        if not isinstance(self.forecast, PiecewiseLinear):
+            raise ValueError(f"{self.timestamp.isoformat()}: backtest forecasts must be quantile "
+                             f"forecasts (PiecewiseLinear), got {self.forecast!r}")
         if not (0.0 <= self.omega_star <= 1.0):
             raise ValueError(
                 f"{self.timestamp.isoformat()}: omega_star must lie in [0, 1], got {self.omega_star}"
             )
+
+
+def _follow_problem(prev: datetime, cur: datetime) -> str | None:
+    """What keeps a period stamped ``cur`` from following one stamped ``prev``, or None."""
+    if (prev.utcoffset() is None) != (cur.utcoffset() is None):
+        return f"mixes naive and timezone-aware timestamps with {prev.isoformat()}"
+    if cur <= prev:
+        return f"follows {prev.isoformat()}; timestamps must be strictly increasing"
+    if (cur.date(), cur.hour) <= (prev.date(), prev.hour):
+        # e.g. the repeated hour of a daylight-saving fall-back
+        return (f"does not advance the local hour of {prev.isoformat()}; "
+                f"periods are keyed by local date and hour")
+    return None
 
 
 class CvMode(Enum):
@@ -196,37 +211,34 @@ class ChosenParameters:
     static: Mapping[str, Mapping[str, float]] | None = None
     per_day: Mapping[int, Mapping[str, Mapping[str, float]]] | None = None
 
+    def __post_init__(self):
+        if self.mode is CvMode.FIXED_WINDOW:
+            _strategy_table(self.static, "")
+        else:
+            for day, table in self.per_day.items():
+                _strategy_table(table, f" on day {day}")
+
     def params_for(self, strategy: str, day: int, plan: BacktestPlan) -> Mapping[str, float]:
         """The parameters ``strategy`` uses on ``day`` under ``plan``.
 
-        Raises ``ValueError`` naming the strategy, and the parameter when
-        one is missing or holds a value the strategy cannot use under the
-        plan (an ``m`` beyond its tau window included), if the selection
-        cannot price the strategy.
+        Raises ``ValueError`` naming the strategy, if the selection holds
+        none for it, or the parameter, if it holds a value the strategy
+        cannot use under the plan (an ``m`` beyond its tau window included).
         """
         if self.mode is CvMode.FIXED_WINDOW:
-            assert self.static is not None
             table, where = self.static, ""
         else:
-            assert self.per_day is not None
             if day not in self.per_day:
                 raise ValueError(f"no parameters chosen for day {day}")
             table, where = self.per_day[day], f" on day {day}"
-        params = table.get(strategy) if isinstance(table, Mapping) else None
-        if not isinstance(params, Mapping):
+        params = table.get(strategy)
+        if params is None:
             raise ValueError(f"chosen parameters: no parameters for strategy {strategy!r}{where}")
         for name in _PARAMS[strategy]:
-            if name not in params:
-                raise ValueError(f"chosen parameters: strategy {strategy!r} has no "
-                                 f"parameter {name!r}{where}")
             problem = _param_problem(strategy, name, params[name], plan.tau_window_days - 1)
             if problem:
                 raise ValueError(f"chosen parameters: strategy {strategy!r} parameter {name!r} "
                                  f"{problem}, got {params[name]!r}{where}")
-        for name in params:
-            if name not in _PARAMS[strategy]:
-                raise ValueError(f"chosen parameters: strategy {strategy!r} does not read "
-                                 f"parameter {name!r}{where}; it reads {list(_PARAMS[strategy])}")
         return params
 
     def to_json_dict(self) -> dict:
@@ -244,8 +256,8 @@ class ChosenParameters:
 
         A sliding selection's day keys must be canonical decimal integers
         (``str(int(key)) == key``): ``"03"``, ``" 4"`` or ``"+5"`` is rejected.
-        Every day table and every strategy entry must be an object, and every
-        strategy one of :data:`STRATEGIES`.
+        Every day table must be an object; its strategies are checked as for
+        any selection.
         """
         if not isinstance(data, Mapping):
             raise ValueError(f"chosen parameters must be a JSON object, got {type(data).__name__}")
@@ -260,7 +272,7 @@ class ChosenParameters:
             raise ValueError(f"chosen parameters: mode {mode.value!r} needs an object "
                              f"under key {key!r}")
         if mode is CvMode.FIXED_WINDOW:
-            return cls(mode=mode, static=_strategy_table(table, ""))
+            return cls(mode=mode, static=table)
         per_day = {}
         for day, strats in table.items():
             try:
@@ -274,12 +286,12 @@ class ChosenParameters:
             if not isinstance(strats, Mapping):
                 raise ValueError(f"chosen parameters: day {number} must map to an object of "
                                  f"strategies, got {strats!r}")
-            per_day[number] = _strategy_table(strats, f" on day {number}")
+            per_day[number] = strats
         return cls(mode=mode, per_day=per_day)
 
 
-def _strategy_table(table: Mapping, where: str) -> Mapping:
-    """``table``, once each key is a roster strategy and each entry an object."""
+def _strategy_table(table: Mapping, where: str) -> None:
+    """Check that each strategy of ``table`` is on the roster and maps to the parameters it reads."""
     for strategy, params in table.items():
         if strategy not in _PARAMS:
             raise ValueError(f"chosen parameters: unknown strategy {strategy!r}{where}; "
@@ -287,7 +299,14 @@ def _strategy_table(table: Mapping, where: str) -> Mapping:
         if not isinstance(params, Mapping):
             raise ValueError(f"chosen parameters: strategy {strategy!r}{where} must map to an "
                              f"object of parameters, got {params!r}")
-    return table
+        for name in _PARAMS[strategy]:
+            if name not in params:
+                raise ValueError(f"chosen parameters: strategy {strategy!r} has no "
+                                 f"parameter {name!r}{where}")
+        for name in params:
+            if name not in _PARAMS[strategy]:
+                raise ValueError(f"chosen parameters: strategy {strategy!r} does not read "
+                                 f"parameter {name!r}{where}; it reads {list(_PARAMS[strategy])}")
 
 
 @dataclass(frozen=True)
@@ -313,30 +332,21 @@ class _MarketFrame:
     """Period-ordered columns of a record list, its forecast table and its tau columns.
 
     Periods are keyed by local (day, hour), day 1 holding the first record.
-    Records must advance that key strictly, as ``load_market_data`` requires
-    of its rows, so each record is one period. The forecast table holds one
-    knot row per distinct forecast object.
+    Each record must follow the one before it by the rule ``load_market_data``
+    applies to its rows, so each record is one period. The forecast table
+    holds one knot row per distinct forecast object.
     """
 
     def __init__(self, records: Sequence[MarketRecord]):
         if not records:
             raise ValueError("no market records")
         stamps = list(map(attrgetter("timestamp"), records))
-        if not all(map(operator.lt, stamps, stamps[1:])):
-            for prev, cur in zip(stamps, stamps[1:]):
-                if cur <= prev:
-                    raise ValueError(
-                        f"records must be strictly ordered by timestamp; "
-                        f"{cur.isoformat()} follows {prev.isoformat()}"
-                    )
+        for cur, problem in zip(stamps[1:], map(_follow_problem, stamps, stamps[1:])):
+            if problem:
+                raise ValueError(f"{cur.isoformat()} {problem}")
         ordinal = np.fromiter(map(datetime.toordinal, stamps), np.int64, len(stamps))
         hour = np.fromiter(map(attrgetter("hour"), stamps), np.int64, len(stamps))
         key = (ordinal - ordinal[0] + 1) * 24 + hour
-        stalled = np.flatnonzero(np.diff(key) <= 0)  # e.g. a daylight-saving fall-back
-        if stalled.size:
-            prev, cur = stamps[stalled[0]], stamps[stalled[0] + 1]
-            raise ValueError(f"{cur.isoformat()} does not advance the local hour of "
-                             f"{prev.isoformat()}; periods are keyed by local date and hour")
 
         def column(name: str) -> np.ndarray:
             return np.fromiter(map(attrgetter(name), records), float, len(records))
@@ -346,15 +356,7 @@ class _MarketFrame:
         self.timestamps = tuple(stamps)
         self.pi_s, self.pi_b = column("pi_s"), column("pi_b")
         self.s_l, self.omega = column("s_l"), column("omega_star")
-        forecasts = list(map(attrgetter("forecast"), records))
-        if not all(map(isinstance, forecasts, repeat(PiecewiseLinear))):
-            for ts, forecast in zip(stamps, forecasts):
-                if not isinstance(forecast, PiecewiseLinear):
-                    raise ValueError(
-                        f"{ts.isoformat()}: backtest forecasts must be quantile forecasts "
-                        f"(PiecewiseLinear), got {forecast!r}"
-                    )
-        self.forecast = PiecewiseLinearBatch(forecasts)
+        self.forecast = PiecewiseLinearBatch(list(map(attrgetter("forecast"), records)))
         self.estimator = HourlyTauEstimator(
             self.day, self.hour, *penalty_split(self.pi_s, self.pi_b, self.s_l)
         )
@@ -558,10 +560,11 @@ def offers_for_day(records: Sequence[MarketRecord], plan: BacktestPlan,
 
     Raises ``ValueError``, naming the day or the period's timestamp, when
     ``records`` hold no period of ``day``; when sliding ``chosen``
-    parameters hold no selection for ``day``; when records are out of
-    timestamp order or a forecast is not a quantile forecast; when a tau
-    window holds no usable outcome and the plan sets no fallback; and when
-    an offer leaves [0, 1].
+    parameters hold no selection for ``day``; when a record does not
+    follow the one before it (out of order, a mix of naive and aware
+    timestamps, or a repeated local hour); when a tau window holds no
+    usable outcome and the plan sets no fallback; and when an offer leaves
+    [0, 1].
     """
     frame = _frame_for(records)
     span = _Span(frame, plan, frame.periods(day, day))
@@ -634,11 +637,11 @@ def scale_penalties(records: Sequence[MarketRecord], factor: float) -> list[Mark
 def load_market_data(market_csv, forecast_dir, strict: bool = False) -> list[MarketRecord]:
     """Read the hourly market CSV and resolve one forecast file per record.
 
-    Schema violations, non-finite prices and system lengths, a mix of
-    naive and timezone-aware timestamps, and a row whose local date and
-    hour do not follow the previous row's (a daylight-saving fall-back)
-    raise with the offending row and column named. Gaps in the hourly grid
-    warn, or raise when ``strict`` is set.
+    Schema violations, non-finite prices and system lengths, a record that
+    ``MarketRecord`` rejects, and a timestamp that does not follow the
+    previous row's (by the rule the market frame applies to any records)
+    raise with the offending row named. Gaps in the hourly grid warn, or
+    raise when ``strict`` is set.
     """
     market_csv = Path(market_csv)
     forecast_dir = Path(forecast_dir)
@@ -675,26 +678,11 @@ def load_market_data(market_csv, forecast_dir, strict: bool = False) -> list[Mar
                     ) from exc
                 if not math.isfinite(floats[-1]):
                     raise ValueError(f"{market_csv}:{lineno}: column {col!r}: non-finite {cell!r}")
-            pi_s, pi_b, s_l, omega = floats
-            if not (0.0 <= omega <= 1.0):
-                raise ValueError(
-                    f"{market_csv}:{lineno}: column 'omega_star': {omega} outside [0, 1]"
-                )
             if prev_ts is not None:
-                if (ts.utcoffset() is None) != (prev_ts.utcoffset() is None):
-                    raise ValueError(
-                        f"{market_csv}:{lineno}: column 'timestamp': {row[0].strip()!r} mixes "
-                        f"naive and timezone-aware timestamps with the rows before it"
-                    )
-                if ts <= prev_ts:
-                    raise ValueError(f"{market_csv}:{lineno}: timestamps must be strictly increasing")
-                if (ts.date(), ts.hour) <= (prev_ts.date(), prev_ts.hour):
-                    # e.g. the repeated hour of a daylight-saving fall-back
-                    raise ValueError(
-                        f"{market_csv}:{lineno}: column 'timestamp': {row[0].strip()!r} does not "
-                        f"advance the local hour of the row before it; periods are keyed by "
-                        f"local date and hour"
-                    )
+                problem = _follow_problem(prev_ts, ts)
+                if problem:
+                    raise ValueError(f"{market_csv}:{lineno}: column 'timestamp': "
+                                     f"{row[0].strip()!r} {problem}")
                 gap = int((ts - prev_ts).total_seconds() // 3600) - 1
                 if gap > 0:
                     msg = f"{market_csv}:{lineno}: {gap} missing hour(s) before {ts.isoformat()}"
@@ -705,11 +693,11 @@ def load_market_data(market_csv, forecast_dir, strict: bool = False) -> list[Mar
             fpath = forecast_dir / (ts.strftime(_TS_FORMAT) + ".csv")
             try:
                 forecast = _share_knots(read_quantile_forecast(fpath), forecast)
+                records.append(MarketRecord(ts, *floats, forecast))
             except FileNotFoundError as exc:
                 raise ValueError(f"{market_csv}:{lineno}: forecast file {fpath} not found") from exc
             except ValueError as exc:
                 raise ValueError(f"{market_csv}:{lineno}: {exc}") from exc
-            records.append(MarketRecord(ts, pi_s, pi_b, s_l, omega, forecast))
     if not records:
         raise ValueError(f"{market_csv}: no data rows")
     return records
@@ -717,6 +705,7 @@ def load_market_data(market_csv, forecast_dir, strict: bool = False) -> list[Mar
 
 def write_market_csv(records: Iterable[MarketRecord], path) -> None:
     path = Path(path)
+    path.parent.mkdir(parents=True, exist_ok=True)
     with path.open("w", newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow(MARKET_HEADER)
@@ -736,10 +725,6 @@ def write_forecast_dir(records: Iterable[MarketRecord], dirpath) -> None:
     # format each one once
     texts: dict[PiecewiseLinear, str] = {}
     for rec in records:
-        if not isinstance(rec.forecast, PiecewiseLinear):
-            raise ValueError(
-                f"{rec.timestamp.isoformat()}: only quantile forecasts can be written to disk"
-            )
         text = texts.get(rec.forecast)
         if text is None:
             text = texts[rec.forecast] = _forecast_text(rec.forecast)

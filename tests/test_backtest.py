@@ -417,9 +417,8 @@ def test_plan_rejects_fallback_tau_outside_unit_interval():
 
 def test_backtest_rejects_non_quantile_forecasts():
     recs = small_market()
-    recs[100] = replace(recs[100], forecast=Beta(2, 6))
     with pytest.raises(ValueError, match=recs[100].timestamp.isoformat()):
-        cross_validate(recs, SMALL_PLAN)
+        replace(recs[100], forecast=Beta(2, 6))
 
 
 # ---------- evaluation ----------
@@ -583,33 +582,60 @@ def test_gate_closures_follow_a_timestamp_moved_to_another_utc_offset():
 @settings(max_examples=80)
 @given(st.data())
 def test_a_record_must_advance_the_local_hour(data):
-    # strictly increasing instants, naive or each in a UTC offset of its own
-    aware = data.draw(st.booleans())
+    # strictly increasing instants, all naive, each in a UTC offset of its
+    # own, or a mix of the two (a naive stamp is read as UTC wall time)
     steps = data.draw(st.lists(st.integers(1, 150), max_size=6))
     instants = [datetime(2020, 3, 1, 1) + timedelta(minutes=sum(steps[:i]))
                 for i in range(len(steps) + 1)]
-    if aware:
-        offsets = data.draw(st.lists(st.integers(-3, 3), min_size=len(instants),
-                                     max_size=len(instants)))
-        stamps = [t.replace(tzinfo=timezone.utc).astimezone(timezone(timedelta(hours=h)))
-                  for t, h in zip(instants, offsets)]
-    else:
-        stamps = instants
+    offset = data.draw(st.sampled_from([st.none(), st.integers(-3, 3),
+                                        st.none() | st.integers(-3, 3)]))
+    offsets = data.draw(st.lists(offset, min_size=len(instants), max_size=len(instants)))
+    stamps = [t if h is None else
+              t.replace(tzinfo=timezone.utc).astimezone(timezone(timedelta(hours=h)))
+              for t, h in zip(instants, offsets)]
     forecast = PiecewiseLinear([0.5], [0.3])
     records = [MarketRecord(ts, 50.0, 40.0, 1.0, 0.5, forecast) for ts in stamps]
     plan = BacktestPlan(strategies=("oracle",))
     chosen = ChosenParameters(mode=CvMode.FIXED_WINDOW, static={"oracle": {}})
-    keys = [(ts.date(), ts.hour) for ts in stamps]
-    stalled = [i for i in range(1, len(keys)) if keys[i] <= keys[i - 1]]
-    if stalled:
-        prev, cur = stamps[stalled[0] - 1], stamps[stalled[0]]
-        with pytest.raises(ValueError, match=re.escape(
-                f"{cur.isoformat()} does not advance the local hour of {prev.isoformat()}; "
-                f"periods are keyed by local date and hour")):
-            offers_for_day(records, plan, chosen, 1)
-    else:
+    for prev, cur in zip(stamps, stamps[1:]):
+        if (prev.tzinfo is None) != (cur.tzinfo is None):
+            # a mixed pair names both stamps
+            with pytest.raises(ValueError, match=re.escape(cur.isoformat()) +
+                               " mixes naive and timezone-aware timestamps with " +
+                               re.escape(prev.isoformat())):
+                offers_for_day(records, plan, chosen, 1)
+            return
+        if (cur.date(), cur.hour) <= (prev.date(), prev.hour):
+            with pytest.raises(ValueError, match=re.escape(
+                    f"{cur.isoformat()} does not advance the local hour of {prev.isoformat()}; "
+                    f"periods are keyed by local date and hour")):
+                offers_for_day(records, plan, chosen, 1)
+            return
+    offers_for_day(records, plan, chosen, 1)
+    assert backtest._frame_for(records).timestamps == tuple(stamps)
+
+
+@pytest.mark.parametrize("stamps, words", [
+    (("2020-01-01T01:00:00", "2020-01-01T00:00:00"), "strictly increasing"),
+    (("2020-01-01T00:00:00", "2020-01-01T01:00:00+00:00"), "naive and timezone-aware"),
+    (("2021-10-31T02:00:00+02:00", "2021-10-31T02:00:00+01:00"), "does not advance the local hour"),
+])
+def test_loader_and_frame_apply_one_order_rule(tmp_path, stamps, words):
+    market, fdir = _write_fixture(tmp_path, [(ts, 50.0, 40.0, 1.0, 0.5) for ts in stamps])
+    with pytest.raises(ValueError, match=re.escape(f"m.csv:3: column 'timestamp': {stamps[1]!r} ")
+                       ) as loaded:
+        load_market_data(market, fdir)
+    forecast = PiecewiseLinear([0.25, 0.5, 0.75], [0.2, 0.4, 0.6])
+    records = [MarketRecord(datetime.fromisoformat(ts), 50.0, 40.0, 1.0, 0.5, forecast)
+               for ts in stamps]
+    plan = BacktestPlan(strategies=("oracle",))
+    chosen = ChosenParameters(mode=CvMode.FIXED_WINDOW, static={"oracle": {}})
+    with pytest.raises(ValueError) as api:
         offers_for_day(records, plan, chosen, 1)
-        assert backtest._frame_for(records).timestamps == tuple(stamps)
+    # the API names the stamp where the loader names the row; the rest is one text
+    problem = str(api.value).removeprefix(stamps[1])
+    assert problem != str(api.value) and words in problem
+    assert str(loaded.value).endswith(problem)
 
 
 def test_gate_closures_estimate_tau_once_per_m_and_price_a_block_in_one_call():

@@ -11,7 +11,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from drnewsvendor import cli
+from drnewsvendor import cli, load_market_data
 from drnewsvendor.cli import dispatch
 
 
@@ -283,6 +283,10 @@ def _static(**changes):
     (_static(junk={}), "unknown strategy 'junk'"),
     (_static(bn={"m": 8, "zzz": "a"}), "strategy 'bn' does not read parameter 'zzz'"),
     (_static(bn={"m": 8, "zzz": [1]}), "strategy 'bn' does not read parameter 'zzz'"),
+    # a day that is never evaluated is still checked for parameter names
+    ({"mode": "sliding", "per_day": {**{str(d): _static()["static"] for d in range(31, 35)},
+                                     "999": {"bn": {"m": 8, "zzz": 1}}}},
+     "strategy 'bn' does not read parameter 'zzz' on day 999"),
 ])
 def test_backtest_malformed_params_exit_1(tmp_path, capsys, market_flags, params, names):
     path = tmp_path / "chosen.json"
@@ -383,6 +387,13 @@ def test_backtest_rejects_a_penalty_scale_it_cannot_use(tmp_path, capsys, market
     error = json.loads(capsys.readouterr().err)["error"]
     assert error == f"--penalty-scale must be a positive finite number, got {float(value)!r}"
     assert not out.exists()
+
+
+def test_synth_creates_the_directory_of_each_output(tmp_path):
+    market, fdir = tmp_path / "new" / "market.csv", tmp_path / "other" / "fc"
+    assert dispatch(["synth", "--days", "2", "--market-out", str(market),
+                     "--forecasts-out", str(fdir), "--out", str(tmp_path / "s.json")]) == 0
+    assert len(load_market_data(market, fdir)) == 48
 
 
 @pytest.mark.parametrize("value", ["nan", "0", "0.5", "inf"])
