@@ -44,6 +44,8 @@ __all__ = [
     "deform_upper",
     "deform_lower",
     "band_quantiles",
+    "band_levels",
+    "bands_from_quantiles",
     "BallKind",
     "BernoulliBall",
     "ball_bounds",
@@ -203,23 +205,42 @@ def band_quantiles(reference, p: np.ndarray, rho: float, sides: Sequence[str]) -
     """The quantiles at levels ``p`` of the bands of ``reference`` at radius ``rho``.
 
     Row ``k`` holds the band on side ``sides[k]`` ("upper" or "lower"):
-    the reference quantile at the mirror operator's level. Every row is
-    priced in one reference quantile call. A level that rounds to 1 while
-    ``p < 1`` would lose the reference's upper tail, so there the quantile
-    is read from the upper end, at the level's exact complement.
-    ``reference`` is a distribution or a :class:`PiecewiseLinearBatch`;
-    ``p`` and ``rho`` in [0, 1) are the caller's to validate.
+    the reference quantile at the mirror operator's level
+    (:func:`band_levels`), every row read in one reference quantile call,
+    then :func:`bands_from_quantiles`. ``reference`` is a distribution or
+    a :class:`PiecewiseLinearBatch`; ``p`` and ``rho`` in [0, 1) are the
+    caller's to validate.
     """
-    mirrors = [_OPERATORS[side][1] for side in sides]
+    u = band_levels(p, rho, sides)
+    return bands_from_quantiles(reference, p, rho, sides, u, reference.quantile(u))
+
+
+def band_levels(p: np.ndarray, rho: float, sides: Sequence[str]) -> np.ndarray:
+    """The reference levels whose quantiles are the band quantiles at levels ``p``.
+
+    Row ``k`` is the mirror operator of side ``sides[k]`` at ``p``. ``rho``
+    is one scalar: ``np.power`` rounds a scalar exponent of 0.5 as a square
+    root, so an exponent array could change the levels' bits.
+    """
     beta = 1.0 - rho
     with np.errstate(divide="ignore"):
-        u = np.stack([_power(op, p, beta) for op in mirrors])
-    out = reference.quantile(u)
+        return np.array([_power(_OPERATORS[side][1], p, beta) for side in sides])
+
+
+def bands_from_quantiles(reference, p: np.ndarray, rho: float, sides: Sequence[str],
+                         u: np.ndarray, q: np.ndarray) -> np.ndarray:
+    """The band quantiles, from ``q``, the reference quantiles at ``u = band_levels(p, rho, sides)``.
+
+    A level that rounds to 1 while ``p < 1`` would lose the reference's
+    upper tail, so there the quantile is read from the upper end, at the
+    level's exact complement, in one more reference call.
+    """
     top = (u == 1.0) & (p < 1.0)
     if top.any():
+        mirrors = [_OPERATORS[side][1] for side in sides]
         s = np.where(top, np.stack([_complement(op, p, rho) for op in mirrors]), 0.0)
-        out = np.where(top, reference._quantile_above(s), out)
-    return out
+        q = np.where(top, reference._quantile_above(s), q)
+    return q
 
 
 def deform_upper(reference: UnitDistribution, rho: float) -> DeformedCdf:

@@ -13,10 +13,11 @@ D-1 using the day-D forecast (issued before gate closure) and penalty
 outcomes settled through day D-2 (one-day settlement lag).
 
 Offers and settlements are array code. A market's forecasts are stacked
-once, one knot row per distinct forecast object; for each strategy, the
-grid points that share a tau window ``m`` are priced as one block of
-revenues, a row per grid point and a column per period, and each
-selection window sums its columns of every row in period order.
+once, one knot row per distinct forecast object; any list of (strategy,
+parameters) rows is priced in one pass, a row per (strategy, parameters)
+and a column per period: a gate closure's strategies, or one strategy's
+grid in cross-validation, where each selection window sums its columns
+of every row in period order.
 """
 
 from __future__ import annotations
@@ -30,7 +31,7 @@ from collections.abc import Iterable, Mapping, Sequence
 from dataclasses import dataclass, replace
 from datetime import datetime
 from enum import Enum
-from itertools import groupby, islice, product
+from itertools import islice, product
 from operator import attrgetter
 from pathlib import Path
 
@@ -46,7 +47,7 @@ from .distributions import (
 )
 from .economics import StrategyRow, penalty_split, regret_and_ratio, revenue
 from .estimation import HourlyTauEstimator, fill_empty_windows
-from .solvers import dr_omega_offers, dr_s_rule
+from .solvers import dr_omega_from_quantiles, dr_omega_levels, dr_s_rule
 
 __all__ = [
     "MarketRecord",
@@ -171,18 +172,21 @@ class BacktestPlan:
                 if not grid:
                     raise ValueError(f"{name}_grid is empty, but strategy {strategy!r} needs it")
                 for value in grid:
-                    problem = _param_problem(strategy, name, value, self.tau_window_days - 1)
+                    problem = (_m_problem(value, self.tau_window_days - 1) if name == "m"
+                               else _value_problem(strategy, name, value))
                     if problem:
                         raise ValueError(f"{name}_grid: {value!r} {problem}, as strategy "
                                          f"{strategy!r} needs")
 
 
-def _param_problem(strategy: str, name: str, value, max_m: int) -> str | None:
-    """What keeps ``value`` from being parameter ``name`` of ``strategy``, or None."""
-    if name == "m":
-        ok = (isinstance(value, numbers.Integral) and not isinstance(value, bool)
-              and 1 <= value <= max_m)
-        return None if ok else f"must be an integer from 1 to {max_m}"
+def _m_problem(value, max_m: int) -> str | None:
+    """What keeps ``value`` from being a tau window ``m`` under a plan whose largest is ``max_m``, or None."""
+    ok = isinstance(value, numbers.Integral) and not isinstance(value, bool) and 1 <= value <= max_m
+    return None if ok else f"must be an integer from 1 to {max_m}"
+
+
+def _value_problem(strategy: str, name: str, value) -> str | None:
+    """What keeps ``value`` from being parameter ``name`` (not ``m``) of ``strategy``, or None."""
     if isinstance(value, bool) or not isinstance(value, numbers.Real):
         return "must be a number"
     # each check asks "inside", so NaN fails it
@@ -212,18 +216,37 @@ class ChosenParameters:
     per_day: Mapping[int, Mapping[str, Mapping[str, float]]] | None = None
 
     def __post_init__(self):
+        key = "static" if self.mode is CvMode.FIXED_WINDOW else "per_day"
+        table = getattr(self, key)
+        if not isinstance(table, Mapping):
+            raise ValueError(f"chosen parameters: mode {self.mode.value!r} needs an object "
+                             f"under key {key!r}")
         if self.mode is CvMode.FIXED_WINDOW:
-            _strategy_table(self.static, "")
+            tables = {"": table}
         else:
-            for day, table in self.per_day.items():
-                _strategy_table(table, f" on day {day}")
+            tables = {}
+            for day, strats in table.items():
+                if not isinstance(strats, Mapping):
+                    raise ValueError(f"chosen parameters: day {day} must map to an object of "
+                                     f"strategies, got {strats!r}")
+                tables[f" on day {day}"] = strats
+        # every name first, then every value that needs no plan
+        for where, strats in tables.items():
+            _strategy_table(strats, where)
+        for where, strats in tables.items():
+            for strategy, params in strats.items():
+                for name in _PARAMS[strategy]:
+                    if name != "m":
+                        _raise_for(strategy, name, params[name], where,
+                                   _value_problem(strategy, name, params[name]))
 
     def params_for(self, strategy: str, day: int, plan: BacktestPlan) -> Mapping[str, float]:
         """The parameters ``strategy`` uses on ``day`` under ``plan``.
 
         Raises ``ValueError`` naming the strategy, if the selection holds
-        none for it, or the parameter, if it holds a value the strategy
-        cannot use under the plan (an ``m`` beyond its tau window included).
+        none for it, or the parameter, if its ``m`` is not a window the
+        plan can estimate (other values were checked when the selection
+        was built).
         """
         if self.mode is CvMode.FIXED_WINDOW:
             table, where = self.static, ""
@@ -234,11 +257,9 @@ class ChosenParameters:
         params = table.get(strategy)
         if params is None:
             raise ValueError(f"chosen parameters: no parameters for strategy {strategy!r}{where}")
-        for name in _PARAMS[strategy]:
-            problem = _param_problem(strategy, name, params[name], plan.tau_window_days - 1)
-            if problem:
-                raise ValueError(f"chosen parameters: strategy {strategy!r} parameter {name!r} "
-                                 f"{problem}, got {params[name]!r}{where}")
+        if "m" in params:
+            _raise_for(strategy, "m", params["m"], where,
+                       _m_problem(params["m"], plan.tau_window_days - 1))
         return params
 
     def to_json_dict(self) -> dict:
@@ -256,8 +277,7 @@ class ChosenParameters:
 
         A sliding selection's day keys must be canonical decimal integers
         (``str(int(key)) == key``): ``"03"``, ``" 4"`` or ``"+5"`` is rejected.
-        Every day table must be an object; its strategies are checked as for
-        any selection.
+        The tables are checked as for any selection.
         """
         if not isinstance(data, Mapping):
             raise ValueError(f"chosen parameters must be a JSON object, got {type(data).__name__}")
@@ -268,11 +288,8 @@ class ChosenParameters:
                              f"{[m.value for m in CvMode]}, got {data.get('mode')!r}") from None
         key = "static" if mode is CvMode.FIXED_WINDOW else "per_day"
         table = data.get(key)
-        if not isinstance(table, Mapping):
-            raise ValueError(f"chosen parameters: mode {mode.value!r} needs an object "
-                             f"under key {key!r}")
-        if mode is CvMode.FIXED_WINDOW:
-            return cls(mode=mode, static=table)
+        if mode is CvMode.FIXED_WINDOW or not isinstance(table, Mapping):
+            return cls(mode=mode, **{key: table})  # the constructor checks the table
         per_day = {}
         for day, strats in table.items():
             try:
@@ -283,11 +300,15 @@ class ChosenParameters:
             if number is None or str(number) != day:
                 raise ValueError(f"chosen parameters: key 'per_day' holds the day key {day!r}; "
                                  f"days are written as plain decimal integers such as '31'")
-            if not isinstance(strats, Mapping):
-                raise ValueError(f"chosen parameters: day {number} must map to an object of "
-                                 f"strategies, got {strats!r}")
             per_day[number] = strats
         return cls(mode=mode, per_day=per_day)
+
+
+def _raise_for(strategy: str, name: str, value, where: str, problem: str | None) -> None:
+    """Raise ``problem`` with parameter ``name`` of ``strategy``, if there is one."""
+    if problem:
+        raise ValueError(f"chosen parameters: strategy {strategy!r} parameter {name!r} "
+                         f"{problem}, got {value!r}{where}")
 
 
 def _strategy_table(table: Mapping, where: str) -> None:
@@ -446,22 +467,24 @@ class _Span:
                                                     self.day - 1, self.hour, m, self._fallback)
         return tau
 
-    def offers(self, strategy: str, grid: Sequence[Mapping[str, float]]) -> np.ndarray:
-        """Each grid point's offers, one row per point and one column per period.
+    def offers(self, rows: Sequence[tuple[str, Mapping[str, float]]]) -> np.ndarray:
+        """Each (strategy, parameters) row's offers, one column per period, in one pass.
 
-        Consecutive points that share ``m`` are priced as one block. A check
-        fails at the earliest grid point, then the earliest period, as if
-        each point were priced in turn.
+        Tau is read once per window ``m``; the levels of every bn, DR-S and
+        DR-omega row are priced in one quantile call, the DR-S rows in one
+        rule call. A check fails at the earliest row, then the earliest
+        period, as if each row were priced in turn.
         """
-        out = np.empty((len(grid), self.day.size))
-        start = 0
-        for m, points in groupby(grid, key=lambda params: params.get("m")):
-            points = list(points)
-            rows = out[start:start + len(points)]
-            rows[...] = self._block(strategy, m, points)  # a row every point shares broadcasts
-            self._check_offers(rows)
-            start += len(points)
-        return out
+        for k, (_, params) in enumerate(rows):
+            if "m" in params:
+                try:
+                    self.tau_hat(params["m"])
+                except ValueError:
+                    self.offers(rows[:k])  # an earlier row's failure comes first
+                    raise
+        y = self._price(rows)
+        self._check_offers(y)
+        return y
 
     def _check_offers(self, y: np.ndarray) -> None:
         """Raise for the first offer (by row, then column) that rounding left outside [0, 1]."""
@@ -471,34 +494,59 @@ class _Span:
             raise ValueError(f"{self._frame.timestamps[self.periods[i]].isoformat()}: "
                              f"offer must lie in [0, 1], got {y[g, i]}")
 
-    def _block(self, strategy: str, m: int | None, points: list[Mapping[str, float]]) -> np.ndarray:
-        """Offers of grid points that share the tau window ``m``: a row per point, or one row."""
-        def column(name: str) -> np.ndarray:
-            return np.array([[params[name]] for params in points], dtype=float)
-
-        if strategy == "oracle":
-            y = self.omega
-        elif strategy == "robust_s":
-            y = self.mean
-        else:
-            tau = self.tau_hat(m)
-            if strategy == "bn":
-                y = self.forecast.quantile(tau)
+    def _price(self, rows: Sequence[tuple[str, Mapping[str, float]]]) -> np.ndarray:
+        """The offers of ``rows``, whose tau estimates are already read."""
+        tau = self._tau
+        y = np.empty((len(rows), len(self)))
+        bn, dr_s, dr_omega = {}, {}, {}  # each kind's rows: row index -> parameters
+        for k, (strategy, params) in enumerate(rows):
+            if strategy == "oracle":
+                y[k] = self.omega
+            elif strategy == "robust_s":
+                y[k] = self.mean
             elif strategy == "robust_omega":
-                y = tau
+                y[k] = tau[params["m"]]
+            elif strategy == "bn":
+                bn[k] = params
             elif strategy == "dr_omega":
-                y = np.array([dr_omega_offers(self.forecast, tau, params["rho"])[0]
-                              for params in points])
+                dr_omega[k] = params
             else:  # the two DR-S balls
-                theta = column("theta") if strategy == "dr_s_level_adjusted" else 0.0
-                lo, hi = ball_bounds(tau, column("epsilon"), theta)
-                q = self.forecast.quantile(np.concatenate((lo, hi)))  # both bounds at once
-                y = dr_s_rule(q[:len(points)], q[len(points):], self.mean)[0]
+                dr_s[k] = params
+        # one level matrix: bn's tau rows, every DR-S row's lower and then upper
+        # ball bounds (theta = 0 is the uniform ball), and the band levels of
+        # each DR-omega row, one radius at a time, but those at rho = 1, which
+        # need no quantile
+        levels = []
+        for params in bn.values():
+            levels.append(tau[params["m"]][None])
+        if dr_s:
+            levels += ball_bounds(np.array([tau[params["m"]] for params in dr_s.values()]),
+                                  np.array([[params["epsilon"]] for params in dr_s.values()]),
+                                  np.array([[params.get("theta", 0.0)] for params in dr_s.values()]))
+        bands = []
+        for params in dr_omega.values():
+            bands.append(dr_omega_levels(tau[params["m"]], params["rho"]))
+            if bands[-1] is not None:
+                levels.append(bands[-1])
+        q = self.forecast.quantile(np.concatenate(levels)) if levels else y[:0]
+        n_bn, n_s = len(bn), len(dr_s)
+        for k, row in zip(bn, q):
+            y[k] = row
+        if dr_s:
+            picked = dr_s_rule(q[n_bn:n_bn + n_s], q[n_bn + n_s:n_bn + 2 * n_s], self.mean)[0]
+            for k, row in zip(dr_s, picked):
+                y[k] = row
+        at = n_bn + 2 * n_s
+        for (k, params), u in zip(dr_omega.items(), bands):
+            band_q = None if u is None else q[at:at + 2]
+            y[k] = dr_omega_from_quantiles(self.forecast, tau[params["m"]], params["rho"],
+                                           u, band_q)[0]
+            at += 0 if u is None else 2
         return y
 
     def revenues(self, strategy: str, grid: Sequence[Mapping[str, float]]) -> np.ndarray:
         """Each grid point's revenues, one row per point and one column per period."""
-        y = self.offers(strategy, grid)
+        y = self.offers([(strategy, params) for params in grid])
         return revenue(self.pi_s, self.pi_b, self.s_l, y, self.omega)
 
 
@@ -570,11 +618,16 @@ def offers_for_day(records: Sequence[MarketRecord], plan: BacktestPlan,
     span = _Span(frame, plan, frame.periods(day, day))
     if not len(span):
         raise ValueError(f"no market records for day {day}")
-    out: dict[str, dict[int, float]] = {}
+    rows = []
     for strategy in plan.strategies:
-        offers = span.offers(strategy, [chosen.params_for(strategy, day, plan)])[0]
-        out[strategy] = dict(zip(span.hour.tolist(), offers.tolist()))
-    return out
+        try:
+            rows.append((strategy, chosen.params_for(strategy, day, plan)))
+        except ValueError:
+            span.offers(rows)  # an earlier strategy's failure comes first
+            raise
+    hours = span.hour.tolist()
+    return {strategy: dict(zip(hours, offers))
+            for (strategy, _), offers in zip(rows, span.offers(rows).tolist())}
 
 
 def run_backtest(records: Sequence[MarketRecord], plan: BacktestPlan,
@@ -590,18 +643,20 @@ def run_backtest(records: Sequence[MarketRecord], plan: BacktestPlan,
     span = _Span(frame, plan, np.arange(first, end))
 
     oracle_rev = revenue(span.pi_s, span.pi_b, span.s_l, span.omega, span.omega)
-    days = np.unique(span.day).tolist()
+    days, day_at = np.unique(span.day, return_inverse=True)  # each period's index into days
     revenues: dict[str, np.ndarray] = {}
     for strategy in plan.strategies:
-        # one revenue vector per distinct parameter set, over the days that chose it
+        # one revenue vector per distinct parameter set, over the days (as indices) that chose it
         groups: dict[tuple, tuple[Mapping[str, float], list[int]]] = {}
-        for day in days:
+        for d, day in enumerate(days.tolist()):
             params = chosen.params_for(strategy, day, plan)
             key = tuple(params[name] for name in _PARAMS[strategy])
-            groups.setdefault(key, (params, []))[1].append(day)
+            groups.setdefault(key, (params, []))[1].append(d)
         series = np.empty(len(span))
         for params, on_days in groups.values():
-            on = np.isin(span.day, on_days)
+            chose = np.zeros(days.size, dtype=bool)
+            chose[on_days] = True
+            on = chose[day_at]
             part = span if on.all() else _Span(frame, plan, span.periods[on])
             series[on] = part.revenues(strategy, [params])[0]
         revenues[strategy] = series

@@ -389,17 +389,23 @@ class PiecewiseLinearBatch:
         rows = self._rows
         # j: the last knot at or below p, found on the shared levels when there are some
         if self._levels is not None:
-            j = self._levels.searchsorted(p, side="right") - 1
+            j = self._levels.searchsorted(p, side="right")
+            j -= 1
             p0 = self._levels[j]
         else:
             ps = self._ps[rows]
             j = np.count_nonzero(ps <= p[..., None], axis=-1) - 1
             p0 = ps[np.arange(rows.size), j]
-        knot = rows * self._xs.shape[1] + j
-        x0 = self._xs.take(knot)
-        # a knot hit (p = 1 included) returns the knot value, as np.interp does
+        j += rows * self._xs.shape[1]  # now the knot's index in the flat table
+        x0 = self._xs.take(j)
+        # in place, so a block of many grid points holds few block-sized temporaries
+        out = np.subtract(p, p0)
         with np.errstate(all="ignore"):
-            return np.where(p0 == p, x0, self._slopes.take(knot) * (p - p0) + x0)
+            out *= self._slopes.take(j)
+            out += x0
+        # a knot hit (p = 1 included) returns the knot value, as np.interp does
+        np.copyto(out, x0, where=p0 == p)
+        return out
 
     def _quantile_above(self, s) -> np.ndarray:
         """Entry-wise quantile at levels ``1 - s``, as ``UnitDistribution._quantile_above``."""

@@ -6,7 +6,9 @@ mean) useful for diagnosis. They are pure functions of their inputs.
 
 The two robust rules are written once, as array functions
 (:func:`dr_omega_offers`, :func:`dr_s_rule`) that the scalar solvers,
-the backtest and the Monte-Carlo harness all call. They check nothing:
+the backtest and the Monte-Carlo harness all call; the backtest prices
+the DR-omega levels of many rows in one quantile call, through the two
+halves of :func:`dr_omega_offers`. They check nothing:
 the scalar solvers check their inputs, and the backtest and the harness
 feed them values their plan and configuration have checked.
 """
@@ -20,7 +22,13 @@ from typing import Mapping
 
 import numpy as np
 
-from .ambiguity import BernoulliBall, band_quantiles, deform_lower, deform_upper
+from .ambiguity import (
+    BernoulliBall,
+    band_levels,
+    bands_from_quantiles,
+    deform_lower,
+    deform_upper,
+)
 from .distributions import Heaviside, UnitDistribution, _match_input, _validate_prob
 
 __all__ = [
@@ -33,6 +41,8 @@ __all__ = [
     "solve_robust_omega",
     "DR_S_BRANCHES",
     "dr_omega_offers",
+    "dr_omega_levels",
+    "dr_omega_from_quantiles",
     "dr_s_rule",
     "WorstCaseCdf",
     "worst_case_cdf",
@@ -73,18 +83,38 @@ def dr_omega_offers(dist, tau_hat, rho: float):
 
     The offer is the tau_hat-weighted combination of the two deformed
     quantiles at level tau_hat, both read in one quantile call of ``dist``
-    (:func:`~drnewsvendor.ambiguity.band_quantiles`). ``rho = 1`` is
-    handled as its analytic limit, where the bands are the Heaviside pair
-    and the offer equals tau_hat itself. ``dist`` is a distribution or a
+    at the levels of :func:`dr_omega_levels`, then combined by
+    :func:`dr_omega_from_quantiles`. ``dist`` is a distribution or a
     :class:`PiecewiseLinearBatch` (row ``i`` at ``tau_hat[i]``).
     ``tau_hat`` in [0, 1] and ``rho`` in [0, 1] are the caller's to
     validate. Returns ``(offer, q_upper, q_lower)``.
     """
     tau_hat = np.asarray(tau_hat, dtype=float)
+    u = dr_omega_levels(tau_hat, rho)
+    return dr_omega_from_quantiles(dist, tau_hat, rho, u, None if u is None else dist.quantile(u))
+
+
+_BANDS = ("upper", "lower")
+
+
+def dr_omega_levels(tau_hat: np.ndarray, rho: float) -> np.ndarray | None:
+    """The levels of ``dist`` whose quantiles are the upper and lower band quantiles at ``tau_hat``.
+
+    None at ``rho = 1``, whose bands are the Heaviside pair and need no quantile.
+    """
+    return None if rho == 1.0 else band_levels(tau_hat, rho, _BANDS)
+
+
+def dr_omega_from_quantiles(dist, tau_hat: np.ndarray, rho: float, u, q):
+    """:func:`dr_omega_offers` from ``q``, the quantiles of ``dist`` at ``u = dr_omega_levels(tau_hat, rho)``.
+
+    ``rho = 1`` is handled as its analytic limit, where the bands are the
+    Heaviside pair and the offer equals tau_hat itself.
+    """
     if rho == 1.0:
         q_upper, q_lower = np.zeros_like(tau_hat), np.ones_like(tau_hat)
     else:
-        q_upper, q_lower = band_quantiles(dist, tau_hat, rho, ("upper", "lower"))
+        q_upper, q_lower = bands_from_quantiles(dist, tau_hat, rho, _BANDS, u, q)
     return tau_hat * q_lower + (1.0 - tau_hat) * q_upper, q_upper, q_lower
 
 

@@ -651,14 +651,17 @@ def test_gate_closures_estimate_tau_once_per_m_and_price_a_block_in_one_call():
             offers_for_day(recs, SMALL_PLAN, chosen, day)
     # tau is estimated once per window length, over the whole frame
     assert sorted(call.args[3] for call in window_means.call_args_list) == [5, 8]
-    # one quantile call per offer block: both DR-S ball bounds, both DR-omega bands
-    for strategy in ("bn", "dr_omega", "dr_s_uniform", "dr_s_level_adjusted"):
-        plan = replace(SMALL_PLAN, strategies=(strategy,))
+    # one quantile call per gate closure: bn's tau row, both DR-S ball bounds,
+    # both DR-omega bands; the whole plan's rows are one (7, 24) level matrix
+    for strategies, shape in [(("bn",), (1, 24)), (("dr_omega",), (2, 24)),
+                              (("dr_s_uniform",), (2, 24)), (("dr_s_level_adjusted",), (2, 24)),
+                              (SMALL_PLAN.strategies, (7, 24))]:
+        plan = replace(SMALL_PLAN, strategies=strategies)
         with mock.patch.object(PiecewiseLinearBatch, "quantile", autospec=True,
                                side_effect=PiecewiseLinearBatch.quantile) as quantile:
             offers_for_day(recs, plan, chosen, days[-1])
-        assert quantile.call_count == 1, strategy
-        assert np.shape(quantile.call_args.args[1]) == ((24,) if strategy == "bn" else (2, 24))
+        assert quantile.call_count == 1, strategies
+        assert np.shape(quantile.call_args.args[1]) == shape, strategies
 
 
 def test_frame_stores_a_shared_forecast_once():
@@ -794,6 +797,41 @@ def test_chosen_parameters_json_round_trip():
     sliding = cross_validate(recs, plan)
     back = ChosenParameters.from_json_dict(sliding.to_json_dict())
     assert back.per_day == sliding.per_day
+
+
+@pytest.mark.parametrize("kwargs, message", [
+    ({"mode": CvMode.FIXED_WINDOW, "static": None},
+     "chosen parameters: mode 'fixed_window' needs an object under key 'static'"),
+    ({"mode": CvMode.SLIDING, "per_day": None},
+     "chosen parameters: mode 'sliding' needs an object under key 'per_day'"),
+    ({"mode": CvMode.SLIDING, "per_day": {31: 5}},
+     "chosen parameters: day 31 must map to an object of strategies, got 5"),
+])
+def test_a_selection_built_in_code_rejects_a_table_that_is_not_an_object(kwargs, message):
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+        ChosenParameters(**kwargs)
+
+
+def test_a_selection_checks_its_values_when_built_and_its_windows_where_priced():
+    static = {"oracle": {}, "bn": {"m": 8}, "dr_omega": {"m": 8, "rho": 0.1},
+              "dr_s_uniform": {"m": 8, "epsilon": 0.1},
+              "dr_s_level_adjusted": {"m": 8, "epsilon": 0.1, "theta": 0.9}, "robust_s": {}}
+    # a day that is never priced is checked too, after every name of every day
+    bad_rho = {**static, "dr_omega": {"m": 8, "rho": 1.5}}
+    with pytest.raises(ValueError, match=re.escape(
+            "chosen parameters: strategy 'dr_omega' parameter 'rho' must lie in [0, 1], "
+            "got 1.5 on day 999")):
+        ChosenParameters(mode=CvMode.SLIDING, per_day={31: static, 999: bad_rho})
+    with pytest.raises(ValueError, match="does not read parameter 'zzz' on day 32"):
+        ChosenParameters(mode=CvMode.SLIDING, per_day={
+            31: bad_rho, 32: {**static, "bn": {"m": 8, "zzz": 1}}})
+    # m is checked against the plan's tau window where a day is priced
+    for m in (500, 0, 2.5):
+        chosen = ChosenParameters(mode=CvMode.FIXED_WINDOW, static={**static, "bn": {"m": m}})
+        with pytest.raises(ValueError, match=re.escape(
+                f"chosen parameters: strategy 'bn' parameter 'm' must be an integer from 1 to 19, "
+                f"got {m!r}")):
+            chosen.params_for("bn", 31, SMALL_PLAN)
 
 
 # ---------- report artifacts ----------

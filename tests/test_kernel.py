@@ -18,6 +18,7 @@ from drnewsvendor import (
     BacktestPlan,
     BallKind,
     Beta,
+    ChosenParameters,
     CvMode,
     Heaviside,
     HourlyTauEstimator,
@@ -29,6 +30,7 @@ from drnewsvendor import (
     deform_upper,
     make_bernoulli_ball,
     make_synthetic_market,
+    offers_for_day,
     penalties,
     revenue,
     run_backtest,
@@ -43,6 +45,7 @@ from drnewsvendor import backtest
 from drnewsvendor.ambiguity import ball_bounds
 from drnewsvendor.backtest import STRATEGIES, _param_grid
 from drnewsvendor.distributions import PiecewiseLinearBatch
+from drnewsvendor.economics import penalty_split
 from drnewsvendor.solvers import dr_omega_offers, dr_s_rule
 
 unit = st.floats(min_value=0.0, max_value=1.0)
@@ -373,17 +376,17 @@ corruptions = st.one_of(st.none(), st.tuples(
 
 def corrupting(width_cut, bad_rho, rho_cut):
     """Offer rules that fail the offer range check at entries chosen by value alone."""
-    rule, dr_omega = backtest.dr_s_rule, backtest.dr_omega_offers
+    rule, dr_omega = backtest.dr_s_rule, backtest.dr_omega_from_quantiles
 
     def bad_rule(q_lo, q_hi, mean):
         y, branch = rule(q_lo, q_hi, mean)
         return np.where(q_hi - q_lo > width_cut, 2.0, y), branch
 
-    def bad_dr_omega(dist, tau, rho):
-        y, *rest = dr_omega(dist, tau, rho)
+    def bad_dr_omega(dist, tau, rho, u, q):
+        y, *rest = dr_omega(dist, tau, rho, u, q)
         return (np.where((rho == bad_rho) & (tau > rho_cut), -1.0, y), *rest)
 
-    return mock.patch.multiple(backtest, dr_s_rule=bad_rule, dr_omega_offers=bad_dr_omega)
+    return mock.patch.multiple(backtest, dr_s_rule=bad_rule, dr_omega_from_quantiles=bad_dr_omega)
 
 
 def point_by_point_totals(span, strategy, grid, windows):
@@ -429,6 +432,110 @@ def test_grid_batched_selection_matches_point_by_point(records, plan, corruption
     else:
         with corrupting(*corruption):
             assert select(batched_totals) == select(point_by_point_totals)
+
+
+# ---------- one gate-closure pass against each strategy priced alone ----------
+
+
+def strategy_alone(records, plan, chosen, day, corruption):
+    """Each strategy's offers at ``day``'s gate closure as bytes, or the first error.
+
+    Each strategy is priced by itself, in roster order, through the public
+    rules: the estimator's tau, ``ball_bounds``, ``dr_omega_offers``,
+    ``dr_s_rule`` and one forecast batch of the day; ``corruption`` is
+    applied as :func:`corrupting` applies it.
+    """
+    first = records[0].timestamp.toordinal()
+    days = np.array([r.timestamp.toordinal() - first + 1 for r in records])
+    hours = np.array([r.timestamp.hour for r in records])
+    columns = {name: np.array([getattr(r, name) for r in records])
+               for name in ("pi_s", "pi_b", "s_l", "omega_star")}
+    estimator = HourlyTauEstimator(days, hours, *penalty_split(
+        columns["pi_s"], columns["pi_b"], columns["s_l"]))
+    on = np.flatnonzero(days == day)
+    if not on.size:
+        return f"no market records for day {day}"
+    batch = PiecewiseLinearBatch([records[i].forecast for i in on])
+    width_cut, bad_rho, rho_cut = corruption or (np.inf, -1.0, 1.0)
+    out = {}
+    try:
+        for strategy in plan.strategies:
+            params = chosen.params_for(strategy, day, plan)
+            if "m" in params:
+                tau = estimator.forecast_many(days[on] - 1, hours[on], params["m"],
+                                              plan.fallback_tau)
+            if strategy == "oracle":
+                y = columns["omega_star"][on]
+            elif strategy == "robust_s":
+                y = batch.mean()
+            elif strategy == "robust_omega":
+                y = tau
+            elif strategy == "bn":
+                y = batch.quantile(tau)
+            elif strategy == "dr_omega":
+                y = dr_omega_offers(batch, tau, params["rho"])[0]
+                y = np.where((params["rho"] == bad_rho) & (tau > rho_cut), -1.0, y)
+            else:
+                lo, hi = ball_bounds(tau, params["epsilon"], params.get("theta", 0.0))
+                q_lo, q_hi = batch.quantile(lo), batch.quantile(hi)
+                y = dr_s_rule(q_lo, q_hi, batch.mean())[0]
+                y = np.where(q_hi - q_lo > width_cut, 2.0, y)
+            bad = ~((y >= 0.0) & (y <= 1.0))
+            if bad.any():
+                i = int(np.argmax(bad))
+                raise ValueError(f"{records[on[i]].timestamp.isoformat()}: "
+                                 f"offer must lie in [0, 1], got {y[i]}")
+            out[strategy] = (hours[on].tolist(), y.tobytes())
+    except ValueError as exc:
+        return str(exc)
+    return out
+
+
+@st.composite
+def gate_closure_selections(draw):
+    """A fixed-window selection over the strategies, now and then with one fault.
+
+    The fault is a strategy left out or an ``m`` of 3, beyond the plan's windows;
+    either fails where that strategy is priced.
+    """
+    values = {"m": st.sampled_from([1, 2]), "rho": st.sampled_from([0.0, 0.5, 1.0, 0.15]),
+              "epsilon": st.sampled_from([0.0, 0.05, 0.2, 2.0]),
+              "theta": st.sampled_from([0.0, 0.5, 0.9])}
+    static = {strategy: {name: draw(values[name]) for name in backtest._PARAMS[strategy]}
+              for strategy in STRATEGIES}
+    fault = draw(st.sampled_from([None, None, None, "missing", "m"]))
+    if fault == "missing":
+        del static[draw(st.sampled_from(STRATEGIES))]
+    elif fault == "m":
+        static[draw(st.sampled_from([s for s in STRATEGIES if "m" in static[s]]))]["m"] = 3
+    return ChosenParameters(mode=CvMode.FIXED_WINDOW, static=static)
+
+
+@settings(max_examples=300)
+@given(gappy_markets(), gate_closure_selections(), st.permutations(STRATEGIES),
+       st.sampled_from([None, 0.5]), corruptions, st.data())
+def test_one_gate_closure_pass_equals_each_strategy_priced_alone(records, chosen, roster,
+                                                                 fallback, corruption, data):
+    plan = BacktestPlan(warm_start_days=5, tau_window_days=3, cv_days=2, m_grid=(1, 2),
+                        strategies=tuple(roster), fallback_tau=fallback)
+    first = records[0].timestamp.toordinal()
+    days = sorted({r.timestamp.toordinal() - first + 1 for r in records})
+    # mostly a day with records, sometimes any day up to one past the market
+    day = data.draw(st.one_of(st.sampled_from(days), st.integers(1, days[-1] + 1)))
+
+    def one_pass():
+        try:
+            offers = offers_for_day(records, plan, chosen, day)
+        except ValueError as exc:
+            return str(exc)
+        return {strategy: (list(by_hour), np.array(list(by_hour.values())).tobytes())
+                for strategy, by_hour in offers.items()}
+
+    if corruption is None:
+        assert one_pass() == strategy_alone(records, plan, chosen, day, None)
+    else:
+        with corrupting(*corruption):
+            assert one_pass() == strategy_alone(records, plan, chosen, day, corruption)
 
 
 @settings(max_examples=200)
