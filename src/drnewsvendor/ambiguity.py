@@ -28,7 +28,6 @@ from dataclasses import dataclass
 from enum import Enum
 
 import numpy as np
-from scipy import special
 
 from .distributions import (
     PiecewiseLinear,
@@ -114,6 +113,8 @@ def _operator_integral(op, a: np.ndarray, rho: float) -> np.ndarray:
     Both arguments are formed from powers, which stay accurate where the
     operators are within rounding of 0 or 1.
     """
+    from scipy import special
+
     beta = 1.0 - rho
     c = np.exp(2.0 * special.gammaln(beta + 1.0) - special.gammaln(2.0 * beta + 1.0))
     with np.errstate(divide="ignore"):

@@ -125,6 +125,27 @@ def _follow_problem(prev: datetime, cur: datetime) -> str | None:
     return None
 
 
+def _follows_in_order(stamps: list[datetime], key: np.ndarray) -> bool:
+    """True when every stamp follows the one before it by ``_follow_problem``'s rule.
+
+    Array checks for the common case; False sends the caller to the rule
+    pair by pair, which names the first offending stamp. Strictly
+    increasing local (day, hour) keys make wall times strictly increase.
+    That settles ``cur <= prev`` when every stamp is naive or all share one
+    UTC offset; otherwise aware stamps must strictly increase as instants.
+    """
+    if not np.all(np.diff(key) > 0):
+        return False
+    offsets = set(map(datetime.utcoffset, stamps))
+    if len(offsets) == 1:
+        return True
+    if None in offsets:
+        return False
+    # an aware stamp's timestamp() rounds its exact instant, so it never reverses two instants
+    return bool(np.all(np.diff(np.fromiter(map(datetime.timestamp, stamps), float,
+                                           len(stamps))) > 0))
+
+
 class CvMode(Enum):
     FIXED_WINDOW = "fixed_window"
     SLIDING = "sliding"
@@ -362,12 +383,13 @@ class _MarketFrame:
         if not records:
             raise ValueError("no market records")
         stamps = list(map(attrgetter("timestamp"), records))
-        for cur, problem in zip(stamps[1:], map(_follow_problem, stamps, stamps[1:])):
-            if problem:
-                raise ValueError(f"{cur.isoformat()} {problem}")
         ordinal = np.fromiter(map(datetime.toordinal, stamps), np.int64, len(stamps))
         hour = np.fromiter(map(attrgetter("hour"), stamps), np.int64, len(stamps))
         key = (ordinal - ordinal[0] + 1) * 24 + hour
+        if not _follows_in_order(stamps, key):
+            for cur, problem in zip(stamps[1:], map(_follow_problem, stamps, stamps[1:])):
+                if problem:
+                    raise ValueError(f"{cur.isoformat()} {problem}")
 
         def column(name: str) -> np.ndarray:
             return np.fromiter(map(attrgetter(name), records), float, len(records))

@@ -19,7 +19,6 @@ from pathlib import Path
 from typing import Sequence
 
 import numpy as np
-from scipy import special
 
 __all__ = [
     "UnitDistribution",
@@ -246,7 +245,11 @@ class PiecewiseLinear(UnitDistribution):
 
 
 class Beta(UnitDistribution):
-    """Beta(a, b) distribution via the regularized incomplete beta function."""
+    """Beta(a, b) distribution via the regularized incomplete beta function.
+
+    Its methods import ``scipy.special`` when called, so a command that
+    never prices a Beta (``crossval``, ``backtest``) does not load it.
+    """
 
     def __init__(self, a: float, b: float):
         self.a = float(a)
@@ -257,10 +260,14 @@ class Beta(UnitDistribution):
                              f"got a={self.a}, b={self.b}")
 
     def cdf(self, x):
+        from scipy import special
+
         arr = np.clip(np.asarray(x, dtype=float), 0.0, 1.0)
         return _match_input(x, special.betainc(self.a, self.b, arr))
 
     def quantile(self, p):
+        from scipy import special
+
         arr = _validate_prob(p, "p")
         out = special.betaincinv(self.a, self.b, arr)
         # betaincinv underflows to nan for subnormal tail probabilities,
@@ -279,6 +286,8 @@ class Beta(UnitDistribution):
 
     def partial_expectations(self, y):
         # E[(y-w)+] = y*I_y(a,b) - mu*I_y(a+1,b); exact, no quadrature needed
+        from scipy import special
+
         arr = _validate_prob(y, "y")
         mu = self.mean()
         under = arr * special.betainc(self.a, self.b, arr) \

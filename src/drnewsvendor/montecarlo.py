@@ -13,6 +13,27 @@ scoring; this is numerically identical to scoring each replicate, and
 the integer reduction makes results independent of the block order.
 Everything runs serially in the calling thread.
 
+Each block's counts are those of ``generator.binomial`` on the block's
+stream, bit for bit, but are mostly found without it. With p = tau, or
+p = 1 - tau and X read as m - X when tau > 1/2, numpy inverts wherever
+p * m <= 30: one uniform U per variate, and X(U) counts how many pmf
+terms the walk ``while U > px: U -= px`` passes. Comparisons with fixed
+terms and rounded subtractions are monotone in U, so X(U) is
+non-decreasing, and X(U) >= k exactly when U is at least a threshold t_k,
+the least double whose walk passes k terms. A block is then one
+``generator.random`` call (the same doubles numpy's walk reads), a sort,
+one ``searchsorted`` against t_1, t_2, ... and one ``diff``. The terms and
+thresholds repeat numpy's arithmetic operation for operation. numpy 2
+computes the first term as ``exp(m * log1p(-p))`` and earlier releases
+as ``exp(m * log(1 - p))``, so the draws are split by both walks, and
+only a block both split alike is counted this way. The other cases call
+``generator.binomial`` itself: outside that regime (numpy's BTPE sampler,
+e.g. tau = 1/2 with m > 60) and at p = 0; and, replayed from a fresh
+generator at the block's address, a block the two walks split apart or
+whose largest draw walks past numpy's bound, where numpy would have
+drawn again. Either way the stream, and so every count and artifact, is
+what the binomial call gives.
+
 The robust arm's table prices the true quantile function Q only at the
 ball bounds that :func:`dr_s_rule` can select. With p = F(mean): a level
 u > p has Q(u) > mean, so the upper-bound branch cannot fire there, and a
@@ -25,6 +46,7 @@ artifact is bit-identical to pricing both bounds of every cell.
 
 from __future__ import annotations
 
+import math
 import time
 from dataclasses import dataclass, replace
 from typing import Mapping, Sequence
@@ -137,12 +159,99 @@ def _draw_count_blocks(config: SimConfig, m: int, stream_base: int) -> np.ndarra
     integer rows make any later reduction order-independent.
     """
     n = config.n_replicates
-    rows = []
-    for b, start in enumerate(range(0, n, BLOCK_SIZE)):
-        draws = RngStream(config.master_seed, stream_base + b).generator.binomial(
-            m, config.true_tau, size=min(BLOCK_SIZE, n - start))
-        rows.append(np.bincount(draws, minlength=m + 1).astype(np.int64))
-    return np.vstack(rows)
+    return np.vstack([
+        _binomial_counts(RngStream(config.master_seed, stream_base + b), m, config.true_tau,
+                         min(BLOCK_SIZE, n - start))
+        for b, start in enumerate(range(0, n, BLOCK_SIZE))
+    ])
+
+
+def _binomial_counts(stream: RngStream, m: int, tau: float, size: int) -> np.ndarray:
+    """``np.bincount(stream.generator.binomial(m, tau, size), minlength=m + 1)``, bit for bit.
+
+    Where numpy inverts (see the module docstring), each variate is a
+    non-decreasing function of one uniform draw, so the counts follow from
+    the sorted draws and the thresholds where the variate steps up. numpy 2
+    computes the first pmf term as ``exp(m * log1p(-p))``, earlier releases
+    as ``exp(m * log(1 - p))``; a block is counted here only where both
+    walks split its draws alike. Any other block, and one whose largest
+    draw would make numpy draw again, is drawn as numpy draws it, from a
+    fresh generator at the stream's address.
+    """
+    p = tau if tau <= 0.5 else 1.0 - tau
+    if p == 0.0 or p * m > 30.0:
+        return _reference_counts(stream, m, tau, size)
+    u = stream.generator.random(size)
+    u.sort()
+    edges, other = (_walk_edges(u, _inversion_terms(m, p, log_q))
+                    for log_q in (math.log1p(-p), math.log(1.0 - p)))
+    if edges is None or edges != other:
+        return _reference_counts(replace(stream), m, tau, size)
+    counts = np.zeros(m + 1, dtype=np.int64)
+    counts[:len(edges) + 1] = np.diff(edges, prepend=0, append=size)
+    return counts[::-1] if tau > 0.5 else counts
+
+
+def _reference_counts(stream: RngStream, m: int, tau: float, size: int) -> np.ndarray:
+    return np.bincount(stream.generator.binomial(m, tau, size=size), minlength=m + 1).astype(np.int64)
+
+
+def _walk_edges(u: np.ndarray, terms: list[float]) -> list[int] | None:
+    """How many of the sorted draws ``u`` lie below t_1, t_2, ... up to the top draw's variate.
+
+    None where the top draw walks past every term, so numpy would draw again.
+    """
+    top = _inversion_walk(float(u[-1]), terms)
+    if top == len(terms):
+        return None
+    return np.searchsorted(u, _count_thresholds(terms[:top])).tolist()
+
+
+def _inversion_terms(m: int, p: float, log_q: float) -> list[float]:
+    """The pmf terms numpy's inversion walk subtracts, X = 0 .. its bound.
+
+    Written as numpy's ``random_binomial_inversion`` computes them, one
+    IEEE operation for another, from the first term ``exp(m * log_q)``.
+    """
+    q = 1.0 - p
+    bound = int(min(m, m * p + 10.0 * math.sqrt(m * p * q + 1)))
+    terms = [math.exp(m * log_q)]
+    for x in range(1, bound + 1):
+        terms.append(((m - x + 1) * p * terms[-1]) / (x * q))
+    return terms
+
+
+def _inversion_walk(u: float, terms: list[float]) -> int:
+    """numpy's variate for the draw ``u``; ``len(terms)`` where numpy draws again."""
+    for x, term in enumerate(terms):
+        if not u > term:
+            return x
+        u -= term
+    return len(terms)
+
+
+def _count_thresholds(terms: list[float]) -> list[float]:
+    """For k = 1 .. len(terms), the least double ``u`` whose walk passes ``terms[:k]``.
+
+    Each is found backwards from the last step: the least remainder above
+    ``terms[k - 1]``, then for each earlier term ``c`` the least ``r`` whose
+    rounded ``r - c`` reaches the remainder found so far. That difference
+    is non-decreasing in ``r``, so a walk of a few ulps from ``s + c``
+    finds it.
+    """
+    nextafter, inf = math.nextafter, math.inf
+    thresholds = []
+    for k in range(1, len(terms) + 1):
+        s = nextafter(terms[k - 1], inf)
+        for c in reversed(terms[:k - 1]):
+            r = s + c
+            while r - c < s:
+                r = nextafter(r, inf)
+            while (below := nextafter(r, -inf)) - c >= s:
+                r = below
+            s = r
+        thresholds.append(s)
+    return thresholds
 
 
 def _losses_for_offers(dist: UnitDistribution, tau_true: float, offers: np.ndarray) -> np.ndarray:

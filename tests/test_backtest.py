@@ -9,6 +9,7 @@ from dataclasses import replace
 from datetime import datetime, timedelta, timezone
 from itertools import cycle, islice
 from unittest import mock
+from zoneinfo import ZoneInfo
 
 import numpy as np
 import pytest
@@ -613,6 +614,39 @@ def test_a_record_must_advance_the_local_hour(data):
             return
     offers_for_day(records, plan, chosen, 1)
     assert backtest._frame_for(records).timestamps == tuple(stamps)
+
+
+_BERLIN = ZoneInfo("Europe/Berlin")
+_ZONE_SETS = {
+    "naive": [None],
+    "one zone": [_BERLIN],
+    "one offset": [timezone(timedelta(hours=-5))],
+    "offset jumps": [timezone.utc, timezone(timedelta(hours=1)), timezone(timedelta(hours=2))],
+    "mixed": [None, timezone.utc, timezone(timedelta(hours=2)), _BERLIN],
+}
+
+
+@settings(max_examples=300)
+@given(st.data())
+def test_frame_order_check_matches_the_pairwise_rule(data):
+    # wall times across a daylight-saving change, where a Berlin stamp with
+    # fold=1 repeats (autumn) or skips (spring) an hour
+    start = data.draw(st.sampled_from([datetime(2021, 10, 31, 0), datetime(2021, 3, 28, 0)]))
+    steps = data.draw(st.lists(st.sampled_from([60, 60, 60, 0, -60, 30, 90, 1440]), max_size=8))
+    zones = _ZONE_SETS[data.draw(st.sampled_from(sorted(_ZONE_SETS)))]
+    stamps = [(start + timedelta(minutes=sum(steps[:i]))).replace(
+                  tzinfo=data.draw(st.sampled_from(zones)), fold=data.draw(st.integers(0, 1)))
+              for i in range(len(steps) + 1)]
+    forecast = PiecewiseLinear([0.5], [0.3])
+    records = [MarketRecord(ts, 50.0, 40.0, 1.0, 0.5, forecast) for ts in stamps]
+    problems = [f"{cur.isoformat()} {problem}" for cur, problem
+                in zip(stamps[1:], map(backtest._follow_problem, stamps, stamps[1:])) if problem]
+    if problems:
+        with pytest.raises(ValueError) as exc:
+            backtest._MarketFrame(records)
+        assert str(exc.value) == problems[0]
+    else:
+        assert backtest._MarketFrame(records).timestamps == tuple(stamps)
 
 
 @pytest.mark.parametrize("stamps, words", [

@@ -637,3 +637,26 @@ def test_commands_never_import_scipy_integrate(tmp_path):
     proc = subprocess.run([sys.executable, "-c", _NO_INTEGRATOR], cwd=tmp_path, env=_src_env(),
                           capture_output=True, text=True, timeout=300)
     assert proc.returncode == 0, proc.stderr
+
+
+_NO_SPECIAL = """
+import sys
+from drnewsvendor.cli import dispatch
+
+flags = ["--market", "m.csv", "--forecasts", "fc", "--warm-start-days", "30",
+         "--tau-window-days", "20", "--cv-days", "10", "--m-grid", "8", "--rho-grid", "0,0.3",
+         "--eps-grid", "0,0.1"]
+assert dispatch(["crossval", *flags, "--out", "chosen.json"]) == 0
+assert dispatch(["backtest", *flags, "--params", "chosen.json", "--out", "bt.json"]) == 0
+assert "scipy.special" not in sys.modules, "scipy.special was imported"
+"""
+
+
+def test_crossval_and_backtest_never_import_scipy_special(tmp_path):
+    # the files are written here, so that only the two commands run in the
+    # fresh interpreter (synth draws from a Beta)
+    assert dispatch(["synth", "--days", "34", "--seed", "9", "--market-out", str(tmp_path / "m.csv"),
+                     "--forecasts-out", str(tmp_path / "fc"), "--out", str(tmp_path / "synth.json")]) == 0
+    proc = subprocess.run([sys.executable, "-c", _NO_SPECIAL], cwd=tmp_path, env=_src_env(),
+                          capture_output=True, text=True, timeout=300)
+    assert proc.returncode == 0, proc.stderr

@@ -1,8 +1,11 @@
 """Estimation-noise sweeps: endpoint identities, determinism, loss curves."""
 
+import math
+from dataclasses import dataclass
+
 import numpy as np
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy import stats
 
@@ -18,7 +21,18 @@ from drnewsvendor import (
     run_m_sweep,
 )
 from drnewsvendor.ambiguity import ball_bounds
-from drnewsvendor.montecarlo import _dr_loss_table, _losses_for_offers, sweep_csv_rows, sweep_summary
+from drnewsvendor.distributions import RngStream
+from drnewsvendor.montecarlo import (
+    BLOCK_SIZE,
+    _binomial_counts,
+    _count_thresholds,
+    _dr_loss_table,
+    _inversion_terms,
+    _inversion_walk,
+    _losses_for_offers,
+    sweep_csv_rows,
+    sweep_summary,
+)
 from drnewsvendor.solvers import dr_s_rule
 
 
@@ -100,6 +114,118 @@ def test_counts_total_and_sampled_distribution():
     pmf = stats.binom.pmf(np.arange(11), 10, 0.75)
     freq = res.tau_hat_counts / res.n_replicates
     assert np.max(np.abs(freq - pmf)) < 0.01
+
+
+def _reference_counts(stream: RngStream, m: int, tau: float, size: int) -> np.ndarray:
+    return np.bincount(stream.generator.binomial(m, tau, size=size), minlength=m + 1)
+
+
+@st.composite
+def _count_cases(draw):
+    m = draw(st.integers(1, 150))
+    # p * m = 30 is where numpy switches from inversion to BTPE
+    edge = min(1.0, 30.0 / m)
+    near_edge = st.tuples(st.sampled_from([edge, 1.0 - edge]), st.floats(-1e-3, 1e-3)).map(
+        lambda at: min(max(at[0] + at[1], 0.0), 1.0))
+    tau = draw(st.one_of(st.sampled_from([0.0, 1.0, 0.5]), near_edge, st.floats(0.0, 1.0)))
+    return m, tau, draw(st.integers(1, BLOCK_SIZE)), draw(st.integers(0, 2**32))
+
+
+@settings(max_examples=150)
+@given(_count_cases())
+def test_binomial_counts_equal_numpys_on_the_same_stream(case):
+    m, tau, size, seed = case
+    counts = _binomial_counts(RngStream(seed, 5), m, tau, size)
+    assert counts.dtype == np.int64
+    assert np.array_equal(counts, _reference_counts(RngStream(seed, 5), m, tau, size))
+
+
+_PCG64_MULTIPLIER = 0x2360ED051FC65DA44385DF649FCCF645
+
+
+@dataclass
+class _FirstDrawStream(RngStream):
+    """An ``RngStream`` whose first double is ``first``, a multiple of 2**-53.
+
+    The PCG64 state is set so that its next output is that double's word:
+    the generator steps its 128-bit LCG, then outputs the high half XOR the
+    low half rotated right by the top six bits. Equal fields give equal
+    streams, as for any ``RngStream``.
+    """
+
+    first: float = 0.0
+
+    def __post_init__(self):
+        super().__post_init__()
+        bits = self.generator.bit_generator
+        state = bits.state
+        high = state["state"]["state"] >> 64
+        word, turn = int(self.first * 2.0**53) << 11, high >> 58
+        low = high ^ (((word << turn) | (word >> (64 - turn))) & (2**64 - 1))
+        state["state"]["state"] = (((high << 64 | low) - state["state"]["inc"])
+                                   * pow(_PCG64_MULTIPLIER, -1, 2**128)) % 2**128
+        bits.state = state
+        probe = np.random.Generator(np.random.PCG64())
+        probe.bit_generator.state = state
+        assert probe.random() == self.first
+
+
+_INVERTED = [(1, 0.3), (4, 0.3), (4, 0.7), (15, 0.75), (15, 0.3), (40, 0.5), (60, 0.5),
+             (75, 0.75), (75, 0.25), (120, 0.2), (150, 0.19), (150, 0.81), (30, 1e-9)]
+
+
+def _walks(m: int, tau: float) -> list[list[float]]:
+    """The pmf terms of numpy 2's inversion walk, then those of earlier releases."""
+    p = tau if tau <= 0.5 else 1.0 - tau
+    return [_inversion_terms(m, p, log_q) for log_q in (math.log1p(-p), math.log(1.0 - p))]
+
+
+@pytest.mark.parametrize("m, tau", _INVERTED)
+def test_counts_split_the_draws_where_numpy_does(m, tau):
+    # a first draw on either side of each threshold of either walk, on the
+    # 2**-53 grid of numpy's doubles
+    draws = set()
+    for terms in _walks(m, tau):
+        for t in _count_thresholds(terms):
+            at = math.ceil(t * 2.0**53)
+            draws.update(i * 2.0**-53 for i in (at - 1, at) if 0 <= i < 2**53)
+    draws = sorted(draws)
+    for first in draws:
+        assert np.array_equal(_binomial_counts(_FirstDrawStream(7, 3, first), m, tau, 5),
+                              _reference_counts(_FirstDrawStream(7, 3, first), m, tau, 5))
+    # and one of the two walks is numpy's own, at each of those draws it keeps
+    kept = [d for d in draws if all(_inversion_walk(d, terms) < len(terms) for terms in _walks(m, tau))]
+    variates = [_FirstDrawStream(7, 3, first).generator.binomial(m, tau) for first in kept]
+    walked = [[x if tau <= 0.5 else m - x for x in (_inversion_walk(d, terms) for d in kept)]
+              for terms in _walks(m, tau)]
+    assert variates in walked
+
+
+@pytest.mark.parametrize("m, tau", [(3, 0.35), (10, 0.45), (4, 0.7), (9, 0.55)])
+def test_a_draw_numpy_would_redraw_replays_the_block(m, tau):
+    # the first draw walks past the bound in both walks
+    walks = _walks(m, tau)
+    first = max(math.ceil(_count_thresholds(terms)[-1] * 2.0**53) for terms in walks) * 2.0**-53
+    assert first < 1.0 and all(_inversion_walk(first, terms) == len(terms) for terms in walks)
+    stream = _FirstDrawStream(7, 3, first)
+    # numpy skips the draw: the first variate comes from the second double
+    second = np.random.Generator(np.random.PCG64())
+    second.bit_generator.state = stream.generator.bit_generator.state
+    second.random()
+    u = second.random()
+    x = [_inversion_walk(u, terms) for terms in walks]
+    assert x[0] == x[1] and stream.generator.binomial(m, tau) == (x[0] if tau <= 0.5 else m - x[0])
+    for size in (1, 7, BLOCK_SIZE):
+        assert np.array_equal(_binomial_counts(_FirstDrawStream(7, 3, first), m, tau, size),
+                              _reference_counts(_FirstDrawStream(7, 3, first), m, tau, size))
+
+
+@pytest.mark.parametrize("m, tau", [(61, 0.5), (100, 0.5), (150, 0.75), (121, 0.25), (10_000, 0.75)])
+def test_btpe_counts_pass_through(m, tau):
+    # p * m > 30: numpy samples by BTPE, and the counts are its own
+    assert min(tau, 1.0 - tau) * m > 30.0
+    assert np.array_equal(_binomial_counts(RngStream(11, 2), m, tau, BLOCK_SIZE),
+                          _reference_counts(RngStream(11, 2), m, tau, BLOCK_SIZE))
 
 
 def test_dr_table_matches_scalar_solver():
