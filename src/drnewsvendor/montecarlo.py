@@ -23,7 +23,10 @@ non-decreasing, and X(U) >= k exactly when U is at least a threshold t_k,
 the least double whose walk passes k terms. A block is then one
 ``generator.random`` call (the same doubles numpy's walk reads), a sort,
 one ``searchsorted`` against t_1, t_2, ... and one ``diff``. The terms and
-thresholds repeat numpy's arithmetic operation for operation. numpy 2
+thresholds repeat numpy's arithmetic operation for operation. The blocks
+of one ``m`` share them: t_k depends on the first k terms alone, so each
+is found once per m and walk, when a block's largest draw first needs
+it. numpy 2
 computes the first term as ``exp(m * log1p(-p))`` and earlier releases
 as ``exp(m * log(1 - p))``, so the draws are split by both walks, and
 only a block both split alike is counted this way. The other cases call
@@ -42,6 +45,13 @@ This holds for any distribution on [0, 1], atoms included; a guard of
 1e-9 in level units absorbs the rounding of F and Q. Each priced value is
 the elementwise quantile it always was, so every offer, curve and
 artifact is bit-identical to pricing both bounds of every cell.
+
+The robust arm's tables are also scored only over the estimates k/m that
+some replicate drew; every other column holds 0.0. Results read a table
+only through count-weighted sums, the curves and the per-block gammas,
+and a column with a zero total count is zero in every block too. There
+its term is ``0 * loss = +0.0`` whichever loss the column holds, so every
+sum, curve, gamma and artifact is bit-identical to scoring every column.
 """
 
 from __future__ import annotations
@@ -156,35 +166,39 @@ def _draw_count_blocks(config: SimConfig, m: int, stream_base: int) -> np.ndarra
     """Binomial successes per replicate, bucketed by count, one row per block.
 
     Block ``b`` draws from the stream (master_seed, stream_base + b); the
-    integer rows make any later reduction order-independent.
+    integer rows make any later reduction order-independent. Every block
+    shares one pair of inversion walks, so each pmf term and threshold is
+    computed once per call.
     """
-    n = config.n_replicates
+    n, tau = config.n_replicates, config.true_tau
+    walks = _inversion_walks(m, tau)
     return np.vstack([
-        _binomial_counts(RngStream(config.master_seed, stream_base + b), m, config.true_tau,
-                         min(BLOCK_SIZE, n - start))
+        _binomial_counts(RngStream(config.master_seed, stream_base + b), m, tau,
+                         min(BLOCK_SIZE, n - start), walks)
         for b, start in enumerate(range(0, n, BLOCK_SIZE))
     ])
 
 
-def _binomial_counts(stream: RngStream, m: int, tau: float, size: int) -> np.ndarray:
+def _binomial_counts(stream: RngStream, m: int, tau: float, size: int,
+                     walks: tuple[_InversionWalk, ...] | None = None) -> np.ndarray:
     """``np.bincount(stream.generator.binomial(m, tau, size), minlength=m + 1)``, bit for bit.
 
     Where numpy inverts (see the module docstring), each variate is a
     non-decreasing function of one uniform draw, so the counts follow from
-    the sorted draws and the thresholds where the variate steps up. numpy 2
-    computes the first pmf term as ``exp(m * log1p(-p))``, earlier releases
-    as ``exp(m * log(1 - p))``; a block is counted here only where both
-    walks split its draws alike. Any other block, and one whose largest
-    draw would make numpy draw again, is drawn as numpy draws it, from a
-    fresh generator at the stream's address.
+    the sorted draws and the thresholds where the variate steps up. A block
+    is counted here only where both of :func:`_inversion_walks` split its
+    draws alike. Any other block, and one whose largest draw would make
+    numpy draw again, is drawn as numpy draws it, from a fresh generator at
+    the stream's address. ``walks`` are those of ``(m, tau)``, built here
+    when not given.
     """
-    p = tau if tau <= 0.5 else 1.0 - tau
-    if p == 0.0 or p * m > 30.0:
+    if walks is None:
+        walks = _inversion_walks(m, tau)
+    if not walks:
         return _reference_counts(stream, m, tau, size)
     u = stream.generator.random(size)
     u.sort()
-    edges, other = (_walk_edges(u, _inversion_terms(m, p, log_q))
-                    for log_q in (math.log1p(-p), math.log(1.0 - p)))
+    edges, other = (walk.edges(u) for walk in walks)
     if edges is None or edges != other:
         return _reference_counts(replace(stream), m, tau, size)
     counts = np.zeros(m + 1, dtype=np.int64)
@@ -196,15 +210,42 @@ def _reference_counts(stream: RngStream, m: int, tau: float, size: int) -> np.nd
     return np.bincount(stream.generator.binomial(m, tau, size=size), minlength=m + 1).astype(np.int64)
 
 
-def _walk_edges(u: np.ndarray, terms: list[float]) -> list[int] | None:
-    """How many of the sorted draws ``u`` lie below t_1, t_2, ... up to the top draw's variate.
+def _inversion_walks(m: int, tau: float) -> tuple[_InversionWalk, ...]:
+    """numpy 2's inversion walk for ``(m, tau)`` and that of earlier releases.
 
-    None where the top draw walks past every term, so numpy would draw again.
+    numpy 2 computes the first pmf term as ``exp(m * log1p(-p))``, earlier
+    releases as ``exp(m * log(1 - p))``. Empty where numpy does not invert.
     """
-    top = _inversion_walk(float(u[-1]), terms)
-    if top == len(terms):
-        return None
-    return np.searchsorted(u, _count_thresholds(terms[:top])).tolist()
+    p = tau if tau <= 0.5 else 1.0 - tau
+    if p == 0.0 or p * m > 30.0:
+        return ()
+    return tuple(_InversionWalk(_inversion_terms(m, p, log_q))
+                 for log_q in (math.log1p(-p), math.log(1.0 - p)))
+
+
+class _InversionWalk:
+    """One walk's pmf terms and the count thresholds t_1, t_2, ... found so far.
+
+    t_k depends on ``terms[:k]`` alone, so the list only grows, when a
+    block's largest draw needs a k not reached before, and each t_k is
+    computed once per walk.
+    """
+
+    def __init__(self, terms: list[float]):
+        self.terms = terms
+        self.thresholds: list[float] = []
+
+    def edges(self, u: np.ndarray) -> list[int] | None:
+        """How many of the sorted draws ``u`` lie below t_1, t_2, ... up to the top draw's variate.
+
+        None where the top draw walks past every term, so numpy would draw again.
+        """
+        top = _inversion_walk(float(u[-1]), self.terms)
+        if top == len(self.terms):
+            return None
+        if top > len(self.thresholds):
+            self.thresholds += _count_thresholds(self.terms[:top], len(self.thresholds))
+        return np.searchsorted(u, self.thresholds[:top]).tolist()
 
 
 def _inversion_terms(m: int, p: float, log_q: float) -> list[float]:
@@ -230,8 +271,8 @@ def _inversion_walk(u: float, terms: list[float]) -> int:
     return len(terms)
 
 
-def _count_thresholds(terms: list[float]) -> list[float]:
-    """For k = 1 .. len(terms), the least double ``u`` whose walk passes ``terms[:k]``.
+def _count_thresholds(terms: list[float], start: int = 0) -> list[float]:
+    """For k = start + 1 .. len(terms), the least double ``u`` whose walk passes ``terms[:k]``.
 
     Each is found backwards from the last step: the least remainder above
     ``terms[k - 1]``, then for each earlier term ``c`` the least ``r`` whose
@@ -241,7 +282,7 @@ def _count_thresholds(terms: list[float]) -> list[float]:
     """
     nextafter, inf = math.nextafter, math.inf
     thresholds = []
-    for k in range(1, len(terms) + 1):
+    for k in range(start + 1, len(terms) + 1):
         s = nextafter(terms[k - 1], inf)
         for c in reversed(terms[:k - 1]):
             r = s + c
@@ -261,15 +302,20 @@ def _losses_for_offers(dist: UnitDistribution, tau_true: float, offers: np.ndarr
     return vals[inverse].reshape(np.shape(offers))
 
 
-def _dr_loss_table(config: SimConfig, m: int, kind: str) -> np.ndarray:
+def _dr_loss_table(config: SimConfig, m: int, kind: str,
+                   columns: np.ndarray | None = None) -> np.ndarray:
     """Expected loss per (epsilon, tau_hat value) for one ball kind.
 
-    Only the quantiles :func:`dr_s_rule` can pick are priced (see the
-    module docstring); the others enter the rule as ``+inf`` (upper bound)
-    and ``-inf`` (lower bound), which it never selects.
+    Only the tau_hat columns ``columns`` (every column by default) are
+    scored; the others hold 0.0 (see the module docstring). Only the
+    quantiles :func:`dr_s_rule` can pick are priced; the others enter the
+    rule as ``+inf`` (upper bound) and ``-inf`` (lower bound), which it
+    never selects.
     """
     grid = np.asarray(config.epsilon_grid, dtype=float)
-    tau_hats = np.arange(m + 1, dtype=float) / m
+    if columns is None:
+        columns = np.arange(m + 1)
+    tau_hats = np.arange(m + 1, dtype=float)[columns] / m
     theta = config.theta if kind == "level_adjusted" else 0.0
     lo, hi = ball_bounds(tau_hats[None, :], grid[:, None], theta)
     dist = config.true_dist
@@ -282,7 +328,9 @@ def _dr_loss_table(config: SimConfig, m: int, kind: str) -> np.ndarray:
     n_hi = np.count_nonzero(at_hi)
     q_hi[at_hi], q_lo[at_lo] = priced[:n_hi], priced[n_hi:]
     offers, _ = dr_s_rule(q_lo, q_hi, mean)
-    return _losses_for_offers(dist, config.true_tau, offers)
+    table = np.zeros((grid.size, m + 1))
+    table[:, columns] = _losses_for_offers(dist, config.true_tau, offers)
+    return table
 
 
 def _block_gammas(counts_blocks: np.ndarray, bn_table: np.ndarray,
@@ -313,12 +361,15 @@ def run_epsilon_sweep(config: SimConfig, *, _stream_base: int = 0) -> SimResult:
     grid = np.asarray(config.epsilon_grid, dtype=float)
     counts_blocks = _draw_count_blocks(config, m, _stream_base)
     counts = counts_blocks.sum(axis=0)
+    seen = np.flatnonzero(counts)
+    # the float64 array np.dot would cast the int64 counts to on each call
+    weights = counts.astype(float)
     n = float(config.n_replicates)
 
     def average(row: np.ndarray) -> float:
         # one shared reduction for every arm, so equal per-estimate losses
         # yield bit-equal curve values (the epsilon-endpoint identities)
-        return float(np.dot(np.ascontiguousarray(row), counts) / n)
+        return float(np.dot(row, weights) / n)
 
     tau_hats = np.arange(m + 1, dtype=float) / m
     dist = config.true_dist
@@ -338,7 +389,7 @@ def run_epsilon_sweep(config: SimConfig, *, _stream_base: int = 0) -> SimResult:
     diff_blocks: dict[str, np.ndarray] = {}
     for kind in config.ball_kinds:
         arm = _ARM_UNIFORM if kind == "uniform" else _ARM_LEVEL_ADJUSTED
-        table = _dr_loss_table(config, m, kind)
+        table = _dr_loss_table(config, m, kind, seen)
         curve = np.array([average(row) for row in table])
         curves[arm] = curve
         idx = int(np.argmin(curve))

@@ -192,6 +192,23 @@ def test_msweep_json(tmp_path):
     assert len(payload["gamma_la_se"]) == 2
 
 
+def test_msweep_gammas_do_not_depend_on_the_other_m_values(tmp_path):
+    # each m draws from its own stream family, so one m per command (the
+    # benchmark's msweep workload) reads the same gammas as one range command
+    sim = ["--dist", "beta:2,6", "--tau", "0.75", "--n", "40000", "--eps-grid", "0:0.05:1"]
+    keys = ("gamma_u", "gamma_la", "gamma_u_se", "gamma_la_se")
+    assert dispatch(["msweep", *sim, "--m-min", "1", "--m-max", "8",
+                     "--out", str(tmp_path / "all.json")]) == 0
+    together = json.loads((tmp_path / "all.json").read_text())
+    assert together["m_values"] == list(range(1, 9))
+    for i, m in enumerate(together["m_values"]):
+        out = tmp_path / f"m{m}.json"
+        assert dispatch(["msweep", *sim, "--m-min", str(m), "--m-max", str(m), "--out", str(out)]) == 0
+        alone = json.loads(out.read_text())
+        assert alone["m_values"] == [m]
+        assert [alone[key][0] for key in keys] == [together[key][i] for key in keys], m
+
+
 @pytest.mark.parametrize("flags, message", [
     (["--m-min", "10", "--m-max", "5"], "--m-min 10 to --m-max 5 is an empty range"),
     (["--m-step", "0"], "--m-step must be at least 1, got 0"),

@@ -1,6 +1,7 @@
 """Estimation-noise sweeps: endpoint identities, determinism, loss curves."""
 
 import math
+from collections import Counter
 from dataclasses import dataclass
 
 import numpy as np
@@ -20,6 +21,7 @@ from drnewsvendor import (
     run_epsilon_sweep,
     run_m_sweep,
 )
+from drnewsvendor import montecarlo
 from drnewsvendor.ambiguity import ball_bounds
 from drnewsvendor.distributions import RngStream
 from drnewsvendor.montecarlo import (
@@ -27,6 +29,7 @@ from drnewsvendor.montecarlo import (
     _binomial_counts,
     _count_thresholds,
     _dr_loss_table,
+    _draw_count_blocks,
     _inversion_terms,
     _inversion_walk,
     _losses_for_offers,
@@ -220,6 +223,30 @@ def test_a_draw_numpy_would_redraw_replays_the_block(m, tau):
                               _reference_counts(_FirstDrawStream(7, 3, first), m, tau, size))
 
 
+@pytest.mark.parametrize("m, tau", [(1, 0.3), (4, 0.7), (15, 0.75), (40, 0.3), (75, 0.25),
+                                    (120, 0.2), (100, 0.5), (30, 1.0)])
+def test_count_blocks_compute_each_threshold_once_per_walk(monkeypatch, m, tau):
+    computed = Counter()
+
+    def counted(terms, start=0):
+        computed.update((terms[0], k) for k in range(start + 1, len(terms) + 1))
+        return _count_thresholds(terms, start)
+
+    monkeypatch.setattr(montecarlo, "_count_thresholds", counted)
+    cfg = small_config(m=m, true_tau=tau, n_replicates=4 * BLOCK_SIZE + 17, master_seed=5)
+    base = m << 24
+    blocks = _draw_count_blocks(cfg, m, base)
+    assert blocks.shape == (5, m + 1)
+    for b, row in enumerate(blocks):
+        size = min(BLOCK_SIZE, cfg.n_replicates - b * BLOCK_SIZE)
+        assert np.array_equal(row, _reference_counts(RngStream(5, base + b), m, tau, size))
+    # t_k depends on the walk's first k terms alone: both walks share them
+    # where their first terms round alike
+    first_terms = [terms[0] for terms in _walks(m, tau)]
+    assert all(n <= first_terms.count(first) for (first, _), n in computed.items())
+    assert bool(computed) == (0.0 < min(tau, 1.0 - tau) * m <= 30.0)
+
+
 @pytest.mark.parametrize("m, tau", [(61, 0.5), (100, 0.5), (150, 0.75), (121, 0.25), (10_000, 0.75)])
 def test_btpe_counts_pass_through(m, tau):
     # p * m > 30: numpy samples by BTPE, and the counts are its own
@@ -296,6 +323,57 @@ def test_pruned_dr_table_is_bit_identical(dist, m, kind, radii, theta, tau):
                     epsilon_grid=grid, theta=theta)
     table = _dr_loss_table(cfg, m, kind)
     assert table.tobytes() == _unpruned_loss_table(cfg, m, kind).tobytes()
+
+
+def _sweep_outputs(cfg: SimConfig, full_table: bool = False) -> str:
+    """Every output of ``run_epsilon_sweep`` but its runtime, or its error, as exact text.
+
+    With ``full_table`` the DR tables price every column of every cell.
+    """
+    with pytest.MonkeyPatch.context() as mp:
+        if full_table:
+            mp.setattr(montecarlo, "_dr_loss_table",
+                       lambda config, m, kind, columns=None: _unpruned_loss_table(config, m, kind))
+        try:
+            res = run_epsilon_sweep(cfg)
+        except ValueError as exc:
+            return f"ValueError: {exc}"
+    return repr((
+        [(arm, res.curves[arm].tobytes()) for arm in sorted(res.curves)],
+        res.gamma_u, res.gamma_la, sorted(res.gamma_se.items()), res.gamma_diff_se,
+        sorted(res.best_epsilon.items()), res.tau_hat_counts.tobytes(),
+    ))
+
+
+@settings(max_examples=150)
+@given(
+    dist=_unit_dists,
+    m=st.one_of(st.integers(1, 40), st.integers(61, 200)),
+    radii=st.lists(st.floats(0.0, 1.0), max_size=8),
+    theta=st.floats(0.0, 0.99),
+    tau=st.one_of(st.floats(0.0, 0.02), st.floats(0.98, 1.0), st.just(0.5), st.floats(0.2, 0.8)),
+    n=st.integers(2 * BLOCK_SIZE + 1, 3 * BLOCK_SIZE),
+    seed=st.integers(0, 2**32),
+)
+def test_sweep_over_seen_columns_is_bit_identical(dist, m, radii, theta, tau, n, seed):
+    # m above 60 with tau in [0.2, 0.8] crosses p * m = 30, where numpy samples by BTPE
+    cfg = SimConfig(true_dist=dist, true_tau=tau, m=m, n_replicates=n,
+                    epsilon_grid=tuple(sorted({0.0, 1.0, *radii})), theta=theta, master_seed=seed)
+    assert _sweep_outputs(cfg) == _sweep_outputs(cfg, full_table=True)
+
+
+def test_sparse_sweep_scores_only_seen_columns():
+    cfg = small_config(m=2000, n_replicates=3 * BLOCK_SIZE,
+                       epsilon_grid=tuple(np.round(np.arange(0.0, 1.001, 0.05), 10)))
+    counts = run_epsilon_sweep(cfg).tau_hat_counts
+    seen = np.flatnonzero(counts)
+    assert seen.size < 0.2 * counts.size
+    assert _sweep_outputs(cfg) == _sweep_outputs(cfg, full_table=True)
+    for kind in cfg.ball_kinds:
+        table = _dr_loss_table(cfg, 2000, kind, seen)
+        full = _unpruned_loss_table(cfg, 2000, kind)
+        assert table[:, seen].tobytes() == full[:, seen].tobytes()
+        assert not np.any(np.delete(table, seen, axis=1))
 
 
 class _CountingBeta(Beta):
