@@ -42,7 +42,6 @@ __all__ = [
     "DeformedCdf",
     "deform_upper",
     "deform_lower",
-    "band_quantiles",
     "band_levels",
     "bands_from_quantiles",
     "BallKind",
@@ -127,9 +126,9 @@ class DeformedCdf(UnitDistribution):
     """A reference CDF deformed pointwise by a double-power operator.
 
     Quantiles compose the reference quantile with the mirror operator, the
-    closed-form inverse; no root finding is involved. Where the mirror level
-    rounds to 1, the reference's upper end is read at the level's exact
-    complement instead. Over a
+    closed-form inverse (:func:`band_levels`); no root finding is involved.
+    Where the mirror level rounds to 1, the reference's upper end is read at
+    the level's exact complement instead (:func:`bands_from_quantiles`). Over a
     :class:`PiecewiseLinear` reference the mean and partial expectations
     are exact: substituting x = Q_ref(u) gives
     ``under(y) = sum over segments of slope * (integral of the operator
@@ -150,8 +149,10 @@ class DeformedCdf(UnitDistribution):
         return self._op(self.reference.cdf(x), self.rho)
 
     def quantile(self, p):
-        arr = _validate_prob(p, "p")
-        return _match_input(p, band_quantiles(self.reference, arr, self.rho, (self.side,))[0])
+        arr, sides = _validate_prob(p, "p"), (self.side,)
+        u = band_levels(arr, self.rho, sides)
+        q = self.reference.quantile(u)
+        return _match_input(p, bands_from_quantiles(self.reference, arr, self.rho, sides, u, q)[0])
 
     def _quantile_below(self, p):
         return self._reference_at(self._mirror(p, self.rho), _complement(self._mirror, p, self.rho))
@@ -202,26 +203,15 @@ class DeformedCdf(UnitDistribution):
         return f"DeformedCdf({self.reference!r}, rho={self.rho:g}, side={self.side!r})"
 
 
-def band_quantiles(reference, p: np.ndarray, rho: float, sides: Sequence[str]) -> np.ndarray:
-    """The quantiles at levels ``p`` of the bands of ``reference`` at radius ``rho``.
-
-    Row ``k`` holds the band on side ``sides[k]`` ("upper" or "lower"):
-    the reference quantile at the mirror operator's level
-    (:func:`band_levels`), every row read in one reference quantile call,
-    then :func:`bands_from_quantiles`. ``reference`` is a distribution or
-    a :class:`PiecewiseLinearBatch`; ``p`` and ``rho`` in [0, 1) are the
-    caller's to validate.
-    """
-    u = band_levels(p, rho, sides)
-    return bands_from_quantiles(reference, p, rho, sides, u, reference.quantile(u))
-
-
 def band_levels(p: np.ndarray, rho: float, sides: Sequence[str]) -> np.ndarray:
-    """The reference levels whose quantiles are the band quantiles at levels ``p``.
+    """The reference levels whose quantiles give the band quantiles at levels ``p``.
 
-    Row ``k`` is the mirror operator of side ``sides[k]`` at ``p``. ``rho``
-    is one scalar: ``np.power`` rounds a scalar exponent of 0.5 as a square
-    root, so an exponent array could change the levels' bits.
+    Row ``k`` is the mirror operator of side ``sides[k]`` at ``p``; every row
+    is read in one reference quantile call, then passed to
+    :func:`bands_from_quantiles`. ``p`` and ``rho`` in [0, 1) are the
+    caller's to validate. ``rho`` is one scalar: ``np.power`` rounds a
+    scalar exponent of 0.5 as a square root, so an exponent array could
+    change the levels' bits.
     """
     beta = 1.0 - rho
     with np.errstate(divide="ignore"):
@@ -232,9 +222,11 @@ def bands_from_quantiles(reference, p: np.ndarray, rho: float, sides: Sequence[s
                          u: np.ndarray, q: np.ndarray) -> np.ndarray:
     """The band quantiles, from ``q``, the reference quantiles at ``u = band_levels(p, rho, sides)``.
 
-    A level that rounds to 1 while ``p < 1`` would lose the reference's
-    upper tail, so there the quantile is read from the upper end, at the
-    level's exact complement, in one more reference call.
+    Row ``k`` holds the band on side ``sides[k]``. ``reference`` is a
+    distribution or a :class:`PiecewiseLinearBatch`. A level that rounds to
+    1 while ``p < 1`` would lose the reference's upper tail, so there the
+    quantile is read from the upper end, at the level's exact complement,
+    in one more reference call.
     """
     top = (u == 1.0) & (p < 1.0)
     if top.any():

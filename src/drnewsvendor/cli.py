@@ -178,12 +178,6 @@ def _apply_config(argv: list[str]) -> list[str]:
     return [rest[0], *tokens, *rest[1:]]
 
 
-def _add_threads(parser: argparse.ArgumentParser) -> None:
-    parser.add_argument("--threads", type=int, default=1,
-                        help="accepted for compatibility and ignored; every command runs "
-                             "serially and its results never depend on it")
-
-
 def _add_common(parser: argparse.ArgumentParser, default_out: str) -> None:
     parser.add_argument("--seed", type=int, default=0, help="master seed")
     parser.add_argument("--output", choices=("json", "csv"), default="json")
@@ -354,7 +348,6 @@ def _add_backtest_flags(parser: argparse.ArgumentParser) -> None:
     )
     parser.add_argument("--fallback-tau", type=float, default=None)
     parser.add_argument("--penalty-scale", type=float, default=1.0)
-    _add_threads(parser)
 
 
 def _load_backtest_inputs(args):
@@ -479,7 +472,6 @@ def _parser() -> argparse.ArgumentParser:
     p.add_argument("--theta", type=float, default=0.9)
     p.add_argument("--eps-grid", default="0:0.01:1")
     p.add_argument("--ball", choices=("uniform", "level-adjusted", "both"), default="both")
-    _add_threads(p)
     _add_common(p, "simulate.json")
     p.set_defaults(handler=_cmd_simulate)
 
@@ -494,7 +486,6 @@ def _parser() -> argparse.ArgumentParser:
     p.add_argument("--theta", type=float, default=0.9)
     p.add_argument("--eps-grid", default="0:0.01:1")
     p.add_argument("--ball", choices=("uniform", "level-adjusted", "both"), default="both")
-    _add_threads(p)
     _add_common(p, "msweep.json")
     p.set_defaults(handler=_cmd_msweep)
 

@@ -26,16 +26,16 @@ one ``searchsorted`` against t_1, t_2, ... and one ``diff``. The terms and
 thresholds repeat numpy's arithmetic operation for operation. The blocks
 of one ``m`` share them: t_k depends on the first k terms alone, so each
 is found once per m and walk, when a block's largest draw first needs
-it. numpy 2
-computes the first term as ``exp(m * log1p(-p))`` and earlier releases
-as ``exp(m * log(1 - p))``, so the draws are split by both walks, and
-only a block both split alike is counted this way. The other cases call
-``generator.binomial`` itself: outside that regime (numpy's BTPE sampler,
-e.g. tau = 1/2 with m > 60) and at p = 0; and, replayed from a fresh
-generator at the block's address, a block the two walks split apart or
-whose largest draw walks past numpy's bound, where numpy would have
-drawn again. Either way the stream, and so every count and artifact, is
-what the binomial call gives.
+it. numpy 2 computes the first term as ``exp(m * log1p(-p))`` and earlier
+releases as ``exp(m * log(1 - p))``. Where the two round alike (at
+tau = 0.75, say) there is one walk; elsewhere each distinct walk splits
+the draws, and only a block they all split alike is counted this way.
+The other cases call ``generator.binomial`` itself: outside that regime
+(numpy's BTPE sampler, e.g. tau = 1/2 with m > 60) and at p = 0; and,
+replayed from a fresh generator at the block's address, a block the
+walks split apart or whose largest draw walks past numpy's bound, where
+numpy would have drawn again. Either way the stream, and so every count
+and artifact, is what the binomial call gives.
 
 The robust arm's table prices the true quantile function Q only at the
 ball bounds that :func:`dr_s_rule` can select. With p = F(mean): a level
@@ -167,8 +167,8 @@ def _draw_count_blocks(config: SimConfig, m: int, stream_base: int) -> np.ndarra
 
     Block ``b`` draws from the stream (master_seed, stream_base + b); the
     integer rows make any later reduction order-independent. Every block
-    shares one pair of inversion walks, so each pmf term and threshold is
-    computed once per call.
+    shares the inversion walks, so each pmf term and threshold is computed
+    once per call.
     """
     n, tau = config.n_replicates, config.true_tau
     walks = _inversion_walks(m, tau)
@@ -186,10 +186,10 @@ def _binomial_counts(stream: RngStream, m: int, tau: float, size: int,
     Where numpy inverts (see the module docstring), each variate is a
     non-decreasing function of one uniform draw, so the counts follow from
     the sorted draws and the thresholds where the variate steps up. A block
-    is counted here only where both of :func:`_inversion_walks` split its
-    draws alike. Any other block, and one whose largest draw would make
-    numpy draw again, is drawn as numpy draws it, from a fresh generator at
-    the stream's address. ``walks`` are those of ``(m, tau)``, built here
+    is counted here only where every walk of :func:`_inversion_walks`
+    splits its draws alike. Any other block, and one whose largest draw
+    would make numpy draw again, is drawn as numpy draws it, from a fresh
+    generator at the stream's address. ``walks`` are those of ``(m, tau)``, built here
     when not given.
     """
     if walks is None:
@@ -198,8 +198,8 @@ def _binomial_counts(stream: RngStream, m: int, tau: float, size: int,
         return _reference_counts(stream, m, tau, size)
     u = stream.generator.random(size)
     u.sort()
-    edges, other = (walk.edges(u) for walk in walks)
-    if edges is None or edges != other:
+    edges, *others = (walk.edges(u) for walk in walks)
+    if edges is None or any(other != edges for other in others):
         return _reference_counts(replace(stream), m, tau, size)
     counts = np.zeros(m + 1, dtype=np.int64)
     counts[:len(edges) + 1] = np.diff(edges, prepend=0, append=size)
@@ -211,16 +211,18 @@ def _reference_counts(stream: RngStream, m: int, tau: float, size: int) -> np.nd
 
 
 def _inversion_walks(m: int, tau: float) -> tuple[_InversionWalk, ...]:
-    """numpy 2's inversion walk for ``(m, tau)`` and that of earlier releases.
+    """numpy 2's inversion walk for ``(m, tau)``, then that of earlier releases where it differs.
 
     numpy 2 computes the first pmf term as ``exp(m * log1p(-p))``, earlier
-    releases as ``exp(m * log(1 - p))``. Empty where numpy does not invert.
+    releases as ``exp(m * log(1 - p))``; where both give the same terms
+    there is one walk. Empty where numpy does not invert.
     """
     p = tau if tau <= 0.5 else 1.0 - tau
     if p == 0.0 or p * m > 30.0:
         return ()
-    return tuple(_InversionWalk(_inversion_terms(m, p, log_q))
-                 for log_q in (math.log1p(-p), math.log(1.0 - p)))
+    numpy2 = _inversion_terms(m, p, math.log1p(-p))
+    older = _inversion_terms(m, p, math.log(1.0 - p))
+    return tuple(_InversionWalk(terms) for terms in ([numpy2] if older == numpy2 else [numpy2, older]))
 
 
 class _InversionWalk:

