@@ -37,13 +37,6 @@ from .synthetic import make_synthetic_market
 __all__ = ["main", "dispatch"]
 
 _BALL_BY_FLAG = {"uniform": BallKind.UNIFORM, "level-adjusted": BallKind.LEVEL_ADJUSTED}
-_STRATEGY_BY_FLAG = {
-    "direct": "bn",
-    "dr-omega": "dr_omega",
-    "dr-s": "dr_s",
-    "robust-s": "robust_s",
-    "robust-omega": "robust_omega",
-}
 
 
 def _jsonify(obj):
@@ -188,20 +181,21 @@ def _add_common(parser: argparse.ArgumentParser, default_out: str) -> None:
 
 
 def _cmd_solve(args) -> int:
-    dist = _dist_from_args(args)
-    strategy = _STRATEGY_BY_FLAG[args.strategy]
-    if strategy == "robust_s":
+    strategy = args.strategy
+    # robust-omega prices no distribution, but one that is given is still read
+    dist = _dist_from_args(args) if strategy != "robust-omega" or args.dist or args.forecast else None
+    if strategy == "robust-s":
         decision = solve_robust_s(dist)
     else:
         if args.tau is None:
-            raise ValueError(f"--tau is required for strategy {args.strategy}")
-        if strategy == "bn":
+            raise ValueError(f"--tau is required for strategy {strategy}")
+        if strategy == "direct":
             decision = solve_direct(dist, args.tau)
-        elif strategy == "dr_omega":
+        elif strategy == "dr-omega":
             if args.rho is None:
                 raise ValueError("--rho is required for dr-omega")
             decision = solve_dr_omega(dist, args.tau, args.rho)
-        elif strategy == "dr_s":
+        elif strategy == "dr-s":
             if args.eps is None:
                 raise ValueError("--eps is required for dr-s")
             ball = make_bernoulli_ball(args.tau, args.eps, _BALL_BY_FLAG[args.ball], args.theta)
@@ -444,7 +438,8 @@ def _parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("solve", help="compute one offer")
-    p.add_argument("--strategy", required=True, choices=sorted(_STRATEGY_BY_FLAG))
+    p.add_argument("--strategy", required=True,
+                   choices=("direct", "dr-omega", "dr-s", "robust-omega", "robust-s"))
     p.add_argument("--dist", help="parametric spec, e.g. beta:2,6")
     p.add_argument("--forecast", help="quantile forecast CSV")
     p.add_argument("--tau", type=float, default=None)

@@ -23,19 +23,16 @@ non-decreasing, and X(U) >= k exactly when U is at least a threshold t_k,
 the least double whose walk passes k terms. A block is then one
 ``generator.random`` call (the same doubles numpy's walk reads), a sort,
 one ``searchsorted`` against t_1, t_2, ... and one ``diff``. The terms and
-thresholds repeat numpy's arithmetic operation for operation. The blocks
-of one ``m`` share them: t_k depends on the first k terms alone, so each
-is found once per m and walk, when a block's largest draw first needs
-it. numpy 2 computes the first term as ``exp(m * log1p(-p))`` and earlier
-releases as ``exp(m * log(1 - p))``. Where the two round alike (at
-tau = 0.75, say) there is one walk; elsewhere each distinct walk splits
-the draws, and only a block they all split alike is counted this way.
-The other cases call ``generator.binomial`` itself: outside that regime
-(numpy's BTPE sampler, e.g. tau = 1/2 with m > 60) and at p = 0; and,
-replayed from a fresh generator at the block's address, a block the
-walks split apart or whose largest draw walks past numpy's bound, where
-numpy would have drawn again. Either way the stream, and so every count
-and artifact, is what the binomial call gives.
+thresholds repeat numpy's arithmetic operation for operation, from the
+first term ``exp(m * log1p(-p))`` that numpy 2 computes. The blocks of
+one ``m`` share them: t_k depends on the first k terms alone, so each is
+found once per m, when a block's largest draw first needs it. The other
+cases call ``generator.binomial`` itself: outside that regime (numpy's
+BTPE sampler, e.g. tau = 1/2 with m > 60) and at p = 0; and, replayed
+from a fresh generator at the block's address, a block whose largest
+draw walks past numpy's bound, where numpy would have drawn again.
+Either way the stream, and so every count and artifact, is what the
+binomial call gives.
 
 The robust arm's table prices the true quantile function Q only at the
 ball bounds that :func:`dr_s_rule` can select. With p = F(mean): a level
@@ -167,39 +164,36 @@ def _draw_count_blocks(config: SimConfig, m: int, stream_base: int) -> np.ndarra
 
     Block ``b`` draws from the stream (master_seed, stream_base + b); the
     integer rows make any later reduction order-independent. Every block
-    shares the inversion walks, so each pmf term and threshold is computed
+    shares the inversion walk, so each pmf term and threshold is computed
     once per call.
     """
     n, tau = config.n_replicates, config.true_tau
-    walks = _inversion_walks(m, tau)
+    walk = _numpy_walk(m, tau)
     return np.vstack([
         _binomial_counts(RngStream(config.master_seed, stream_base + b), m, tau,
-                         min(BLOCK_SIZE, n - start), walks)
+                         min(BLOCK_SIZE, n - start), walk)
         for b, start in enumerate(range(0, n, BLOCK_SIZE))
     ])
 
 
 def _binomial_counts(stream: RngStream, m: int, tau: float, size: int,
-                     walks: tuple[_InversionWalk, ...] | None = None) -> np.ndarray:
+                     walk: _InversionWalk | None) -> np.ndarray:
     """``np.bincount(stream.generator.binomial(m, tau, size), minlength=m + 1)``, bit for bit.
 
-    Where numpy inverts (see the module docstring), each variate is a
-    non-decreasing function of one uniform draw, so the counts follow from
-    the sorted draws and the thresholds where the variate steps up. A block
-    is counted here only where every walk of :func:`_inversion_walks`
-    splits its draws alike. Any other block, and one whose largest draw
-    would make numpy draw again, is drawn as numpy draws it, from a fresh
-    generator at the stream's address. ``walks`` are those of ``(m, tau)``, built here
-    when not given.
+    ``walk`` is :func:`_numpy_walk` of ``(m, tau)``. Where numpy inverts
+    (see the module docstring), each variate is a non-decreasing function
+    of one uniform draw, so the counts follow from the sorted draws and the
+    thresholds where the variate steps up. Where numpy does not invert
+    (``walk`` is None) the block is drawn as numpy draws it, and so is a
+    block whose largest draw would make numpy draw again, from a fresh
+    generator at the stream's address.
     """
-    if walks is None:
-        walks = _inversion_walks(m, tau)
-    if not walks:
+    if walk is None:
         return _reference_counts(stream, m, tau, size)
     u = stream.generator.random(size)
     u.sort()
-    edges, *others = (walk.edges(u) for walk in walks)
-    if edges is None or any(other != edges for other in others):
+    edges = walk.edges(u)
+    if edges is None:
         return _reference_counts(replace(stream), m, tau, size)
     counts = np.zeros(m + 1, dtype=np.int64)
     counts[:len(edges) + 1] = np.diff(edges, prepend=0, append=size)
@@ -210,27 +204,20 @@ def _reference_counts(stream: RngStream, m: int, tau: float, size: int) -> np.nd
     return np.bincount(stream.generator.binomial(m, tau, size=size), minlength=m + 1).astype(np.int64)
 
 
-def _inversion_walks(m: int, tau: float) -> tuple[_InversionWalk, ...]:
-    """numpy 2's inversion walk for ``(m, tau)``, then that of earlier releases where it differs.
-
-    numpy 2 computes the first pmf term as ``exp(m * log1p(-p))``, earlier
-    releases as ``exp(m * log(1 - p))``; where both give the same terms
-    there is one walk. Empty where numpy does not invert.
-    """
+def _numpy_walk(m: int, tau: float) -> _InversionWalk | None:
+    """numpy's inversion walk for ``(m, tau)``; None where numpy does not invert."""
     p = tau if tau <= 0.5 else 1.0 - tau
     if p == 0.0 or p * m > 30.0:
-        return ()
-    numpy2 = _inversion_terms(m, p, math.log1p(-p))
-    older = _inversion_terms(m, p, math.log(1.0 - p))
-    return tuple(_InversionWalk(terms) for terms in ([numpy2] if older == numpy2 else [numpy2, older]))
+        return None
+    return _InversionWalk(_inversion_terms(m, p))
 
 
 class _InversionWalk:
-    """One walk's pmf terms and the count thresholds t_1, t_2, ... found so far.
+    """numpy's walk for one ``(m, tau)``: its pmf terms and the thresholds t_1, t_2, ... found so far.
 
     t_k depends on ``terms[:k]`` alone, so the list only grows, when a
     block's largest draw needs a k not reached before, and each t_k is
-    computed once per walk.
+    computed once.
     """
 
     def __init__(self, terms: list[float]):
@@ -250,15 +237,15 @@ class _InversionWalk:
         return np.searchsorted(u, self.thresholds[:top]).tolist()
 
 
-def _inversion_terms(m: int, p: float, log_q: float) -> list[float]:
+def _inversion_terms(m: int, p: float) -> list[float]:
     """The pmf terms numpy's inversion walk subtracts, X = 0 .. its bound.
 
-    Written as numpy's ``random_binomial_inversion`` computes them, one
-    IEEE operation for another, from the first term ``exp(m * log_q)``.
+    Written as numpy 2's ``random_binomial_inversion`` computes them, one
+    IEEE operation for another, from the first term ``exp(m * log1p(-p))``.
     """
     q = 1.0 - p
     bound = int(min(m, m * p + 10.0 * math.sqrt(m * p * q + 1)))
-    terms = [math.exp(m * log_q)]
+    terms = [math.exp(m * math.log1p(-p))]
     for x in range(1, bound + 1):
         terms.append(((m - x + 1) * p * terms[-1]) / (x * q))
     return terms
@@ -304,19 +291,15 @@ def _losses_for_offers(dist: UnitDistribution, tau_true: float, offers: np.ndarr
     return vals[inverse].reshape(np.shape(offers))
 
 
-def _dr_loss_table(config: SimConfig, m: int, kind: str,
-                   columns: np.ndarray | None = None) -> np.ndarray:
+def _dr_loss_table(config: SimConfig, m: int, kind: str, columns: np.ndarray) -> np.ndarray:
     """Expected loss per (epsilon, tau_hat value) for one ball kind.
 
-    Only the tau_hat columns ``columns`` (every column by default) are
-    scored; the others hold 0.0 (see the module docstring). Only the
-    quantiles :func:`dr_s_rule` can pick are priced; the others enter the
-    rule as ``+inf`` (upper bound) and ``-inf`` (lower bound), which it
-    never selects.
+    Only the tau_hat columns ``columns`` are scored; the others hold 0.0
+    (see the module docstring). Only the quantiles :func:`dr_s_rule` can
+    pick are priced; the others enter the rule as ``+inf`` (upper bound)
+    and ``-inf`` (lower bound), which it never selects.
     """
     grid = np.asarray(config.epsilon_grid, dtype=float)
-    if columns is None:
-        columns = np.arange(m + 1)
     tau_hats = np.arange(m + 1, dtype=float)[columns] / m
     theta = config.theta if kind == "level_adjusted" else 0.0
     lo, hi = ball_bounds(tau_hats[None, :], grid[:, None], theta)

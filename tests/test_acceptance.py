@@ -148,7 +148,7 @@ def _exact_gammas(m: int, theta: float = 0.9):
     l_o = expected_loss(dist, float(dist.quantile(tau)), tau)
     out = {}
     for kind in ("uniform", "level_adjusted"):
-        curve = _dr_loss_table(cfg, m, kind) @ pmf
+        curve = _dr_loss_table(cfg, m, kind, ks) @ pmf
         out[kind] = (l_bn - curve.min()) / (l_bn - l_o)
     return out
 

@@ -47,6 +47,22 @@ def test_solve_dr_omega_robust_limit(tmp_path):
     assert json.loads(out.read_text())["y_star"] == 0.6
 
 
+def test_solve_robust_omega_needs_no_distribution(tmp_path, capsys):
+    out = tmp_path / "solve.json"
+    code = dispatch(["solve", "--strategy", "robust-omega", "--tau", "0.6", "--out", str(out)])
+    assert code == 0
+    assert "y*=0.600000" in capsys.readouterr().out
+    assert json.loads(out.read_text())["y_star"] == 0.6
+    # a distribution that is given is still read, and a malformed one rejected
+    for flags, message in ((["--dist", "beta:2"], "beta spec needs two parameters"),
+                           (["--forecast", str(tmp_path / "missing.csv")], "missing.csv")):
+        code = dispatch(["solve", "--strategy", "robust-omega", "--tau", "0.6", *flags,
+                         "--out", str(tmp_path / "bad.json")])
+        assert code == 1
+        assert message in json.loads(capsys.readouterr().err)["error"]
+    assert not (tmp_path / "bad.json").exists()
+
+
 def test_simulate_reproduces_gamma_targets(tmp_path):
     # the 15-draw estimate is the configuration that attains the gamma targets
     out = tmp_path / "sim.json"

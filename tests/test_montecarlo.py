@@ -32,8 +32,8 @@ from drnewsvendor.montecarlo import (
     _draw_count_blocks,
     _inversion_terms,
     _inversion_walk,
-    _inversion_walks,
     _losses_for_offers,
+    _numpy_walk,
     sweep_csv_rows,
     sweep_summary,
 )
@@ -139,7 +139,7 @@ def _count_cases(draw):
 @given(_count_cases())
 def test_binomial_counts_equal_numpys_on_the_same_stream(case):
     m, tau, size, seed = case
-    counts = _binomial_counts(RngStream(seed, 5), m, tau, size)
+    counts = _binomial_counts(RngStream(seed, 5), m, tau, size, _numpy_walk(m, tau))
     assert counts.dtype == np.int64
     assert np.array_equal(counts, _reference_counts(RngStream(seed, 5), m, tau, size))
 
@@ -178,49 +178,48 @@ _INVERTED = [(1, 0.3), (4, 0.3), (4, 0.7), (15, 0.75), (15, 0.3), (40, 0.5), (60
              (75, 0.75), (75, 0.25), (120, 0.2), (150, 0.19), (150, 0.81), (30, 1e-9)]
 
 
-def _walks(m: int, tau: float) -> list[list[float]]:
-    """The pmf terms of numpy 2's inversion walk, then those of earlier releases."""
-    p = tau if tau <= 0.5 else 1.0 - tau
-    return [_inversion_terms(m, p, log_q) for log_q in (math.log1p(-p), math.log(1.0 - p))]
+def _terms(m: int, tau: float) -> list[float]:
+    """The pmf terms of numpy's inversion walk for ``(m, tau)``."""
+    return _inversion_terms(m, tau if tau <= 0.5 else 1.0 - tau)
 
 
 @pytest.mark.parametrize("m, tau", _INVERTED)
 def test_counts_split_the_draws_where_numpy_does(m, tau):
-    # a first draw on either side of each threshold of either walk, on the
-    # 2**-53 grid of numpy's doubles
+    # a first draw on either side of each threshold, on the 2**-53 grid of
+    # numpy's doubles
+    terms = _terms(m, tau)
     draws = set()
-    for terms in _walks(m, tau):
-        for t in _count_thresholds(terms):
-            at = math.ceil(t * 2.0**53)
-            draws.update(i * 2.0**-53 for i in (at - 1, at) if 0 <= i < 2**53)
+    for t in _count_thresholds(terms):
+        at = math.ceil(t * 2.0**53)
+        draws.update(i * 2.0**-53 for i in (at - 1, at) if 0 <= i < 2**53)
     draws = sorted(draws)
+    walk = _numpy_walk(m, tau)
     for first in draws:
-        assert np.array_equal(_binomial_counts(_FirstDrawStream(7, 3, first), m, tau, 5),
+        assert np.array_equal(_binomial_counts(_FirstDrawStream(7, 3, first), m, tau, 5, walk),
                               _reference_counts(_FirstDrawStream(7, 3, first), m, tau, 5))
-    # and one of the two walks is numpy's own, at each of those draws it keeps
-    kept = [d for d in draws if all(_inversion_walk(d, terms) < len(terms) for terms in _walks(m, tau))]
+    # and the walk is numpy's own, at each of those draws it keeps
+    kept = [d for d in draws if _inversion_walk(d, terms) < len(terms)]
     variates = [_FirstDrawStream(7, 3, first).generator.binomial(m, tau) for first in kept]
-    walked = [[x if tau <= 0.5 else m - x for x in (_inversion_walk(d, terms) for d in kept)]
-              for terms in _walks(m, tau)]
-    assert variates in walked
+    walked = [x if tau <= 0.5 else m - x for x in (_inversion_walk(d, terms) for d in kept)]
+    assert variates == walked
 
 
 @pytest.mark.parametrize("m, tau", [(3, 0.35), (10, 0.45), (4, 0.7), (9, 0.55)])
 def test_a_draw_numpy_would_redraw_replays_the_block(m, tau):
-    # the first draw walks past the bound in both walks
-    walks = _walks(m, tau)
-    first = max(math.ceil(_count_thresholds(terms)[-1] * 2.0**53) for terms in walks) * 2.0**-53
-    assert first < 1.0 and all(_inversion_walk(first, terms) == len(terms) for terms in walks)
+    # the first draw walks past the bound
+    terms = _terms(m, tau)
+    first = math.ceil(_count_thresholds(terms)[-1] * 2.0**53) * 2.0**-53
+    assert first < 1.0 and _inversion_walk(first, terms) == len(terms)
     stream = _FirstDrawStream(7, 3, first)
     # numpy skips the draw: the first variate comes from the second double
     second = np.random.Generator(np.random.PCG64())
     second.bit_generator.state = stream.generator.bit_generator.state
     second.random()
-    u = second.random()
-    x = [_inversion_walk(u, terms) for terms in walks]
-    assert x[0] == x[1] and stream.generator.binomial(m, tau) == (x[0] if tau <= 0.5 else m - x[0])
+    x = _inversion_walk(second.random(), terms)
+    assert stream.generator.binomial(m, tau) == (x if tau <= 0.5 else m - x)
+    walk = _numpy_walk(m, tau)
     for size in (1, 7, BLOCK_SIZE):
-        assert np.array_equal(_binomial_counts(_FirstDrawStream(7, 3, first), m, tau, size),
+        assert np.array_equal(_binomial_counts(_FirstDrawStream(7, 3, first), m, tau, size, walk),
                               _reference_counts(_FirstDrawStream(7, 3, first), m, tau, size))
 
 
@@ -230,7 +229,7 @@ def test_count_blocks_compute_each_threshold_once_per_walk(monkeypatch, m, tau):
     computed = Counter()
 
     def counted(terms, start=0):
-        computed.update((terms[0], k) for k in range(start + 1, len(terms) + 1))
+        computed.update(range(start + 1, len(terms) + 1))
         return _count_thresholds(terms, start)
 
     monkeypatch.setattr(montecarlo, "_count_thresholds", counted)
@@ -241,25 +240,33 @@ def test_count_blocks_compute_each_threshold_once_per_walk(monkeypatch, m, tau):
     for b, row in enumerate(blocks):
         size = min(BLOCK_SIZE, cfg.n_replicates - b * BLOCK_SIZE)
         assert np.array_equal(row, _reference_counts(RngStream(5, base + b), m, tau, size))
-    # t_k depends on the walk's first k terms alone, and walks whose first
-    # terms round alike are one walk: each t_k is computed once per first term
+    # t_k depends on the walk's first k terms alone: each is computed once
     assert all(n == 1 for n in computed.values())
     assert bool(computed) == (0.0 < min(tau, 1.0 - tau) * m <= 30.0)
 
 
-def test_walks_whose_first_terms_agree_are_one_walk():
-    # at p = 1/4, log1p(-p) == log(1 - p); at p = 0.3 the two differ
-    for m in range(1, 76):
-        assert len(_inversion_walks(m, 0.75)) == 1
-        assert len(_inversion_walks(m, 0.3)) == 2
-        assert [walk.terms for walk in _inversion_walks(m, 0.3)] == _walks(m, 0.3)
+@pytest.mark.parametrize("m, tau", [(1, 0.3), (15, 0.3), (40, 0.3), (75, 0.3), (15, 0.75),
+                                    (75, 0.75), (4, 0.7), (60, 0.7)])
+def test_inverted_block_counts_come_from_the_walk_and_are_never_replayed(monkeypatch, m, tau):
+    def replayed(*args):
+        raise AssertionError(f"block replayed: {args}")
+
+    monkeypatch.setattr(montecarlo, "_reference_counts", replayed)
+    cfg = small_config(m=m, true_tau=tau, n_replicates=4 * BLOCK_SIZE + 17, master_seed=5)
+    base = m << 24
+    blocks = _draw_count_blocks(cfg, m, base)
+    assert blocks.shape == (5, m + 1)
+    for b, row in enumerate(blocks):
+        size = min(BLOCK_SIZE, cfg.n_replicates - b * BLOCK_SIZE)
+        assert np.array_equal(row, _reference_counts(RngStream(5, base + b), m, tau, size))
 
 
 @pytest.mark.parametrize("m, tau", [(61, 0.5), (100, 0.5), (150, 0.75), (121, 0.25), (10_000, 0.75)])
 def test_btpe_counts_pass_through(m, tau):
     # p * m > 30: numpy samples by BTPE, and the counts are its own
     assert min(tau, 1.0 - tau) * m > 30.0
-    assert np.array_equal(_binomial_counts(RngStream(11, 2), m, tau, BLOCK_SIZE),
+    assert _numpy_walk(m, tau) is None
+    assert np.array_equal(_binomial_counts(RngStream(11, 2), m, tau, BLOCK_SIZE, None),
                           _reference_counts(RngStream(11, 2), m, tau, BLOCK_SIZE))
 
 
@@ -267,7 +274,7 @@ def test_dr_table_matches_scalar_solver():
     from drnewsvendor import BallKind, make_bernoulli_ball, solve_dr_s
 
     cfg = small_config(m=6)
-    table = _dr_loss_table(cfg, 6, "level_adjusted")
+    table = _dr_loss_table(cfg, 6, "level_adjusted", np.arange(7))
     grid = np.asarray(cfg.epsilon_grid)
     for i in (0, 5, len(grid) - 1):
         for k in range(7):
@@ -329,7 +336,7 @@ def test_pruned_dr_table_is_bit_identical(dist, m, kind, radii, theta, tau):
     grid = tuple(sorted({0.0, 1.0, *radii}))
     cfg = SimConfig(true_dist=dist, true_tau=tau, m=m, n_replicates=1,
                     epsilon_grid=grid, theta=theta)
-    table = _dr_loss_table(cfg, m, kind)
+    table = _dr_loss_table(cfg, m, kind, np.arange(m + 1))
     assert table.tobytes() == _unpruned_loss_table(cfg, m, kind).tobytes()
 
 
@@ -341,7 +348,7 @@ def _sweep_outputs(cfg: SimConfig, full_table: bool = False) -> str:
     with pytest.MonkeyPatch.context() as mp:
         if full_table:
             mp.setattr(montecarlo, "_dr_loss_table",
-                       lambda config, m, kind, columns=None: _unpruned_loss_table(config, m, kind))
+                       lambda config, m, kind, columns: _unpruned_loss_table(config, m, kind))
         try:
             res = run_epsilon_sweep(cfg)
         except ValueError as exc:
@@ -404,7 +411,7 @@ def test_dr_table_prices_few_levels(kind, share):
     # of its bounds stays priceable at every radius: it keeps 32%.
     dist = _CountingBeta(2, 6)
     cfg = SimConfig(true_dist=dist, true_tau=0.75, m=75, n_replicates=1)
-    table = _dr_loss_table(cfg, 75, kind)
+    table = _dr_loss_table(cfg, 75, kind, np.arange(76))
     assert len(dist.priced) == 1
     assert dist.priced[0] <= share * 2 * 101 * 76
     dist.priced.clear()
