@@ -46,7 +46,7 @@ from .distributions import (
     read_quantile_forecast,
 )
 from .economics import StrategyRow, penalty_split, regret_and_ratio, revenue
-from .estimation import HourlyTauEstimator, fill_empty_windows
+from .estimation import HourlyTauEstimator, _check_fallback, fill_empty_windows
 from .solvers import dr_omega_from_quantiles, dr_omega_levels, dr_s_rule
 
 __all__ = [
@@ -178,6 +178,11 @@ class BacktestPlan:
         unknown = set(self.strategies) - set(STRATEGIES)
         if unknown:
             raise ValueError(f"unknown strategies: {sorted(unknown)}")
+        if not self.strategies:
+            raise ValueError("the strategy roster is empty")
+        repeated = next((s for i, s in enumerate(self.strategies) if s in self.strategies[:i]), None)
+        if repeated is not None:
+            raise ValueError(f"strategy {repeated!r} is listed twice")
         if not self.m_grid or min(self.m_grid) < 1:
             raise ValueError("m grid must contain positive window lengths")
         if max(self.m_grid) > self.tau_window_days - 1:
@@ -185,8 +190,7 @@ class BacktestPlan:
                 f"largest m ({max(self.m_grid)}) cannot exceed the tau window "
                 f"minus one ({self.tau_window_days - 1})"
             )
-        if self.fallback_tau is not None and not (0.0 <= self.fallback_tau <= 1.0):
-            raise ValueError(f"fallback tau must lie in [0, 1], got {self.fallback_tau}")
+        _check_fallback(self.fallback_tau)
         for strategy in self.strategies:
             for name in _PARAMS[strategy]:
                 grid = getattr(self, f"{name}_grid")

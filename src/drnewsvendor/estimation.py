@@ -23,6 +23,12 @@ def _no_outcomes(hour: int, window_days: int, day: int) -> ValueError:
     )
 
 
+def _check_fallback(fallback_tau: float | None) -> None:
+    # asked as "inside", so that a NaN fallback fails too
+    if fallback_tau is not None and not (0.0 <= fallback_tau <= 1.0):
+        raise ValueError(f"fallback tau must lie in [0, 1], got {fallback_tau}")
+
+
 class HourlyTauEstimator:
     """Per-hour moving-average forecaster over settled penalty outcomes.
 
@@ -76,8 +82,10 @@ class HourlyTauEstimator:
         """Mean outcome at each target hour over the ``window_days`` days before its day.
 
         ``days`` and ``hours`` are aligned arrays. Without a fallback, the
-        first target whose window holds no usable outcome raises.
+        first target whose window holds no usable outcome raises; a given
+        fallback must lie in [0, 1].
         """
+        _check_fallback(fallback_tau)
         tau = self.window_means(days, hours, window_days)
         return fill_empty_windows(tau, days, hours, window_days, fallback_tau)
 

@@ -24,13 +24,13 @@ the least double whose walk passes k terms. A block is then one
 ``generator.random`` call (the same doubles numpy's walk reads), a sort,
 one ``searchsorted`` against t_1, t_2, ... and one ``diff``. The terms and
 thresholds repeat numpy's arithmetic operation for operation, from the
-first term ``exp(m * log1p(-p))`` that numpy 2 computes. The blocks of
-one ``m`` share them: t_k depends on the first k terms alone, so each is
-found once per m, when a block's largest draw first needs it. The other
-cases call ``generator.binomial`` itself: outside that regime (numpy's
-BTPE sampler, e.g. tau = 1/2 with m > 60) and at p = 0; and, replayed
-from a fresh generator at the block's address, a block whose largest
-draw walks past numpy's bound, where numpy would have drawn again.
+first term ``exp(m * log1p(-p))`` that numpy 2 computes. All thresholds
+of one ``m`` are computed before its first block, and its blocks share
+them. The other cases call ``generator.binomial`` itself: outside that
+regime (numpy's BTPE sampler, e.g. tau = 1/2 with m > 60) and at p = 0;
+and, replayed from a fresh generator at the block's address, a block with
+a draw at or above the last threshold, whose walk passes every term, so
+numpy would have drawn again.
 Either way the stream, and so every count and artifact, is what the
 binomial call gives.
 
@@ -164,39 +164,37 @@ def _draw_count_blocks(config: SimConfig, m: int, stream_base: int) -> np.ndarra
 
     Block ``b`` draws from the stream (master_seed, stream_base + b); the
     integer rows make any later reduction order-independent. Every block
-    shares the inversion walk, so each pmf term and threshold is computed
-    once per call.
+    shares the inversion thresholds, computed once per call.
     """
     n, tau = config.n_replicates, config.true_tau
-    walk = _numpy_walk(m, tau)
+    thresholds = _numpy_thresholds(m, tau)
     return np.vstack([
         _binomial_counts(RngStream(config.master_seed, stream_base + b), m, tau,
-                         min(BLOCK_SIZE, n - start), walk)
+                         min(BLOCK_SIZE, n - start), thresholds)
         for b, start in enumerate(range(0, n, BLOCK_SIZE))
     ])
 
 
 def _binomial_counts(stream: RngStream, m: int, tau: float, size: int,
-                     walk: _InversionWalk | None) -> np.ndarray:
+                     thresholds: np.ndarray | None) -> np.ndarray:
     """``np.bincount(stream.generator.binomial(m, tau, size), minlength=m + 1)``, bit for bit.
 
-    ``walk`` is :func:`_numpy_walk` of ``(m, tau)``. Where numpy inverts
-    (see the module docstring), each variate is a non-decreasing function
-    of one uniform draw, so the counts follow from the sorted draws and the
-    thresholds where the variate steps up. Where numpy does not invert
-    (``walk`` is None) the block is drawn as numpy draws it, and so is a
-    block whose largest draw would make numpy draw again, from a fresh
+    ``thresholds`` is :func:`_numpy_thresholds` of ``(m, tau)``. Where numpy
+    inverts (see the module docstring), a variate is at least k exactly
+    when its uniform draw is at least t_k, so the counts follow from the
+    sorted draws. Where numpy does not invert (``thresholds`` is None) the
+    block is drawn as numpy draws it, and so is a block with a draw at or
+    above the last threshold, which numpy would draw again, from a fresh
     generator at the stream's address.
     """
-    if walk is None:
+    if thresholds is None:
         return _reference_counts(stream, m, tau, size)
     u = stream.generator.random(size)
     u.sort()
-    edges = walk.edges(u)
-    if edges is None:
+    if u[-1] >= thresholds[-1]:
         return _reference_counts(replace(stream), m, tau, size)
     counts = np.zeros(m + 1, dtype=np.int64)
-    counts[:len(edges) + 1] = np.diff(edges, prepend=0, append=size)
+    counts[:len(thresholds)] = np.diff(u.searchsorted(thresholds), prepend=0)
     return counts[::-1] if tau > 0.5 else counts
 
 
@@ -204,37 +202,15 @@ def _reference_counts(stream: RngStream, m: int, tau: float, size: int) -> np.nd
     return np.bincount(stream.generator.binomial(m, tau, size=size), minlength=m + 1).astype(np.int64)
 
 
-def _numpy_walk(m: int, tau: float) -> _InversionWalk | None:
-    """numpy's inversion walk for ``(m, tau)``; None where numpy does not invert."""
+def _numpy_thresholds(m: int, tau: float) -> np.ndarray | None:
+    """The thresholds t_1 .. t_L of numpy's inversion walk for ``(m, tau)``, one per pmf term.
+
+    None where numpy does not invert.
+    """
     p = tau if tau <= 0.5 else 1.0 - tau
     if p == 0.0 or p * m > 30.0:
         return None
-    return _InversionWalk(_inversion_terms(m, p))
-
-
-class _InversionWalk:
-    """numpy's walk for one ``(m, tau)``: its pmf terms and the thresholds t_1, t_2, ... found so far.
-
-    t_k depends on ``terms[:k]`` alone, so the list only grows, when a
-    block's largest draw needs a k not reached before, and each t_k is
-    computed once.
-    """
-
-    def __init__(self, terms: list[float]):
-        self.terms = terms
-        self.thresholds: list[float] = []
-
-    def edges(self, u: np.ndarray) -> list[int] | None:
-        """How many of the sorted draws ``u`` lie below t_1, t_2, ... up to the top draw's variate.
-
-        None where the top draw walks past every term, so numpy would draw again.
-        """
-        top = _inversion_walk(float(u[-1]), self.terms)
-        if top == len(self.terms):
-            return None
-        if top > len(self.thresholds):
-            self.thresholds += _count_thresholds(self.terms[:top], len(self.thresholds))
-        return np.searchsorted(u, self.thresholds[:top]).tolist()
+    return np.array(_count_thresholds(_inversion_terms(m, p)))
 
 
 def _inversion_terms(m: int, p: float) -> list[float]:
@@ -251,17 +227,8 @@ def _inversion_terms(m: int, p: float) -> list[float]:
     return terms
 
 
-def _inversion_walk(u: float, terms: list[float]) -> int:
-    """numpy's variate for the draw ``u``; ``len(terms)`` where numpy draws again."""
-    for x, term in enumerate(terms):
-        if not u > term:
-            return x
-        u -= term
-    return len(terms)
-
-
-def _count_thresholds(terms: list[float], start: int = 0) -> list[float]:
-    """For k = start + 1 .. len(terms), the least double ``u`` whose walk passes ``terms[:k]``.
+def _count_thresholds(terms: list[float]) -> list[float]:
+    """For k = 1 .. len(terms), the least double ``u`` whose walk passes ``terms[:k]``.
 
     Each is found backwards from the last step: the least remainder above
     ``terms[k - 1]``, then for each earlier term ``c`` the least ``r`` whose
@@ -271,7 +238,7 @@ def _count_thresholds(terms: list[float], start: int = 0) -> list[float]:
     """
     nextafter, inf = math.nextafter, math.inf
     thresholds = []
-    for k in range(start + 1, len(terms) + 1):
+    for k in range(1, len(terms) + 1):
         s = nextafter(terms[k - 1], inf)
         for c in reversed(terms[:k - 1]):
             r = s + c

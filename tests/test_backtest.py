@@ -410,6 +410,16 @@ def test_plan_rejects_grid_values_a_strategy_cannot_use(grids, message):
         BacktestPlan(**grids)
 
 
+@pytest.mark.parametrize("strategies, message", [
+    (("bn", "bn"), "strategy 'bn' is listed twice"),
+    (("oracle", "dr_omega", "bn", "dr_omega"), "strategy 'dr_omega' is listed twice"),
+    ((), "the strategy roster is empty"),
+])
+def test_plan_rejects_a_repeated_or_empty_roster(strategies, message):
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+        BacktestPlan(strategies=strategies)
+
+
 def test_plan_rejects_fallback_tau_outside_unit_interval():
     for bad in (-0.1, 1.5, float("nan")):
         with pytest.raises(ValueError, match="fallback tau"):

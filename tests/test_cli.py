@@ -344,6 +344,21 @@ def test_crossval_empty_grid_exits_1(tmp_path, capsys, market_flags):
     assert error == "rho_grid is empty, but strategy 'dr_omega' needs it"
 
 
+@pytest.mark.parametrize("command, roster, message", [
+    ("crossval", "bn,bn", "strategy 'bn' is listed twice"),
+    ("backtest", "bn,oracle,bn", "strategy 'bn' is listed twice"),
+    ("crossval", "", "the strategy roster is empty"),
+    ("crossval", ",", "the strategy roster is empty"),
+])
+def test_a_roster_with_a_repeat_or_no_strategy_exits_1(tmp_path, capsys, market_flags,
+                                                        command, roster, message):
+    out = tmp_path / "out.json"
+    code = dispatch([command, *market_flags, "--strategies", roster, "--out", str(out)])
+    assert code == 1
+    assert json.loads(capsys.readouterr().err)["error"] == message
+    assert not out.exists()
+
+
 @pytest.mark.parametrize("command", ["crossval", "backtest"])
 @pytest.mark.parametrize("value", ["10.7", "nan"])
 def test_m_grid_rejects_values_that_are_not_whole_days(tmp_path, capsys, market_flags,

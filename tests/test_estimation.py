@@ -1,5 +1,7 @@
 """The chance-of-success estimator: hourly moving averages of penalty outcomes."""
 
+import re
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -58,6 +60,15 @@ def test_window_bounds_are_exact():
 def test_no_balancing_periods_are_excluded():
     history = [(1, 3, OVER), (2, 3, NONE_PAIR), (3, 3, NONE_PAIR), (4, 3, UNDER)]
     assert forecast(history, 4, (5, 3)) == 0.5
+
+
+@pytest.mark.parametrize("bad", [7.0, -0.5, float("nan")])
+def test_forecast_rejects_a_fallback_outside_the_unit_interval(bad):
+    est = HourlyTauEstimator([1, 2], [0, 0], [1.0, 0.0], [0.0, 1.0])
+    with pytest.raises(ValueError, match=re.escape(f"fallback tau must lie in [0, 1], got {bad}")):
+        est.forecast(1, 5, 3, fallback_tau=bad)
+    with pytest.raises(ValueError, match="fallback tau"):
+        est.forecast_many([3], [0], 2, bad)
 
 
 def test_empty_window_error_and_fallback():
@@ -146,7 +157,8 @@ def test_index_matches_plain_window_mean(case):
         if pairs:
             assert est.forecast(day, hour, window, fallback) == tau
         else:
-            assert np.isnan(est.forecast(day, hour, window, fallback_tau=float("nan")))
+            assert np.isnan(est.window_means([day], [hour], window)[0])
+            assert est.forecast(day, hour, window, 0.5) == 0.5
     days, hours = (np.array(col) for col in zip(*targets))
     first_missing = next((t for t, tau in zip(targets, expected) if tau is None), None)
     if first_missing is not None and fallback is None:

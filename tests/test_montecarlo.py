@@ -1,7 +1,6 @@
 """Estimation-noise sweeps: endpoint identities, determinism, loss curves."""
 
 import math
-from collections import Counter
 from dataclasses import dataclass
 
 import numpy as np
@@ -31,9 +30,8 @@ from drnewsvendor.montecarlo import (
     _dr_loss_table,
     _draw_count_blocks,
     _inversion_terms,
-    _inversion_walk,
     _losses_for_offers,
-    _numpy_walk,
+    _numpy_thresholds,
     sweep_csv_rows,
     sweep_summary,
 )
@@ -139,7 +137,7 @@ def _count_cases(draw):
 @given(_count_cases())
 def test_binomial_counts_equal_numpys_on_the_same_stream(case):
     m, tau, size, seed = case
-    counts = _binomial_counts(RngStream(seed, 5), m, tau, size, _numpy_walk(m, tau))
+    counts = _binomial_counts(RngStream(seed, 5), m, tau, size, _numpy_thresholds(m, tau))
     assert counts.dtype == np.int64
     assert np.array_equal(counts, _reference_counts(RngStream(seed, 5), m, tau, size))
 
@@ -183,6 +181,40 @@ def _terms(m: int, tau: float) -> list[float]:
     return _inversion_terms(m, tau if tau <= 0.5 else 1.0 - tau)
 
 
+def _inversion_walk(u: float, terms: list[float]) -> int:
+    """numpy's variate for the draw ``u``; ``len(terms)`` where numpy draws again."""
+    for x, term in enumerate(terms):
+        if not u > term:
+            return x
+        u -= term
+    return len(terms)
+
+
+@st.composite
+def _inverting_cases(draw):
+    m = draw(st.integers(1, 150))
+    # p * m = 30 is where numpy switches from inversion to BTPE
+    edge = min(1.0, 30.0 / m)
+    near_edge = st.tuples(st.sampled_from([edge, 1.0 - edge]), st.floats(0.0, 1e-3)).map(
+        lambda at: at[0] - at[1] if at[0] == edge else at[0] + at[1])
+    tau = draw(st.one_of(st.just(1e-9), st.just(1.0 - 1e-9), near_edge,
+                         st.floats(0.0, 1.0)).filter(lambda t: 0.0 < min(t, 1.0 - t) * m <= 30.0))
+    return m, tau
+
+
+@settings(max_examples=200)
+@given(_inverting_cases())
+def test_each_threshold_is_the_least_double_whose_walk_passes_k_terms(case):
+    m, tau = case
+    terms = _terms(m, tau)
+    thresholds = _numpy_thresholds(m, tau)
+    assert len(thresholds) == len(terms)
+    assert np.all(np.diff(thresholds) >= 0.0)
+    for k, t in enumerate(thresholds.tolist(), start=1):
+        assert _inversion_walk(t, terms) >= k
+        assert _inversion_walk(math.nextafter(t, -math.inf), terms) < k
+
+
 @pytest.mark.parametrize("m, tau", _INVERTED)
 def test_counts_split_the_draws_where_numpy_does(m, tau):
     # a first draw on either side of each threshold, on the 2**-53 grid of
@@ -193,9 +225,9 @@ def test_counts_split_the_draws_where_numpy_does(m, tau):
         at = math.ceil(t * 2.0**53)
         draws.update(i * 2.0**-53 for i in (at - 1, at) if 0 <= i < 2**53)
     draws = sorted(draws)
-    walk = _numpy_walk(m, tau)
+    thresholds = _numpy_thresholds(m, tau)
     for first in draws:
-        assert np.array_equal(_binomial_counts(_FirstDrawStream(7, 3, first), m, tau, 5, walk),
+        assert np.array_equal(_binomial_counts(_FirstDrawStream(7, 3, first), m, tau, 5, thresholds),
                               _reference_counts(_FirstDrawStream(7, 3, first), m, tau, 5))
     # and the walk is numpy's own, at each of those draws it keeps
     kept = [d for d in draws if _inversion_walk(d, terms) < len(terms)]
@@ -217,20 +249,20 @@ def test_a_draw_numpy_would_redraw_replays_the_block(m, tau):
     second.random()
     x = _inversion_walk(second.random(), terms)
     assert stream.generator.binomial(m, tau) == (x if tau <= 0.5 else m - x)
-    walk = _numpy_walk(m, tau)
+    thresholds = _numpy_thresholds(m, tau)
     for size in (1, 7, BLOCK_SIZE):
-        assert np.array_equal(_binomial_counts(_FirstDrawStream(7, 3, first), m, tau, size, walk),
+        assert np.array_equal(_binomial_counts(_FirstDrawStream(7, 3, first), m, tau, size, thresholds),
                               _reference_counts(_FirstDrawStream(7, 3, first), m, tau, size))
 
 
 @pytest.mark.parametrize("m, tau", [(1, 0.3), (4, 0.7), (15, 0.75), (40, 0.3), (75, 0.25),
                                     (120, 0.2), (100, 0.5), (30, 1.0)])
 def test_count_blocks_compute_each_threshold_once_per_walk(monkeypatch, m, tau):
-    computed = Counter()
+    calls = []
 
-    def counted(terms, start=0):
-        computed.update(range(start + 1, len(terms) + 1))
-        return _count_thresholds(terms, start)
+    def counted(terms):
+        calls.append(len(terms))
+        return _count_thresholds(terms)
 
     monkeypatch.setattr(montecarlo, "_count_thresholds", counted)
     cfg = small_config(m=m, true_tau=tau, n_replicates=4 * BLOCK_SIZE + 17, master_seed=5)
@@ -240,9 +272,8 @@ def test_count_blocks_compute_each_threshold_once_per_walk(monkeypatch, m, tau):
     for b, row in enumerate(blocks):
         size = min(BLOCK_SIZE, cfg.n_replicates - b * BLOCK_SIZE)
         assert np.array_equal(row, _reference_counts(RngStream(5, base + b), m, tau, size))
-    # t_k depends on the walk's first k terms alone: each is computed once
-    assert all(n == 1 for n in computed.values())
-    assert bool(computed) == (0.0 < min(tau, 1.0 - tau) * m <= 30.0)
+    # every block shares one threshold array, computed where numpy inverts
+    assert len(calls) == (0.0 < min(tau, 1.0 - tau) * m <= 30.0)
 
 
 @pytest.mark.parametrize("m, tau", [(1, 0.3), (15, 0.3), (40, 0.3), (75, 0.3), (15, 0.75),
@@ -265,7 +296,7 @@ def test_inverted_block_counts_come_from_the_walk_and_are_never_replayed(monkeyp
 def test_btpe_counts_pass_through(m, tau):
     # p * m > 30: numpy samples by BTPE, and the counts are its own
     assert min(tau, 1.0 - tau) * m > 30.0
-    assert _numpy_walk(m, tau) is None
+    assert _numpy_thresholds(m, tau) is None
     assert np.array_equal(_binomial_counts(RngStream(11, 2), m, tau, BLOCK_SIZE, None),
                           _reference_counts(RngStream(11, 2), m, tau, BLOCK_SIZE))
 
