@@ -63,6 +63,7 @@ __all__ = [
     "run_backtest",
     "offers_for_day",
     "scale_penalties",
+    "check_penalty_scale",
 ]
 
 # the parameters each strategy's offer rule reads, in candidate order; the
@@ -700,10 +701,15 @@ def run_backtest(records: Sequence[MarketRecord], plan: BacktestPlan,
     )
 
 
+def check_penalty_scale(factor: float, name: str) -> None:
+    """Reject a penalty scale factor that is not positive and finite, naming it ``name``."""
+    if not 0.0 < factor < np.inf:
+        raise ValueError(f"{name} must be positive and finite, got {factor}")
+
+
 def scale_penalties(records: Sequence[MarketRecord], factor: float) -> list[MarketRecord]:
     """Scale every balancing-price spread away from the day-ahead price."""
-    if not 0.0 < factor < np.inf:
-        raise ValueError(f"scale factor must be positive and finite, got {factor}")
+    check_penalty_scale(factor, "scale factor")
     if factor == 1.0:
         return list(records)
     return [

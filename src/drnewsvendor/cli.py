@@ -1,9 +1,9 @@
 """Command-line front end: solvers, deformation curves, sweeps and backtests.
 
 Every command accepts ``--seed`` and ``--output {json,csv}``, writes its
-artifact atomically (temp file + rename) to ``--out`` and prints a
-one-line summary. Usage errors exit 2; data and domain errors exit 1 with
-a structured message on stderr.
+artifact atomically (temp file + rename) to ``--out``, by default
+``<command>.<output>``, and prints a one-line summary. Usage errors exit 2;
+data and domain errors exit 1 with a structured message on stderr.
 """
 
 from __future__ import annotations
@@ -53,7 +53,7 @@ def _jsonify(obj):
     return obj
 
 
-def _atomic_write(path: Path, text: str) -> None:
+def _atomic_write(path: str | Path, text: str) -> None:
     path = Path(path)
     parent = path.parent if str(path.parent) else Path(".")
     parent.mkdir(parents=True, exist_ok=True)
@@ -68,16 +68,23 @@ def _atomic_write(path: Path, text: str) -> None:
         raise
 
 
-def _write_json(path: Path, payload: dict) -> None:
-    _atomic_write(path, json.dumps(_jsonify(payload), indent=2, sort_keys=True) + "\n")
+def _write_artifact(args, payload: dict, header: list[str], rows) -> str:
+    """Write the command's artifact in the ``--output`` format; return its path.
 
-
-def _write_csv(path: Path, header: list[str], rows: list) -> None:
-    buf = io.StringIO()
-    writer = csv.writer(buf)
-    writer.writerow(header)
-    writer.writerows(rows)
-    _atomic_write(path, buf.getvalue())
+    The path is ``--out`` when given, else ``<command>.<output>``. ``rows``
+    returns the CSV rows and is called only for CSV output.
+    """
+    out = f"{args.command}.{args.output}" if args.out is None else args.out
+    if args.output == "json":
+        text = json.dumps(_jsonify(payload), indent=2, sort_keys=True) + "\n"
+    else:
+        buf = io.StringIO()
+        writer = csv.writer(buf)
+        writer.writerow(header)
+        writer.writerows(rows())
+        text = buf.getvalue()
+    _atomic_write(out, text)
+    return out
 
 
 def _parse_dist(spec: str) -> UnitDistribution:
@@ -171,12 +178,6 @@ def _apply_config(argv: list[str]) -> list[str]:
     return [rest[0], *tokens, *rest[1:]]
 
 
-def _add_common(parser: argparse.ArgumentParser, default_out: str) -> None:
-    parser.add_argument("--seed", type=int, default=0, help="master seed")
-    parser.add_argument("--output", choices=("json", "csv"), default="json")
-    parser.add_argument("--out", default=default_out, help="artifact path")
-
-
 # ---------- command handlers ----------
 
 
@@ -210,14 +211,12 @@ def _cmd_solve(args) -> int:
         "diagnostics": dict(decision.diagnostics),
         "seed": args.seed,
     }
-    if args.output == "json":
-        _write_json(Path(args.out), payload)
-    else:
-        rows = [("y_star", repr(decision.y_star)), ("method", decision.method.value)]
-        rows += sorted((k, repr(v) if isinstance(v, float) else str(v))
-                       for k, v in decision.diagnostics.items())
-        _write_csv(Path(args.out), ["key", "value"], rows)
-    print(f"y*={decision.y_star:.6f} ({decision.method.value}) -> {args.out}")
+    out = _write_artifact(args, payload, ["key", "value"], lambda: [
+        ("y_star", repr(decision.y_star)), ("method", decision.method.value),
+        *sorted((k, repr(v) if isinstance(v, float) else str(v))
+                for k, v in decision.diagnostics.items()),
+    ])
+    print(f"y*={decision.y_star:.6f} ({decision.method.value}) -> {out}")
     return 0
 
 
@@ -231,16 +230,15 @@ def _cmd_deform(args) -> int:
     ref = np.asarray(dist.cdf(xs), dtype=float)
     up = np.asarray(upper.cdf(xs), dtype=float)
     lo = np.asarray(lower.cdf(xs), dtype=float)
-    if args.output == "json":
-        _write_json(Path(args.out), {
-            "command": "deform", "rho": args.rho, "seed": args.seed,
-            "x": xs, "reference": ref, "upper": up, "lower": lo,
-        })
-    else:
-        rows = [(repr(float(a)), repr(float(b)), repr(float(c)), repr(float(d)))
-                for a, b, c, d in zip(xs, ref, up, lo)]
-        _write_csv(Path(args.out), ["x", "reference", "upper", "lower"], rows)
-    print(f"deformation band at rho={args.rho:g} over {xs.size} points -> {args.out}")
+    payload = {
+        "command": "deform", "rho": args.rho, "seed": args.seed,
+        "x": xs, "reference": ref, "upper": up, "lower": lo,
+    }
+    out = _write_artifact(args, payload, ["x", "reference", "upper", "lower"], lambda: (
+        (repr(float(a)), repr(float(b)), repr(float(c)), repr(float(d)))
+        for a, b, c, d in zip(xs, ref, up, lo)
+    ))
+    print(f"deformation band at rho={args.rho:g} over {xs.size} points -> {out}")
     return 0
 
 
@@ -263,15 +261,13 @@ def _sim_config(args, m: int) -> mc.SimConfig:
 def _cmd_simulate(args) -> int:
     config = _sim_config(args, args.m)
     result = mc.run_epsilon_sweep(config)
-    if args.output == "json":
-        _write_json(Path(args.out), mc.sweep_summary(result, config))
-    else:
-        _write_csv(Path(args.out), ["epsilon", "arm", "expected_loss"], mc.sweep_csv_rows(result))
+    out = _write_artifact(args, mc.sweep_summary(result, config),
+                          ["epsilon", "arm", "expected_loss"], lambda: mc.sweep_csv_rows(result))
     g_u = "n/a" if result.gamma_u is None else f"{result.gamma_u:.4f}"
     g_la = "n/a" if result.gamma_la is None else f"{result.gamma_la:.4f}"
     print(
         f"gamma_u={g_u} gamma_la={g_la} "
-        f"(m={args.m}, n={args.n}, {result.runtime_seconds:.2f}s) -> {args.out}"
+        f"(m={args.m}, n={args.n}, {result.runtime_seconds:.2f}s) -> {out}"
     )
     return 0
 
@@ -286,25 +282,22 @@ def _cmd_msweep(args) -> int:
     config = _sim_config(args, args.m_min)
     m_values = list(range(args.m_min, args.m_max + 1, args.m_step))
     result = mc.run_m_sweep(config, m_values)
-    if args.output == "json":
-        _write_json(Path(args.out), {
-            "command": "msweep", "seed": args.seed,
-            "m_values": result.m_values,
-            "gamma_u": result.gamma_u, "gamma_la": result.gamma_la,
-            "gamma_u_se": result.gamma_u_se, "gamma_la_se": result.gamma_la_se,
-            "n_replicates": result.n_replicates,
-        })
-    else:
-        rows = []
-        for i, m in enumerate(result.m_values):
-            rows.append((str(int(m)), "uniform", repr(float(result.gamma_u[i])),
-                         repr(float(result.gamma_u_se[i]))))
-            rows.append((str(int(m)), "level_adjusted", repr(float(result.gamma_la[i])),
-                         repr(float(result.gamma_la_se[i]))))
-        _write_csv(Path(args.out), ["m", "ball", "gamma", "gamma_se"], rows)
+    arms = (("uniform", result.gamma_u, result.gamma_u_se),
+            ("level_adjusted", result.gamma_la, result.gamma_la_se))
+    payload = {
+        "command": "msweep", "seed": args.seed,
+        "m_values": result.m_values,
+        "gamma_u": result.gamma_u, "gamma_la": result.gamma_la,
+        "gamma_u_se": result.gamma_u_se, "gamma_la_se": result.gamma_la_se,
+        "n_replicates": result.n_replicates,
+    }
+    out = _write_artifact(args, payload, ["m", "ball", "gamma", "gamma_se"], lambda: (
+        (str(int(m)), ball, repr(float(gamma[i])), repr(float(se[i])))
+        for i, m in enumerate(result.m_values) for ball, gamma, se in arms
+    ))
     print(
         f"m-sweep over {result.m_values.size} sizes "
-        f"({result.runtime_seconds:.2f}s) -> {args.out}"
+        f"({result.runtime_seconds:.2f}s) -> {out}"
     )
     return 0
 
@@ -345,33 +338,30 @@ def _add_backtest_flags(parser: argparse.ArgumentParser) -> None:
 
 
 def _load_backtest_inputs(args):
-    if not 0.0 < args.penalty_scale < np.inf:
-        raise ValueError(
-            f"--penalty-scale must be a positive finite number, got {args.penalty_scale!r}"
-        )
+    bt.check_penalty_scale(args.penalty_scale, "--penalty-scale")
     records = bt.load_market_data(args.market, args.forecasts, strict=args.strict)
     return bt.scale_penalties(records, args.penalty_scale), _plan_from_args(args)
+
+
+def _chosen_rows(chosen: bt.ChosenParameters):
+    """``day,strategy,param,value`` rows; a fixed-window selection's day is ``-``."""
+    if chosen.mode is bt.CvMode.FIXED_WINDOW:
+        tables = [("-", chosen.static)]
+    else:
+        tables = [(str(day), strats) for day, strats in sorted(chosen.per_day.items())]
+    for day, strats in tables:
+        for strat, params in sorted(strats.items()):
+            for key, val in sorted(params.items()):
+                yield day, strat, key, repr(float(val))
 
 
 def _cmd_crossval(args) -> int:
     records, plan = _load_backtest_inputs(args)
     chosen = bt.cross_validate(records, plan)
-    if args.output == "json":
-        _write_json(Path(args.out), {"command": "crossval", "seed": args.seed,
-                                     **chosen.to_json_dict()})
-    else:
-        rows = []
-        if chosen.mode is bt.CvMode.FIXED_WINDOW:
-            for strat, params in sorted(chosen.static.items()):
-                for key, val in sorted(params.items()):
-                    rows.append(("-", strat, key, repr(float(val))))
-        else:
-            for day, strats in sorted(chosen.per_day.items()):
-                for strat, params in sorted(strats.items()):
-                    for key, val in sorted(params.items()):
-                        rows.append((str(day), strat, key, repr(float(val))))
-        _write_csv(Path(args.out), ["day", "strategy", "param", "value"], rows)
-    print(f"cross-validation ({chosen.mode.value}) -> {args.out}")
+    out = _write_artifact(args, {"command": "crossval", "seed": args.seed,
+                                 **chosen.to_json_dict()},
+                          ["day", "strategy", "param", "value"], lambda: _chosen_rows(chosen))
+    print(f"cross-validation ({chosen.mode.value}) -> {out}")
     return 0
 
 
@@ -382,19 +372,14 @@ def _cmd_backtest(args) -> int:
     else:
         chosen = bt.cross_validate(records, plan)
     report = bt.run_backtest(records, plan, chosen)
-    if args.output == "json":
-        _write_json(Path(args.out), {"command": "backtest", "seed": args.seed,
-                                     **bt.report_summary(report)})
-    else:
-        _write_csv(
-            Path(args.out),
-            ["timestamp", "strategy", "revenue", "regret", "cum_delta_regret"],
-            bt.report_csv_rows(report),
-        )
+    out = _write_artifact(args, {"command": "backtest", "seed": args.seed,
+                                 **bt.report_summary(report)},
+                          ["timestamp", "strategy", "revenue", "regret", "cum_delta_regret"],
+                          lambda: bt.report_csv_rows(report))
     summary = " ".join(
         f"{name}:r={row.regret_per_mwh:.3f}" for name, row in sorted(report.rows.items())
     )
-    print(f"backtest over {len(report.timestamps)} periods [{summary}] -> {args.out}")
+    print(f"backtest over {len(report.timestamps)} periods [{summary}] -> {out}")
     return 0
 
 
@@ -414,12 +399,8 @@ def _cmd_synth(args) -> int:
         "records": len(records), "tau": args.tau,
         "market": str(args.market_out), "forecasts": str(args.forecasts_out),
     }
-    if args.output == "json":
-        _write_json(Path(args.out), payload)
-    else:
-        _write_csv(Path(args.out), ["key", "value"], sorted(
-            (k, str(v)) for k, v in payload.items()
-        ))
+    _write_artifact(args, payload, ["key", "value"],
+                    lambda: sorted((k, str(v)) for k, v in payload.items()))
     print(f"synthetic market: {len(records)} records over {args.days} days -> {args.market_out}")
     return 0
 
@@ -447,7 +428,6 @@ def _parser() -> argparse.ArgumentParser:
     p.add_argument("--eps", type=float, default=None)
     p.add_argument("--ball", choices=sorted(_BALL_BY_FLAG), default="uniform")
     p.add_argument("--theta", type=float, default=None)
-    _add_common(p, "solve.json")
     p.set_defaults(handler=_cmd_solve)
 
     p = sub.add_parser("deform", help="tabulate a deformation band")
@@ -455,7 +435,6 @@ def _parser() -> argparse.ArgumentParser:
     p.add_argument("--forecast", help="quantile forecast CSV")
     p.add_argument("--rho", type=float, required=True)
     p.add_argument("--grid-step", type=float, default=0.01)
-    _add_common(p, "deform.json")
     p.set_defaults(handler=_cmd_deform)
 
     p = sub.add_parser("simulate", help="estimation-noise sweep over ball radii")
@@ -467,7 +446,6 @@ def _parser() -> argparse.ArgumentParser:
     p.add_argument("--theta", type=float, default=0.9)
     p.add_argument("--eps-grid", default="0:0.01:1")
     p.add_argument("--ball", choices=("uniform", "level-adjusted", "both"), default="both")
-    _add_common(p, "simulate.json")
     p.set_defaults(handler=_cmd_simulate)
 
     p = sub.add_parser("msweep", help="gamma versus estimation sample size")
@@ -481,18 +459,15 @@ def _parser() -> argparse.ArgumentParser:
     p.add_argument("--theta", type=float, default=0.9)
     p.add_argument("--eps-grid", default="0:0.01:1")
     p.add_argument("--ball", choices=("uniform", "level-adjusted", "both"), default="both")
-    _add_common(p, "msweep.json")
     p.set_defaults(handler=_cmd_msweep)
 
     p = sub.add_parser("crossval", help="select strategy parameters on the CV window")
     _add_backtest_flags(p)
-    _add_common(p, "crossval.json")
     p.set_defaults(handler=_cmd_crossval)
 
     p = sub.add_parser("backtest", help="run the out-of-sample evaluation")
     _add_backtest_flags(p)
     p.add_argument("--params", default=None, help="chosen-parameters JSON from crossval")
-    _add_common(p, "backtest.json")
     p.set_defaults(handler=_cmd_backtest)
 
     p = sub.add_parser("synth", help="generate synthetic market data files")
@@ -503,9 +478,12 @@ def _parser() -> argparse.ArgumentParser:
     p.add_argument("--start", default="2018-10-01T00:00:00")
     p.add_argument("--market-out", default="market.csv")
     p.add_argument("--forecasts-out", default="forecasts")
-    _add_common(p, "synth.json")
     p.set_defaults(handler=_cmd_synth)
 
+    for p in sub.choices.values():  # every command writes one artifact the same way
+        p.add_argument("--seed", type=int, default=0, help="master seed")
+        p.add_argument("--output", choices=("json", "csv"), default="json")
+        p.add_argument("--out", help="artifact path (default <command>.<output>)")
     return parser
 
 
@@ -527,3 +505,7 @@ def dispatch(argv: list[str] | None = None) -> int:
 
 def main() -> None:
     sys.exit(dispatch())
+
+
+if __name__ == "__main__":
+    main()

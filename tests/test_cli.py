@@ -272,6 +272,47 @@ def market_flags(tmp_path_factory):
             "--theta-grid", "0.9"]
 
 
+# each command's flags short of an artifact path, and the first line of its CSV artifact
+_ARTIFACT_COMMANDS = {
+    "solve": (["--strategy", "direct", "--dist", "uniform", "--tau", "0.75"], "key,value"),
+    "deform": (["--dist", "uniform", "--rho", "0.2", "--grid-step", "0.25"],
+               "x,reference,upper,lower"),
+    "simulate": (["--dist", "beta:2,6", "--tau", "0.75", "--m", "5", "--n", "1000",
+                  "--eps-grid", "0,0.5"], "epsilon,arm,expected_loss"),
+    "msweep": (["--dist", "beta:2,6", "--tau", "0.75", "--m-max", "3", "--n", "1000",
+                "--eps-grid", "0,0.5"], "m,ball,gamma,gamma_se"),
+    "crossval": ([], "day,strategy,param,value"),
+    "backtest": ([], "timestamp,strategy,revenue,regret,cum_delta_regret"),
+    "synth": (["--days", "3", "--market-out", "m.csv", "--forecasts-out", "fc"], "key,value"),
+}
+
+
+@pytest.mark.parametrize("output", ["json", "csv"])
+@pytest.mark.parametrize("command", list(_ARTIFACT_COMMANDS))
+def test_default_artifact_name_follows_the_command_and_output(tmp_path, monkeypatch, capsys,
+                                                              market_flags, command, output):
+    monkeypatch.chdir(tmp_path)
+    flags, header = _ARTIFACT_COMMANDS[command]
+    argv = [command, *flags, *(market_flags if command in ("crossval", "backtest") else []),
+            "--output", output]
+    assert dispatch(argv) == 0
+    name = f"{command}.{output}"
+    text = (tmp_path / name).read_text()
+    if output == "json":
+        assert json.loads(text)
+    else:
+        assert text.splitlines()[0] == header
+        assert not (tmp_path / f"{command}.json").exists()
+    # synth's summary names the market file it wrote, every other one its artifact
+    named = "m.csv" if command == "synth" else name
+    assert capsys.readouterr().out.rstrip().endswith(f"-> {named}")
+    # an explicit --out still wins, and holds the same bytes
+    assert dispatch([*argv, "--out", "explicit.out"]) == 0
+    assert (tmp_path / "explicit.out").read_bytes() == (tmp_path / name).read_bytes()
+    named = "m.csv" if command == "synth" else "explicit.out"
+    assert capsys.readouterr().out.rstrip().endswith(f"-> {named}")
+
+
 def _static(**changes):
     """A fixed-window selection for the default strategies, with some replaced."""
     params = {"oracle": {}, "bn": {"m": 8}, "dr_omega": {"m": 8, "rho": 0.2},
@@ -438,7 +479,7 @@ def test_backtest_rejects_a_penalty_scale_it_cannot_use(tmp_path, capsys, market
     code = dispatch(["backtest", *market_flags, "--penalty-scale", value, "--out", str(out)])
     assert code == 1
     error = json.loads(capsys.readouterr().err)["error"]
-    assert error == f"--penalty-scale must be a positive finite number, got {float(value)!r}"
+    assert error == f"--penalty-scale must be positive and finite, got {float(value)!r}"
     assert not out.exists()
 
 
@@ -573,6 +614,20 @@ def _src_env() -> dict:
     """The environment for a fresh interpreter that imports this checkout's package."""
     src = str(Path(__file__).resolve().parents[1] / "src")
     return dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+
+
+def test_module_form_runs_the_command(tmp_path):
+    solve = [sys.executable, "-m", "drnewsvendor.cli", "solve", "--strategy", "direct"]
+    proc = subprocess.run([*solve, "--dist", "uniform", "--tau", "0.75"], cwd=tmp_path,
+                          env=_src_env(), capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.rstrip().endswith("-> solve.json")
+    assert json.loads((tmp_path / "solve.json").read_text())["y_star"] == 0.75
+    proc = subprocess.run([*solve, "--dist", "beta:2", "--tau", "0.75"], cwd=tmp_path,
+                          env=_src_env(), capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 1
+    [line] = proc.stderr.splitlines()
+    assert "beta spec needs two parameters" in json.loads(line)["error"]
 
 
 def test_usage_error_exits_2():
