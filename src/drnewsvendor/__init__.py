@@ -42,7 +42,6 @@ from .distributions import (
 )
 from .economics import (
     PenaltyPair,
-    effective_balancing_price,
     expected_loss,
     penalties,
     regret_and_ratio,

@@ -45,7 +45,7 @@ from .distributions import (
     _share_knots,
     read_quantile_forecast,
 )
-from .economics import StrategyRow, penalty_split, regret_and_ratio, revenue
+from .economics import StrategyRow, _settle, penalty_split, regret_and_ratio
 from .estimation import HourlyTauEstimator, _check_fallback, fill_empty_windows
 from .solvers import dr_omega_from_quantiles, dr_omega_levels, dr_s_rule
 
@@ -573,8 +573,8 @@ class _Span:
 
     def revenues(self, strategy: str, grid: Sequence[Mapping[str, float]]) -> np.ndarray:
         """Each grid point's revenues, one row per point and one column per period."""
-        y = self.offers([(strategy, params) for params in grid])
-        return revenue(self.pi_s, self.pi_b, self.s_l, y, self.omega)
+        y = self.offers([(strategy, params) for params in grid])  # checked offers
+        return _settle(self.pi_s, self.pi_b, self.s_l, y, self.omega)
 
 
 def _window_totals(rev: np.ndarray, windows: Sequence[tuple[int, int]]) -> np.ndarray:
@@ -669,7 +669,7 @@ def run_backtest(records: Sequence[MarketRecord], plan: BacktestPlan,
         raise ValueError("evaluation span holds no records")
     span = _Span(frame, plan, np.arange(first, end))
 
-    oracle_rev = revenue(span.pi_s, span.pi_b, span.s_l, span.omega, span.omega)
+    oracle_rev = _settle(span.pi_s, span.pi_b, span.s_l, span.omega, span.omega)
     days, day_at = np.unique(span.day, return_inverse=True)  # each period's index into days
     revenues: dict[str, np.ndarray] = {}
     for strategy in plan.strategies:

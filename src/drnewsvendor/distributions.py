@@ -2,10 +2,10 @@
 
 Every offer rule in this package consumes a predictive distribution for
 normalized generation through the small interface defined here: CDF,
-generalized-inverse quantile, mean, partial expectations and
-inverse-transform sampling. Piecewise-linear distributions built from
-quantile forecasts are the production representation; Beta, Uniform01 and
-Heaviside cover simulation studies and limit cases.
+generalized-inverse quantile, mean and partial expectations.
+Piecewise-linear distributions built from quantile forecasts are the
+production representation; Beta, Uniform01 and Heaviside cover
+simulation studies and limit cases.
 """
 
 from __future__ import annotations
@@ -147,12 +147,6 @@ class UnitDistribution(ABC):
         under = y * p - _integral_to(self._quantile_below, np.where(low, p, 0.0))
         over = _integral_to(self._quantile_above, np.where(low, 0.0, 1.0 - p)) - y * (1.0 - p)
         return np.where(low, under, over + y - self.mean())
-
-    def sample(self, rng: "RngStream", n: int) -> np.ndarray:
-        """Draw ``n`` i.i.d. values by inverse-transform sampling."""
-        if n < 0:
-            raise ValueError(f"sample size must be non-negative, got {n}")
-        return np.asarray(self.quantile(rng.generator.random(n)), dtype=float)
 
 
 class _KnotError(ValueError):

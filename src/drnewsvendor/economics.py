@@ -18,7 +18,6 @@ from .distributions import UnitDistribution, _validate_prob
 
 __all__ = [
     "PenaltyPair",
-    "effective_balancing_price",
     "penalty_split",
     "revenue",
     "penalties",
@@ -43,11 +42,6 @@ class PenaltyPair:
             raise ValueError("overage and underage penalties are mutually exclusive")
 
 
-def effective_balancing_price(pi_s, pi_b, s_l, y, omega_star) -> np.ndarray:
-    """Price applied to the imbalance: pi_b when it aggravates the system, pi_s otherwise."""
-    return np.where((np.asarray(omega_star, dtype=float) - y) * s_l > 0.0, pi_b, pi_s)
-
-
 def revenue(pi_s, pi_b, s_l, y, omega_star):
     """Producer revenue, elementwise: day-ahead payment plus the settled imbalance.
 
@@ -56,8 +50,16 @@ def revenue(pi_s, pi_b, s_l, y, omega_star):
     """
     _validate_prob(y, "y")
     _validate_prob(omega_star, "omega_star")
-    pi_eff = effective_balancing_price(pi_s, pi_b, s_l, y, omega_star)
-    return pi_s * y + pi_eff * (omega_star - y)
+    return _settle(pi_s, pi_b, s_l, y, omega_star)
+
+
+def _settle(pi_s, pi_b, s_l, y, omega_star):
+    """:func:`revenue` of offers and realizations already checked to lie in [0, 1].
+
+    The imbalance is settled at pi_b when it aggravates the system, at pi_s otherwise.
+    """
+    imbalance = np.asarray(omega_star, dtype=float) - y
+    return pi_s * y + np.where(imbalance * s_l > 0.0, pi_b, pi_s) * imbalance
 
 
 def penalty_split(pi_s, pi_b, s_l) -> tuple[np.ndarray, np.ndarray]:

@@ -67,30 +67,22 @@ class HourlyTauEstimator:
         hi = np.searchsorted(self._keys, base + last, side="right")
         return lo, np.maximum(hi, lo)
 
-    def forecast(
-        self,
-        day: int,
-        hour: int,
-        window_days: int,
-        fallback_tau: float | None = None,
-    ) -> float:
-        """Mean outcome at ``hour`` over the ``window_days`` days before ``day``."""
-        return float(self.forecast_many([day], [hour], window_days, fallback_tau)[0])
+    def forecast(self, day: int, hour: int, window_days: int,
+                 fallback_tau: float | None = None) -> float:
+        """Mean outcome at ``hour`` over the ``window_days`` days before ``day``.
 
-    def forecast_many(self, days, hours, window_days: int,
-                      fallback_tau: float | None = None) -> np.ndarray:
-        """Mean outcome at each target hour over the ``window_days`` days before its day.
-
-        ``days`` and ``hours`` are aligned arrays. Without a fallback, the
-        first target whose window holds no usable outcome raises; a given
-        fallback must lie in [0, 1].
+        Without a fallback, a window that holds no usable outcome raises; a
+        given fallback must lie in [0, 1].
         """
         _check_fallback(fallback_tau)
-        tau = self.window_means(days, hours, window_days)
-        return fill_empty_windows(tau, days, hours, window_days, fallback_tau)
+        tau = self.window_means([day], [hour], window_days)
+        return float(fill_empty_windows(tau, [day], [hour], window_days, fallback_tau)[0])
 
     def window_means(self, days, hours, window_days: int) -> np.ndarray:
-        """:meth:`forecast_many` with NaN where a window holds no usable outcome."""
+        """Each target's :meth:`forecast`, NaN where its window holds no usable outcome.
+
+        ``days`` and ``hours`` are aligned arrays of targets.
+        """
         if window_days < 1:
             raise ValueError(f"window must cover at least one day, got {window_days}")
         days = np.asarray(days, dtype=np.int64)

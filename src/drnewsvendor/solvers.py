@@ -5,12 +5,14 @@ that produced it and the intermediate quantities (quantiles, ball bounds,
 mean) useful for diagnosis. They are pure functions of their inputs.
 
 The two robust rules are written once, as array functions
-(:func:`dr_omega_offers`, :func:`dr_s_rule`) that the scalar solvers,
-the backtest and the Monte-Carlo harness all call; the backtest prices
-the DR-omega levels of many rows in one quantile call, through the two
-halves of :func:`dr_omega_offers`. They check nothing:
-the scalar solvers check their inputs, and the backtest and the harness
-feed them values their plan and configuration have checked.
+(:func:`dr_omega_offers`, :func:`dr_s_rule`). In the package only
+:func:`solve_dr_omega` calls :func:`dr_omega_offers`; the backtest calls
+its two halves (:func:`dr_omega_levels`, :func:`dr_omega_from_quantiles`)
+so that it prices the DR-omega levels of many rows in one quantile call.
+:func:`solve_dr_s` and the backtest call :func:`dr_s_rule`, the one rule
+the Monte-Carlo harness calls. They check nothing: the scalar solvers
+check their inputs, and the backtest and the harness feed them values
+their plan and configuration have checked.
 """
 
 from __future__ import annotations

@@ -1,4 +1,5 @@
-"""Shared helpers: random problem instances and the brute-force loss oracle."""
+"""Shared helpers: random problem instances, the brute-force loss oracle and
+per-period penalty and tau references written out one period at a time."""
 
 from __future__ import annotations
 
@@ -49,6 +50,46 @@ def grid_loss_oracle(dist, y_grid: np.ndarray):
 def grid_expected_loss(dist, tau: float, y_grid: np.ndarray) -> np.ndarray:
     under, over = grid_loss_oracle(dist, y_grid)
     return (1.0 - tau) * under + tau * over
+
+
+def penalty_pair(rec):
+    """A record's (overage, underage) penalties, one period at a time.
+
+    A system length of zero or more penalizes overproduction by
+    ``pi_s - pi_b``, a negative one underproduction by ``pi_b - pi_s``,
+    each clamped at zero.
+    """
+    if rec.s_l >= 0.0:
+        return max(rec.pi_s - rec.pi_b, 0.0), 0.0
+    return 0.0, max(rec.pi_b - rec.pi_s, 0.0)
+
+
+def reference_tau(records, days, hours, window_days, fallback_tau=None) -> np.ndarray:
+    """Tau at each (day, hour) target as a plain windowed mean; day 1 is the first record's date.
+
+    The mean is over the usable 0/1 penalty outcomes (1 overage, 0
+    underage; a period with neither is left out) at the target's hour on
+    the ``window_days`` days before its day. An empty window takes
+    ``fallback_tau`` or, without one, raises the estimator's error.
+    """
+    first = records[0].timestamp.toordinal()
+    outcome = {}
+    for rec in records:
+        over, under = penalty_pair(rec)
+        if over > 0.0 or under > 0.0:
+            key = (rec.timestamp.toordinal() - first + 1, rec.timestamp.hour)
+            outcome[key] = 1.0 if over > 0.0 else 0.0
+    taus = []
+    for day, hour in zip(days, hours):
+        seen = [outcome[d, hour] for d in range(day - window_days, day) if (d, hour) in outcome]
+        if seen:
+            taus.append(sum(seen) / len(seen))
+        elif fallback_tau is None:
+            raise ValueError(f"no usable outcomes for hour {hour} in the {window_days} days "
+                             f"before day {day}; supply a fallback tau to proceed")
+        else:
+            taus.append(float(fallback_tau))
+    return np.array(taus)
 
 
 @pytest.fixture

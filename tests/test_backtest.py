@@ -27,7 +27,6 @@ from drnewsvendor import (
     load_market_data,
     make_synthetic_market,
     offers_for_day,
-    penalties,
     revenue,
     run_backtest,
     scale_penalties,
@@ -40,6 +39,8 @@ from drnewsvendor.backtest import report_csv_rows, report_summary
 from drnewsvendor.cli import dispatch
 from drnewsvendor.distributions import PiecewiseLinearBatch, _forecast_text
 from drnewsvendor.estimation import HourlyTauEstimator
+
+from conftest import penalty_pair
 
 SMALL_PLAN = BacktestPlan(
     warm_start_days=30, tau_window_days=20, cv_days=10, m_grid=(8,),
@@ -88,9 +89,8 @@ def test_synthetic_calibration():
     assert 1.0 - len(usable) / len(outcomes) == pytest.approx(0.05, abs=0.02)
     # spread sign always matches the system length, so no clamping occurs
     for r in recs[:500]:
-        pair = penalties(r.pi_s, r.pi_b, r.s_l)
         if r.s_l != 0.0:
-            assert pair.overage > 0 or pair.underage > 0
+            assert penalty_direction(r) is not None
 
 
 def test_synthetic_validation():
@@ -753,10 +753,8 @@ def test_scale_penalties_identity_and_doubling():
     assert all(a.pi_b == b.pi_b for a, b in zip(recs, same))
     doubled = scale_penalties(recs, 2.0)
     for a, b in zip(recs, doubled):
-        pa = penalties(a.pi_s, a.pi_b, a.s_l)
-        pb = penalties(b.pi_s, b.pi_b, b.s_l)
-        assert pb.overage == pytest.approx(2 * pa.overage, rel=1e-12, abs=1e-12)
-        assert pb.underage == pytest.approx(2 * pa.underage, rel=1e-12, abs=1e-12)
+        for pa, pb in zip(penalty_pair(a), penalty_pair(b)):
+            assert pb == pytest.approx(2 * pa, rel=1e-12, abs=1e-12)
     for factor in (0.0, -1.0, float("inf"), float("nan")):
         with pytest.raises(ValueError, match=f"must be positive and finite, got {factor}"):
             scale_penalties(recs, factor)

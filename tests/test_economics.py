@@ -7,7 +7,6 @@ from drnewsvendor import (
     Beta,
     PenaltyPair,
     Uniform01,
-    effective_balancing_price,
     expected_loss,
     penalties,
     regret_and_ratio,
@@ -19,9 +18,10 @@ from conftest import random_dist
 
 
 def test_effective_balancing_price_cases():
-    assert effective_balancing_price(50, 40, +1, 0.3, 0.5) == 40  # surplus into long system
-    assert effective_balancing_price(50, 70, +1, 0.5, 0.3) == 50  # deficit opposes long system
-    assert effective_balancing_price(50, 70, 0, 0.2, 0.9) == 50   # zero length never aggravates
+    # the imbalance omega - y settles at the effective price: pi_b when it aggravates the system
+    assert revenue(50, 40, +1, 0.3, 0.5) == 50 * 0.3 + 40 * (0.5 - 0.3)  # surplus into long system
+    assert revenue(50, 70, +1, 0.5, 0.3) == 50 * 0.5 + 50 * (0.3 - 0.5)  # deficit opposes long system
+    assert revenue(50, 70, 0, 0.2, 0.9) == 50 * 0.2 + 50 * (0.9 - 0.2)   # zero length never aggravates
 
 
 def test_revenue_examples():
@@ -179,3 +179,15 @@ def test_settlement_input_validation():
         revenue(50, 40, 1, 1.2, 0.5)
     with pytest.raises(ValueError):
         revenue(50, 40, 1, 0.5, -0.1)
+
+
+@pytest.mark.parametrize("y, omega, name", [
+    (float("nan"), 0.5, "y"),
+    (0.5, float("nan"), "omega_star"),
+    (np.array([0.2, 1.5]), np.array([0.5, 0.5]), "y"),
+    (np.array([0.2, 0.4]), np.array([0.5, np.nan]), "omega_star"),
+    (np.array([0.2, 0.4]), np.array([-0.1, 0.5]), "omega_star"),
+])
+def test_revenue_rejects_a_nan_or_an_array_entry_outside_the_unit_interval(y, omega, name):
+    with pytest.raises(ValueError, match=rf"^{name} must lie in \[0, 1\], got "):
+        revenue(50.0, 40.0, 1.0, y, omega)

@@ -1,25 +1,25 @@
 """The chance-of-success estimator: hourly moving averages of penalty outcomes."""
 
 import re
+from collections import namedtuple
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from drnewsvendor import (
-    HourlyTauEstimator,
-    PenaltyPair,
-    RngStream,
-)
+from drnewsvendor import HourlyTauEstimator, RngStream
+from drnewsvendor.estimation import fill_empty_windows
 
-OVER = PenaltyPair(5.0, 0.0)
-UNDER = PenaltyPair(0.0, 5.0)
-NONE_PAIR = PenaltyPair(0.0, 0.0)
+# one period's penalties; at most one is nonzero
+Pair = namedtuple("Pair", "overage underage")
+OVER = Pair(5.0, 0.0)
+UNDER = Pair(0.0, 5.0)
+NONE_PAIR = Pair(0.0, 0.0)
 
 
 def estimator(history):
-    """The estimator over ``(day, hour, PenaltyPair)`` rows, passed as aligned columns."""
+    """The estimator over ``(day, hour, Pair)`` rows, passed as aligned columns."""
     days, hours, pairs = zip(*history) if history else ((), (), ())
     return HourlyTauEstimator(days, hours, [p.overage for p in pairs],
                               [p.underage for p in pairs])
@@ -68,7 +68,7 @@ def test_forecast_rejects_a_fallback_outside_the_unit_interval(bad):
     with pytest.raises(ValueError, match=re.escape(f"fallback tau must lie in [0, 1], got {bad}")):
         est.forecast(1, 5, 3, fallback_tau=bad)
     with pytest.raises(ValueError, match="fallback tau"):
-        est.forecast_many([3], [0], 2, bad)
+        est.forecast(3, 0, 2, bad)  # a window with outcomes needs no fallback, yet it is checked
 
 
 def test_empty_window_error_and_fallback():
@@ -124,9 +124,9 @@ def windowed_histories(draw):
             kind = draw(st.sampled_from(("over", "under", "none", "missing")))
             size = float(draw(st.integers(1, 60))) / 4.0
             if kind == "over":
-                history.append((day, hour, PenaltyPair(size, 0.0)))
+                history.append((day, hour, Pair(size, 0.0)))
             elif kind == "under":
-                history.append((day, hour, PenaltyPair(0.0, size)))
+                history.append((day, hour, Pair(0.0, size)))
             elif kind == "none":
                 history.append((day, hour, NONE_PAIR))
     history = draw(st.permutations(history))
@@ -159,17 +159,20 @@ def test_index_matches_plain_window_mean(case):
         else:
             assert np.isnan(est.window_means([day], [hour], window)[0])
             assert est.forecast(day, hour, window, 0.5) == 0.5
+    # all targets at once, as the backtest reads them: window means, then the fallback
     days, hours = (np.array(col) for col in zip(*targets))
+    means = est.window_means(days, hours, window)
     first_missing = next((t for t, tau in zip(targets, expected) if tau is None), None)
     if first_missing is not None and fallback is None:
         day, hour = first_missing
         with pytest.raises(ValueError,
                            match=rf"^no usable outcomes for hour {hour} in the {window} days "
                                  rf"before day {day};"):
-            est.forecast_many(days, hours, window)
+            fill_empty_windows(means, days, hours, window, None)
         return
-    got = est.forecast_many(days, hours, window, fallback)
-    assert got.tolist() == [fallback if tau is None else tau for tau in expected]
+    got = fill_empty_windows(means, days, hours, window, fallback)
+    assert got.tobytes() == np.array([fallback if tau is None else tau
+                                      for tau in expected]).tobytes()
 
 
 def test_duplicate_day_names_the_lowest_hour():

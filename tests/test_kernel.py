@@ -31,7 +31,6 @@ from drnewsvendor import (
     make_bernoulli_ball,
     make_synthetic_market,
     offers_for_day,
-    penalties,
     revenue,
     run_backtest,
     solve_direct,
@@ -45,8 +44,9 @@ from drnewsvendor import backtest
 from drnewsvendor.ambiguity import ball_bounds
 from drnewsvendor.backtest import STRATEGIES, _param_grid
 from drnewsvendor.distributions import PiecewiseLinearBatch
-from drnewsvendor.economics import penalty_split
 from drnewsvendor.solvers import dr_omega_offers, dr_s_rule
+
+from conftest import penalty_pair, reference_tau
 
 unit = st.floats(min_value=0.0, max_value=1.0)
 # atoms come from repeated values; knots sit strictly inside (0, 1)
@@ -254,10 +254,9 @@ class NaiveBacktest:
         first = records[0].timestamp.date()
         self.periods = {((r.timestamp.date() - first).days + 1, r.timestamp.hour): r
                         for r in records}
-        pairs = [penalties(r.pi_s, r.pi_b, r.s_l) for r in self.periods.values()]
         days, hours = zip(*self.periods)
-        self.estimator = HourlyTauEstimator(days, hours, [p.overage for p in pairs],
-                                            [p.underage for p in pairs])
+        self.estimator = HourlyTauEstimator(
+            days, hours, *zip(*(penalty_pair(r) for r in self.periods.values())))
         self.settled = {}
 
     def offer(self, strategy, params, day, hour):
@@ -441,17 +440,13 @@ def strategy_alone(records, plan, chosen, day, corruption):
     """Each strategy's offers at ``day``'s gate closure as bytes, or the first error.
 
     Each strategy is priced by itself, in roster order, through the public
-    rules: the estimator's tau, ``ball_bounds``, ``dr_omega_offers``,
+    rules: a plain windowed mean for tau, ``ball_bounds``, ``dr_omega_offers``,
     ``dr_s_rule`` and one forecast batch of the day; ``corruption`` is
     applied as :func:`corrupting` applies it.
     """
     first = records[0].timestamp.toordinal()
     days = np.array([r.timestamp.toordinal() - first + 1 for r in records])
     hours = np.array([r.timestamp.hour for r in records])
-    columns = {name: np.array([getattr(r, name) for r in records])
-               for name in ("pi_s", "pi_b", "s_l", "omega_star")}
-    estimator = HourlyTauEstimator(days, hours, *penalty_split(
-        columns["pi_s"], columns["pi_b"], columns["s_l"]))
     on = np.flatnonzero(days == day)
     if not on.size:
         return f"no market records for day {day}"
@@ -462,10 +457,10 @@ def strategy_alone(records, plan, chosen, day, corruption):
         for strategy in plan.strategies:
             params = chosen.params_for(strategy, day, plan)
             if "m" in params:
-                tau = estimator.forecast_many(days[on] - 1, hours[on], params["m"],
-                                              plan.fallback_tau)
+                tau = reference_tau(records, days[on] - 1, hours[on], params["m"],
+                                    plan.fallback_tau)
             if strategy == "oracle":
-                y = columns["omega_star"][on]
+                y = np.array([records[i].omega_star for i in on])
             elif strategy == "robust_s":
                 y = batch.mean()
             elif strategy == "robust_omega":
@@ -556,7 +551,7 @@ def test_frame_tau_column_matches_the_estimator_on_any_span(records, m, fallback
             return str(exc)
 
     span = backtest._Span(frame, plan, periods)
-    expect = estimate(lambda: frame.estimator.forecast_many(span.day - 1, span.hour, m, fallback))
+    expect = estimate(lambda: reference_tau(records, span.day - 1, span.hour, m, fallback))
     assert estimate(lambda: span.tau_hat(m)) == expect
     # the column holds NaN exactly where a window is empty; no fallback names the first
     empty = np.isnan(frame.tau_column(m)[periods])
@@ -566,3 +561,63 @@ def test_frame_tau_column_matches_the_estimator_on_any_span(records, m, fallback
                           f"day {span.day[i] - 1}; supply a fallback tau to proceed")
     else:
         assert isinstance(expect, bytes)
+
+
+# ---------- settlement: the kernel's blocks against revenue and the written-out rule ----------
+
+
+def settled_by_hand(pi_s, pi_b, s_l, y, omega):
+    """Two-price settlement in Python floats, one period at a time.
+
+    The imbalance ``omega - y`` is paid at ``pi_b`` when it has the
+    system's sign (it aggravates the system), at ``pi_s`` otherwise.
+    """
+    def one(pi_s, pi_b, s_l, y, omega):
+        imbalance = omega - y
+        return pi_s * y + (pi_b if imbalance * s_l > 0.0 else pi_s) * imbalance
+
+    columns = [c.tolist() for c in (pi_s, pi_b, s_l)]
+    return np.array([[one(*args) for args in zip(*columns, row, omega.tolist())]
+                     for row in np.atleast_2d(y).tolist()])
+
+
+SETTLE_PLAN = BacktestPlan(
+    warm_start_days=5, tau_window_days=3, cv_days=2, m_grid=(1, 2), rho_grid=(0.0, 0.5, 1.0),
+    epsilon_grid=(0.0, 0.2, 2.0), theta_grid=(0.5,), strategies=STRATEGIES, fallback_tau=0.5)
+
+
+@settings(max_examples=100)
+@given(gappy_markets(), st.data())
+def test_kernel_settles_each_block_as_revenue_does(records, data):
+    """Settled blocks equal ``revenue`` on the same arrays, byte for byte, -0.0 included.
+
+    Some days get a zero system length (the balancing price never applies)
+    or a realization of 1. The first realization is 0 and the last 1, so
+    the oracle offers 0 and 1; windows of one day often do the same.
+    """
+    first = records[0].timestamp.toordinal()
+    flat, full = (set(data.draw(st.lists(st.integers(1, 9), max_size=3))) for _ in range(2))
+
+    def redrawn(rec):
+        day = rec.timestamp.toordinal() - first + 1
+        rec = replace(rec, s_l=0.0) if day in flat else rec
+        return replace(rec, omega_star=1.0) if day in full else rec
+
+    records = [redrawn(rec) for rec in records]
+    records[0], records[-1] = replace(records[0], omega_star=0.0), replace(records[-1], omega_star=1.0)
+    frame = backtest._MarketFrame(records)
+    span = backtest._Span(frame, SETTLE_PLAN, frame.periods(1, frame.n_days))
+    columns = (span.pi_s, span.pi_b, span.s_l)
+    for strategy in STRATEGIES:
+        grid = _param_grid(strategy, SETTLE_PLAN)
+        y = span.offers([(strategy, params) for params in grid])
+        settled = span.revenues(strategy, grid).tobytes()
+        assert settled == revenue(*columns, y, span.omega).tobytes(), strategy
+        assert settled == settled_by_hand(*columns, y, span.omega).tobytes(), strategy
+    # the oracle's revenues over the evaluation span
+    report = run_backtest(records, SETTLE_PLAN, cross_validate(records, SETTLE_PLAN))
+    on = backtest._Span(frame, SETTLE_PLAN,
+                        frame.periods(SETTLE_PLAN.warm_start_days + 1, frame.n_days))
+    oracle = (on.pi_s, on.pi_b, on.s_l, on.omega, on.omega)
+    assert report.oracle_revenues.tobytes() == revenue(*oracle).tobytes()
+    assert report.oracle_revenues.tobytes() == settled_by_hand(*oracle)[0].tobytes()
