@@ -54,10 +54,32 @@ __all__ = [
 MAX_LEVEL_ADJUSTED_EPSILON = 10.0
 
 
+# The one range of each ambiguity parameter: a predicate returns what keeps a
+# value out of it, or None, and asks "inside", so that NaN fails.
+def _epsilon_problem(epsilon, level_adjusted: bool) -> str | None:
+    if level_adjusted:
+        return (None if 0.0 <= epsilon <= MAX_LEVEL_ADJUSTED_EPSILON
+                else f"must lie in [0, {MAX_LEVEL_ADJUSTED_EPSILON}] for level-adjusted balls")
+    return None if epsilon >= 0.0 else "must be non-negative"
+
+
+def _theta_problem(theta) -> str | None:
+    return None if 0.0 <= theta < 1.0 else "must lie in [0, 1)"
+
+
+def _rho_problem(rho) -> str | None:  # DR-omega reads rho = 1 as the Heaviside bands
+    return None if 0.0 <= rho <= 1.0 else "must lie in [0, 1]"
+
+
+def _require(name: str, value, problem: str | None) -> None:
+    """Raise ``"<name> <problem>, got <value>"`` if a predicate found a problem."""
+    if problem:
+        raise ValueError(f"{name} {problem}, got {value}")
+
+
 def _check_rho(rho: float) -> float:
     rho = float(rho)
-    if not (0.0 <= rho < 1.0):
-        raise ValueError(f"deformation radius must lie in [0, 1), got {rho}")
+    _require("deformation radius", rho, None if 0.0 <= rho < 1.0 else "must lie in [0, 1)")
     return rho
 
 
@@ -296,9 +318,8 @@ def make_bernoulli_ball(
     tau_hat = float(_validate_prob(tau_hat, "tau_hat"))
     kind = BallKind(kind)
     epsilon = float(epsilon)
-    # written as "inside", so that a NaN radius fails too
-    if not epsilon >= 0.0:
-        raise ValueError(f"ball radius must be non-negative, got {epsilon}")
+    # a NaN or negative radius is blamed on its sign, whatever the kind
+    _require("ball radius", epsilon, _epsilon_problem(epsilon, level_adjusted=False))
     if kind is BallKind.UNIFORM:
         if theta is not None:
             raise ValueError("theta only applies to level-adjusted balls")
@@ -306,12 +327,8 @@ def make_bernoulli_ball(
         if theta is None:
             raise ValueError("level-adjusted balls require a shape parameter theta")
         theta = float(theta)
-        if not (0.0 <= theta < 1.0):
-            raise ValueError(f"theta must lie in [0, 1), got {theta}")
-        if epsilon > MAX_LEVEL_ADJUSTED_EPSILON:
-            raise ValueError(
-                f"level-adjusted radius capped at {MAX_LEVEL_ADJUSTED_EPSILON}, got {epsilon}"
-            )
+        _require("theta", theta, _theta_problem(theta))
+        _require("ball radius", epsilon, _epsilon_problem(epsilon, level_adjusted=True))
     lo, hi = ball_bounds(tau_hat, epsilon, 0.0 if theta is None else theta)
     return BernoulliBall(
         center=tau_hat,

@@ -37,7 +37,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .ambiguity import MAX_LEVEL_ADJUSTED_EPSILON, ball_bounds
+from .ambiguity import _epsilon_problem, _rho_problem, _theta_problem, ball_bounds
 from .distributions import (
     PiecewiseLinear,
     PiecewiseLinearBatch,
@@ -215,15 +215,11 @@ def _value_problem(strategy: str, name: str, value) -> str | None:
     """What keeps ``value`` from being parameter ``name`` (not ``m``) of ``strategy``, or None."""
     if isinstance(value, bool) or not isinstance(value, numbers.Real):
         return "must be a number"
-    # each check asks "inside", so NaN fails it
     if name == "rho":
-        return None if 0.0 <= value <= 1.0 else "must lie in [0, 1]"
+        return _rho_problem(value)
     if name == "theta":
-        return None if 0.0 <= value < 1.0 else "must lie in [0, 1)"
-    if strategy == "dr_s_level_adjusted":
-        return (None if 0.0 <= value <= MAX_LEVEL_ADJUSTED_EPSILON
-                else f"must lie in [0, {MAX_LEVEL_ADJUSTED_EPSILON}] for level-adjusted balls")
-    return None if value >= 0.0 else "must be non-negative"
+        return _theta_problem(value)
+    return _epsilon_problem(value, strategy == "dr_s_level_adjusted")
 
 
 def _param_grid(strategy: str, plan: BacktestPlan) -> list[dict]:

@@ -11,6 +11,7 @@ from __future__ import annotations
 import argparse
 import csv
 import functools
+import inspect
 import io
 import json
 import os
@@ -37,6 +38,9 @@ from .synthetic import make_synthetic_market
 __all__ = ["main", "dispatch"]
 
 _BALL_BY_FLAG = {"uniform": BallKind.UNIFORM, "level-adjusted": BallKind.LEVEL_ADJUSTED}
+# the SimConfig ball kinds of each simulate/msweep --ball value
+_BALL_KINDS = {"uniform": ("uniform",), "level-adjusted": ("level_adjusted",),
+               "both": ("uniform", "level_adjusted")}
 
 
 def _jsonify(obj):
@@ -128,6 +132,11 @@ def _parse_grid(spec: str, flag: str) -> tuple[float, ...]:
     return tuple(float(v) for v in np.round(np.linspace(start, start + n * step, n + 1), 12))
 
 
+def _flag_text(values) -> str:
+    """``values`` as the comma list a flag takes, which parses back to the same values."""
+    return ",".join(map(str, values))
+
+
 def _m_grid(spec: str) -> tuple[int, ...]:
     """``--m-grid`` as window lengths in days: whole numbers only."""
     values = _parse_grid(spec, "--m-grid")
@@ -138,9 +147,9 @@ def _m_grid(spec: str) -> tuple[int, ...]:
 
 
 def _dist_from_args(args) -> UnitDistribution:
-    if getattr(args, "forecast", None):
+    if args.forecast:
         return read_quantile_forecast(args.forecast)
-    if getattr(args, "dist", None):
+    if args.dist:
         return _parse_dist(args.dist)
     raise ValueError("supply --dist or --forecast")
 
@@ -243,9 +252,6 @@ def _cmd_deform(args) -> int:
 
 
 def _sim_config(args, m: int) -> mc.SimConfig:
-    kinds = ("uniform", "level_adjusted") if args.ball == "both" else (
-        args.ball.replace("-", "_"),
-    )
     return mc.SimConfig(
         true_dist=_dist_from_args(args),
         true_tau=args.tau,
@@ -253,7 +259,7 @@ def _sim_config(args, m: int) -> mc.SimConfig:
         n_replicates=args.n,
         epsilon_grid=_parse_grid(args.eps_grid, "--eps-grid"),
         theta=args.theta,
-        ball_kinds=kinds,
+        ball_kinds=_BALL_KINDS[args.ball],
         master_seed=args.seed,
     )
 
@@ -315,26 +321,6 @@ def _plan_from_args(args) -> bt.BacktestPlan:
         strategies=tuple(s.strip() for s in args.strategies.split(",") if s.strip()),
         fallback_tau=args.fallback_tau,
     )
-
-
-def _add_backtest_flags(parser: argparse.ArgumentParser) -> None:
-    parser.add_argument("--market", required=True, help="hourly market CSV")
-    parser.add_argument("--forecasts", required=True, help="forecast directory")
-    parser.add_argument("--strict", action="store_true", help="fail on hourly gaps")
-    parser.add_argument("--warm-start-days", type=int, default=131)
-    parser.add_argument("--tau-window-days", type=int, default=91)
-    parser.add_argument("--cv-days", type=int, default=40)
-    parser.add_argument("--cv-mode", choices=("fixed_window", "sliding"), default="fixed_window")
-    parser.add_argument("--m-grid", default="90")
-    parser.add_argument("--rho-grid", default="0,0.05,0.1,0.15,0.2,0.25,0.3")
-    parser.add_argument("--eps-grid", default="0,0.025,0.05,0.075,0.1,0.15,0.2,0.25")
-    parser.add_argument("--theta-grid", default="0.5,0.9")
-    parser.add_argument(
-        "--strategies",
-        default="oracle,bn,dr_omega,dr_s_uniform,dr_s_level_adjusted,robust_s",
-    )
-    parser.add_argument("--fallback-tau", type=float, default=None)
-    parser.add_argument("--penalty-scale", type=float, default=1.0)
 
 
 def _load_backtest_inputs(args):
@@ -417,12 +403,41 @@ def _parser() -> argparse.ArgumentParser:
         description="Bernoulli newsvendor offers, robust variants, sweeps and backtests",
     )
     sub = parser.add_subparsers(dest="command", required=True)
+    # every default a library object declares is read from it, never restated
+    # every command writes one artifact the same way
+    common = argparse.ArgumentParser(add_help=False)
+    common.add_argument("--seed", type=int, default=0, help="master seed")
+    common.add_argument("--output", choices=("json", "csv"), default="json")
+    common.add_argument("--out", help="artifact path (default <command>.<output>)")
+    dist = argparse.ArgumentParser(add_help=False, parents=[common])
+    dist.add_argument("--dist", help="parametric spec, e.g. beta:2,6")
+    dist.add_argument("--forecast", help="quantile forecast CSV")
+    sim = argparse.ArgumentParser(add_help=False, parents=[dist])
+    sim.add_argument("--tau", type=float, required=True)
+    sim.add_argument("--theta", type=float, default=mc.SimConfig.theta)
+    sim.add_argument("--eps-grid", default=_flag_text(mc.SimConfig.epsilon_grid))
+    sim.add_argument("--ball", choices=tuple(_BALL_KINDS),
+                     default={v: k for k, v in _BALL_KINDS.items()}[mc.SimConfig.ball_kinds])
+    plan, market = bt.BacktestPlan(), argparse.ArgumentParser(add_help=False, parents=[common])
+    market.add_argument("--market", required=True, help="hourly market CSV")
+    market.add_argument("--forecasts", required=True, help="forecast directory")
+    market.add_argument("--strict", action="store_true", help="fail on hourly gaps")
+    market.add_argument("--warm-start-days", type=int, default=plan.warm_start_days)
+    market.add_argument("--tau-window-days", type=int, default=plan.tau_window_days)
+    market.add_argument("--cv-days", type=int, default=plan.cv_days)
+    market.add_argument("--cv-mode", choices=[m.value for m in bt.CvMode],
+                        default=plan.cv_mode.value)
+    market.add_argument("--m-grid", default=_flag_text(plan.m_grid))
+    market.add_argument("--rho-grid", default=_flag_text(plan.rho_grid))
+    market.add_argument("--eps-grid", default=_flag_text(plan.epsilon_grid))
+    market.add_argument("--theta-grid", default=_flag_text(plan.theta_grid))
+    market.add_argument("--strategies", default=_flag_text(plan.strategies))
+    market.add_argument("--fallback-tau", type=float, default=plan.fallback_tau)
+    market.add_argument("--penalty-scale", type=float, default=1.0)
 
-    p = sub.add_parser("solve", help="compute one offer")
+    p = sub.add_parser("solve", parents=[dist], help="compute one offer")
     p.add_argument("--strategy", required=True,
                    choices=("direct", "dr-omega", "dr-s", "robust-omega", "robust-s"))
-    p.add_argument("--dist", help="parametric spec, e.g. beta:2,6")
-    p.add_argument("--forecast", help="quantile forecast CSV")
     p.add_argument("--tau", type=float, default=None)
     p.add_argument("--rho", type=float, default=None)
     p.add_argument("--eps", type=float, default=None)
@@ -430,60 +445,41 @@ def _parser() -> argparse.ArgumentParser:
     p.add_argument("--theta", type=float, default=None)
     p.set_defaults(handler=_cmd_solve)
 
-    p = sub.add_parser("deform", help="tabulate a deformation band")
-    p.add_argument("--dist", help="parametric spec")
-    p.add_argument("--forecast", help="quantile forecast CSV")
+    p = sub.add_parser("deform", parents=[dist], help="tabulate a deformation band")
     p.add_argument("--rho", type=float, required=True)
     p.add_argument("--grid-step", type=float, default=0.01)
     p.set_defaults(handler=_cmd_deform)
 
-    p = sub.add_parser("simulate", help="estimation-noise sweep over ball radii")
-    p.add_argument("--dist", help="true distribution spec")
-    p.add_argument("--forecast", help="true distribution from a forecast CSV")
-    p.add_argument("--tau", type=float, required=True)
+    p = sub.add_parser("simulate", parents=[sim], help="estimation-noise sweep over ball radii")
     p.add_argument("--m", type=int, required=True)
     p.add_argument("--n", type=int, default=1_000_000)
-    p.add_argument("--theta", type=float, default=0.9)
-    p.add_argument("--eps-grid", default="0:0.01:1")
-    p.add_argument("--ball", choices=("uniform", "level-adjusted", "both"), default="both")
     p.set_defaults(handler=_cmd_simulate)
 
-    p = sub.add_parser("msweep", help="gamma versus estimation sample size")
-    p.add_argument("--dist", help="true distribution spec")
-    p.add_argument("--forecast", help="true distribution from a forecast CSV")
-    p.add_argument("--tau", type=float, required=True)
+    p = sub.add_parser("msweep", parents=[sim], help="gamma versus estimation sample size")
     p.add_argument("--m-min", type=int, default=1)
     p.add_argument("--m-max", type=int, default=75)
     p.add_argument("--m-step", type=int, default=1)
     p.add_argument("--n", type=int, default=100_000)
-    p.add_argument("--theta", type=float, default=0.9)
-    p.add_argument("--eps-grid", default="0:0.01:1")
-    p.add_argument("--ball", choices=("uniform", "level-adjusted", "both"), default="both")
     p.set_defaults(handler=_cmd_msweep)
 
-    p = sub.add_parser("crossval", help="select strategy parameters on the CV window")
-    _add_backtest_flags(p)
+    p = sub.add_parser("crossval", parents=[market],
+                       help="select strategy parameters on the CV window")
     p.set_defaults(handler=_cmd_crossval)
 
-    p = sub.add_parser("backtest", help="run the out-of-sample evaluation")
-    _add_backtest_flags(p)
+    p = sub.add_parser("backtest", parents=[market], help="run the out-of-sample evaluation")
     p.add_argument("--params", default=None, help="chosen-parameters JSON from crossval")
     p.set_defaults(handler=_cmd_backtest)
 
-    p = sub.add_parser("synth", help="generate synthetic market data files")
-    p.add_argument("--days", type=int, default=731)
-    p.add_argument("--tau", type=float, default=0.75)
-    p.add_argument("--spread", type=float, default=0.135)
-    p.add_argument("--no-balancing-rate", type=float, default=0.05)
-    p.add_argument("--start", default="2018-10-01T00:00:00")
+    synth = inspect.signature(make_synthetic_market).parameters
+    p = sub.add_parser("synth", parents=[common], help="generate synthetic market data files")
+    p.add_argument("--days", type=int, default=synth["n_days"].default)
+    p.add_argument("--tau", type=float, default=synth["tau"].default)
+    p.add_argument("--spread", type=float, default=synth["mean_rel_spread"].default)
+    p.add_argument("--no-balancing-rate", type=float, default=synth["no_balancing_rate"].default)
+    p.add_argument("--start", default=synth["start"].default.isoformat())
     p.add_argument("--market-out", default="market.csv")
     p.add_argument("--forecasts-out", default="forecasts")
     p.set_defaults(handler=_cmd_synth)
-
-    for p in sub.choices.values():  # every command writes one artifact the same way
-        p.add_argument("--seed", type=int, default=0, help="master seed")
-        p.add_argument("--output", choices=("json", "csv"), default="json")
-        p.add_argument("--out", help="artifact path (default <command>.<output>)")
     return parser
 
 

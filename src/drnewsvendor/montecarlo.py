@@ -43,12 +43,13 @@ This holds for any distribution on [0, 1], atoms included; a guard of
 the elementwise quantile it always was, so every offer, curve and
 artifact is bit-identical to pricing both bounds of every cell.
 
-The robust arm's tables are also scored only over the estimates k/m that
-some replicate drew; every other column holds 0.0. Results read a table
-only through count-weighted sums, the curves and the per-block gammas,
-and a column with a zero total count is zero in every block too. There
-its term is ``0 * loss = +0.0`` whichever loss the column holds, so every
-sum, curve, gamma and artifact is bit-identical to scoring every column.
+Every table, the plain newsvendor's row included, is scored only over the
+estimates k/m that some replicate drew; every other column holds 0.0.
+Results read a table only through count-weighted sums, the curves and the
+per-block gammas, and a column with a zero total count is zero in every
+block too. There its term is ``0 * loss = +0.0`` whichever loss the column
+holds, so every sum, curve, gamma and artifact is bit-identical to scoring
+every column.
 """
 
 from __future__ import annotations
@@ -60,7 +61,7 @@ from typing import Mapping, Sequence
 
 import numpy as np
 
-from .ambiguity import ball_bounds
+from .ambiguity import _epsilon_problem, _require, _theta_problem, ball_bounds
 from .distributions import RngStream, UnitDistribution, _validate_prob
 from .economics import expected_loss
 from .solvers import dr_s_rule
@@ -92,7 +93,7 @@ class SimConfig:
     true_tau: float
     m: int
     n_replicates: int
-    epsilon_grid: tuple[float, ...] = tuple(np.round(np.arange(0.0, 1.0001, 0.01), 10))
+    epsilon_grid: tuple[float, ...] = tuple(i / 100 for i in range(101))
     theta: float = 0.9
     ball_kinds: tuple[str, ...] = ("uniform", "level_adjusted")
     master_seed: int = 0
@@ -104,13 +105,15 @@ class SimConfig:
         if self.n_replicates < 1:
             raise ValueError(f"need at least one replicate, got {self.n_replicates}")
         grid = np.asarray(self.epsilon_grid, dtype=float)
-        # written as "all inside", so that a NaN radius fails too
-        if grid.size == 0 or not np.all((grid >= 0.0) & (grid <= 1.0)):
-            raise ValueError("epsilon grid must lie in [0, 1]")
+        if grid.size == 0:
+            raise ValueError("epsilon grid is empty")
+        # the grid's least and greatest radii bound it, and a NaN makes both NaN
+        level_adjusted = "level_adjusted" in self.ball_kinds
+        for end in (float(grid.min()), float(grid.max())):
+            _require("epsilon grid", end, _epsilon_problem(end, level_adjusted))
         if np.any(np.diff(grid) <= 0.0):
             raise ValueError("epsilon grid must be strictly ascending")
-        if not (0.0 <= self.theta < 1.0):
-            raise ValueError(f"theta must lie in [0, 1), got {self.theta}")
+        _require("theta", self.theta, _theta_problem(self.theta))
         unknown = set(self.ball_kinds) - {"uniform", "level_adjusted"}
         if unknown:
             raise ValueError(f"unknown ball kinds: {sorted(unknown)}")
@@ -267,7 +270,7 @@ def _dr_loss_table(config: SimConfig, m: int, kind: str, columns: np.ndarray) ->
     and ``-inf`` (lower bound), which it never selects.
     """
     grid = np.asarray(config.epsilon_grid, dtype=float)
-    tau_hats = np.arange(m + 1, dtype=float)[columns] / m
+    tau_hats = columns / m
     theta = config.theta if kind == "level_adjusted" else 0.0
     lo, hi = ball_bounds(tau_hats[None, :], grid[:, None], theta)
     dist = config.true_dist
@@ -283,6 +286,14 @@ def _dr_loss_table(config: SimConfig, m: int, kind: str, columns: np.ndarray) ->
     table = np.zeros((grid.size, m + 1))
     table[:, columns] = _losses_for_offers(dist, config.true_tau, offers)
     return table
+
+
+def _bn_loss_row(config: SimConfig, m: int, columns: np.ndarray) -> np.ndarray:
+    """Expected loss per tau_hat value of the plain newsvendor, scored at ``columns`` only."""
+    row = np.zeros(m + 1)
+    row[columns] = _losses_for_offers(config.true_dist, config.true_tau,
+                                      config.true_dist.quantile(columns / m))
+    return row
 
 
 def _block_gammas(counts_blocks: np.ndarray, bn_table: np.ndarray,
@@ -323,9 +334,8 @@ def run_epsilon_sweep(config: SimConfig, *, _stream_base: int = 0) -> SimResult:
         # yield bit-equal curve values (the epsilon-endpoint identities)
         return float(np.dot(row, weights) / n)
 
-    tau_hats = np.arange(m + 1, dtype=float) / m
     dist = config.true_dist
-    bn_table = _losses_for_offers(dist, config.true_tau, np.asarray(dist.quantile(tau_hats), dtype=float))
+    bn_table = _bn_loss_row(config, m, seen)
     l_oracle = average(np.full(m + 1, expected_loss(dist, float(dist.quantile(config.true_tau)), config.true_tau)))
     l_robust = average(np.full(m + 1, expected_loss(dist, dist.mean(), config.true_tau)))
     l_bn = average(bn_table)

@@ -26,6 +26,8 @@ import numpy as np
 
 from .ambiguity import (
     BernoulliBall,
+    _require,
+    _rho_problem,
     band_levels,
     bands_from_quantiles,
     deform_lower,
@@ -144,8 +146,7 @@ def solve_dr_omega(dist: UnitDistribution, tau_hat: float, rho: float) -> OfferD
     """
     tau_hat = float(_validate_prob(tau_hat, "tau_hat"))
     rho = float(rho)
-    if not (0.0 <= rho <= 1.0):
-        raise ValueError(f"rho must lie in [0, 1], got {rho}")
+    _require("rho", rho, _rho_problem(rho))
     y, q_upper, q_lower = dr_omega_offers(dist, tau_hat, rho)
     return OfferDecision(
         float(y), Method.DR_OMEGA,
@@ -244,8 +245,7 @@ def worst_case_cdf(dist: UnitDistribution, tau_hat: float, rho: float) -> UnitDi
     """
     tau_hat = float(_validate_prob(tau_hat, "tau_hat"))
     rho = float(rho)
-    if not (0.0 <= rho <= 1.0):
-        raise ValueError(f"rho must lie in [0, 1], got {rho}")
+    _require("rho", rho, _rho_problem(rho))
     if rho == 0.0:
         return dist
     if rho == 1.0:

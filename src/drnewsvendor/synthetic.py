@@ -16,7 +16,7 @@ from datetime import datetime, timedelta
 import numpy as np
 
 from .backtest import MarketRecord
-from .distributions import Beta, PiecewiseLinear, RngStream, standard_forecast_levels
+from .distributions import Beta, PiecewiseLinear, RngStream, _validate_prob, standard_forecast_levels
 
 __all__ = ["make_synthetic_market"]
 
@@ -40,8 +40,7 @@ def make_synthetic_market(
     if start.minute or start.second or start.microsecond:
         # market files key each period by its hour
         raise ValueError(f"start must be on the hour, got {start.isoformat()}")
-    if not (0.0 <= tau <= 1.0):
-        raise ValueError(f"tau must lie in [0, 1], got {tau}")
+    _validate_prob(tau, "tau")
     if not (0.0 <= no_balancing_rate < 1.0):
         raise ValueError("no-balancing rate must lie in [0, 1)")
     if not (0.0 < mean_rel_spread < 0.5):

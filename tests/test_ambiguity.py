@@ -10,12 +10,16 @@ from drnewsvendor import (
     BacktestPlan,
     BallKind,
     Beta,
+    ChosenParameters,
+    CvMode,
+    SimConfig,
     Uniform01,
     deform_lower,
     deform_upper,
     double_power_lower,
     double_power_upper,
     make_bernoulli_ball,
+    solve_dr_omega,
 )
 from drnewsvendor.ambiguity import ball_bounds
 
@@ -222,13 +226,74 @@ def test_bernoulli_ball_validation():
         make_bernoulli_ball(0.5, 0.1, BallKind.LEVEL_ADJUSTED)      # missing theta
     with pytest.raises(ValueError):
         make_bernoulli_ball(0.5, 0.1, BallKind.LEVEL_ADJUSTED, theta=1.0)
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match=r"^ball radius must lie in \[0, 10.0\] for "
+                                         r"level-adjusted balls, got 11.0$"):
         make_bernoulli_ball(0.5, 11.0, BallKind.LEVEL_ADJUSTED, theta=0.5)
     # a NaN radius is blamed on the radius, not on the bounds it would give
     with pytest.raises(ValueError, match="ball radius must be non-negative, got nan"):
         make_bernoulli_ball(0.75, float("nan"))
     with pytest.raises(ValueError, match="ball radius must be non-negative, got nan"):
         make_bernoulli_ball(0.75, float("nan"), BallKind.LEVEL_ADJUSTED, theta=0.5)
+
+
+def _chosen(strategy, **params):
+    return ChosenParameters(CvMode.FIXED_WINDOW, {strategy: {"m": 10, **params}})
+
+
+def _sim(**kw):
+    return SimConfig(true_dist=Beta(2, 6), true_tau=0.75, m=5, n_replicates=1, **kw)
+
+
+# every constructor that takes each parameter, as a function of its value
+_TAKERS = {
+    "epsilon": (
+        lambda v: make_bernoulli_ball(0.5, v),
+        lambda v: BacktestPlan(strategies=("dr_s_uniform",), epsilon_grid=(v,)),
+        lambda v: _chosen("dr_s_uniform", epsilon=v),
+        lambda v: _sim(epsilon_grid=(v,), ball_kinds=("uniform",)),
+    ),
+    "level_adjusted_epsilon": (
+        lambda v: make_bernoulli_ball(0.5, v, BallKind.LEVEL_ADJUSTED, theta=0.5),
+        lambda v: BacktestPlan(strategies=("dr_s_level_adjusted",), epsilon_grid=(v,)),
+        lambda v: _chosen("dr_s_level_adjusted", epsilon=v, theta=0.5),
+        lambda v: _sim(epsilon_grid=(v,)),
+    ),
+    "theta": (
+        lambda v: make_bernoulli_ball(0.5, 0.1, BallKind.LEVEL_ADJUSTED, theta=v),
+        lambda v: BacktestPlan(strategies=("dr_s_level_adjusted",), theta_grid=(v,)),
+        lambda v: _chosen("dr_s_level_adjusted", epsilon=0.1, theta=v),
+        lambda v: _sim(theta=v),
+    ),
+    "rho": (
+        lambda v: solve_dr_omega(Beta(2, 6), 0.5, v),
+        lambda v: BacktestPlan(strategies=("dr_omega",), rho_grid=(v,)),
+        lambda v: _chosen("dr_omega", rho=v),
+    ),
+    "deformation_rho": (
+        lambda v: deform_upper(Beta(2, 6), v),
+        lambda v: deform_lower(Beta(2, 6), v),
+    ),
+}
+
+
+def _accepts(take, value) -> bool:
+    try:
+        take(value)
+    except ValueError:
+        return False
+    return True
+
+
+@pytest.mark.parametrize("param, value, accepted", [
+    *[(param, value, False) for param in _TAKERS for value in (float("nan"), -0.1)],
+    ("epsilon", 0.0, True), ("epsilon", 11.0, True),
+    ("level_adjusted_epsilon", 10.0, True), ("level_adjusted_epsilon", 11.0, False),
+    ("theta", 0.0, True), ("theta", 1.0, False),
+    ("rho", 1.0, True), ("rho", 1.5, False),
+    ("deformation_rho", 0.5, True), ("deformation_rho", 1.0, False),
+])
+def test_every_constructor_takes_one_range_per_parameter(param, value, accepted):
+    assert [_accepts(take, value) for take in _TAKERS[param]] == [accepted] * len(_TAKERS[param])
 
 
 unit_tau = st.one_of(st.sampled_from([0.0, -0.0, 1.0, 0.5]), st.floats(0.0, 1.0))

@@ -1,17 +1,26 @@
 """Command-line surface: artifacts, exit codes, reproducibility."""
 
 import csv
+import inspect
 import json
 import os
 import subprocess
 import sys
 import threading
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
 import pytest
 
-from drnewsvendor import cli, load_market_data
+from drnewsvendor import (
+    BacktestPlan,
+    Beta,
+    SimConfig,
+    cli,
+    load_market_data,
+    make_synthetic_market,
+)
 from drnewsvendor.cli import dispatch
 
 
@@ -471,6 +480,55 @@ def test_range_grid_past_stop_is_neither_evaluated_nor_rejected(tmp_path, market
                      "--out", str(tmp_path / "sim.json")]) == 0
     config = json.loads((tmp_path / "sim.json").read_text())["config"]
     assert config["epsilon_grid"] == [0.0, 0.6]
+
+
+def test_simulate_and_msweep_take_the_balls_radius_range(tmp_path, capsys):
+    sim = ["--dist", "beta:2,6", "--tau", "0.75", "--n", "1000"]
+    for command in (["simulate", "--m", "5"], ["msweep", "--m-max", "3"]):
+        out = tmp_path / f"{command[0]}.json"
+        assert dispatch([*command, *sim, "--eps-grid", "0:0.5:2", "--out", str(out)]) == 0
+    config = json.loads((tmp_path / "simulate.json").read_text())["config"]
+    assert config["epsilon_grid"] == [0.0, 0.5, 1.0, 1.5, 2.0]
+    # past the level-adjusted cap only a uniform-only sweep runs
+    assert dispatch(["simulate", *SIM_FLAGS, "--eps-grid", "0,11", "--ball", "uniform",
+                     "--out", str(tmp_path / "uniform.json")]) == 0
+    capsys.readouterr()
+    assert dispatch(["simulate", *SIM_FLAGS, "--eps-grid", "0,11",
+                     "--out", str(tmp_path / "both.json")]) == 1
+    assert json.loads(capsys.readouterr().err)["error"] == (
+        "epsilon grid must lie in [0, 10.0] for level-adjusted balls, got 11.0")
+
+
+def test_commands_left_at_their_defaults_build_the_library_defaults(tmp_path, monkeypatch):
+    def parsed(*argv):
+        return cli._parser().parse_args(list(argv))
+
+    for command in ("crossval", "backtest"):
+        args = parsed(command, "--market", "m.csv", "--forecasts", "fc")
+        assert cli._plan_from_args(args) == BacktestPlan()
+    dist = Beta(2, 6)
+    defaults = SimConfig(true_dist=dist, true_tau=0.75, m=1, n_replicates=1)
+    assert all(type(eps) is float for eps in defaults.epsilon_grid)
+    for command in (["simulate", "--m", "1"], ["msweep"]):
+        config = cli._sim_config(parsed(*command, "--dist", "beta:2,6", "--tau", "0.75"), 1)
+        assert replace(config, true_dist=dist, n_replicates=1) == defaults
+        assert all(type(eps) is float for eps in config.epsilon_grid)
+
+    calls = []
+
+    def one_day_market(**kwargs):
+        calls.append(kwargs)
+        return make_synthetic_market(**{**kwargs, "n_days": 1})
+
+    monkeypatch.setattr(cli, "make_synthetic_market", one_day_market)
+    monkeypatch.chdir(tmp_path)
+    assert dispatch(["synth"]) == 0
+    params = inspect.signature(make_synthetic_market).parameters
+    library = {name: p.default for name, p in params.items()}
+    assert calls == [library]
+    payload = json.loads((tmp_path / "synth.json").read_text())
+    assert (payload["days"], payload["tau"], payload["seed"]) == (
+        library["n_days"], library["tau"], library["master_seed"])
 
 
 @pytest.mark.parametrize("value", ["inf", "nan", "0", "-1"])

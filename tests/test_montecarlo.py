@@ -328,6 +328,13 @@ def _unpruned_loss_table(config: SimConfig, m: int, kind: str) -> np.ndarray:
     return _losses_for_offers(dist, config.true_tau, offers)
 
 
+def _unpruned_bn_row(config: SimConfig, m: int) -> np.ndarray:
+    """The plain newsvendor's loss row with every estimate k/m priced."""
+    dist = config.true_dist
+    offers = np.asarray(dist.quantile(np.arange(m + 1, dtype=float) / m), dtype=float)
+    return _losses_for_offers(dist, config.true_tau, offers)
+
+
 @st.composite
 def _atom_at_mean(draw) -> PiecewiseLinear:
     """A forecast symmetric about 1/2 with an atom there, on dyadic knots.
@@ -374,12 +381,15 @@ def test_pruned_dr_table_is_bit_identical(dist, m, kind, radii, theta, tau):
 def _sweep_outputs(cfg: SimConfig, full_table: bool = False) -> str:
     """Every output of ``run_epsilon_sweep`` but its runtime, or its error, as exact text.
 
-    With ``full_table`` the DR tables price every column of every cell.
+    With ``full_table`` the bn row prices every column and the DR tables
+    every column of every cell.
     """
     with pytest.MonkeyPatch.context() as mp:
         if full_table:
             mp.setattr(montecarlo, "_dr_loss_table",
                        lambda config, m, kind, columns: _unpruned_loss_table(config, m, kind))
+            mp.setattr(montecarlo, "_bn_loss_row",
+                       lambda config, m, columns: _unpruned_bn_row(config, m))
         try:
             res = run_epsilon_sweep(cfg)
         except ValueError as exc:
@@ -447,6 +457,16 @@ def test_dr_table_prices_few_levels(kind, share):
     assert dist.priced[0] <= share * 2 * 101 * 76
     dist.priced.clear()
     assert table.tobytes() == _unpruned_loss_table(cfg, 75, kind).tobytes()
+
+
+def test_bn_row_prices_only_drawn_estimates():
+    # at m = 10^6 the 100 replicates draw at most 100 of the 1,000,001 estimates;
+    # with no DR arm the quantile calls are the bn row's and the oracle's
+    dist = _CountingBeta(2, 6)
+    res = run_epsilon_sweep(SimConfig(true_dist=dist, true_tau=0.75, m=10**6,
+                                      n_replicates=100, ball_kinds=()))
+    assert res.tau_hat_counts.sum() == 100
+    assert max(dist.priced) <= 100
 
 
 def test_gamma_standard_errors_shrink_with_n():
@@ -521,9 +541,11 @@ def test_config_validation():
     with pytest.raises(ValueError):
         small_config(epsilon_grid=(0.5, 0.2))
     with pytest.raises(ValueError):
-        small_config(epsilon_grid=(0.0, 1.2))
+        small_config(epsilon_grid=(0.0, 11.0))
     with pytest.raises(ValueError, match="epsilon grid must lie in"):
         small_config(epsilon_grid=(0.0, float("nan")))
+    with pytest.raises(ValueError, match="^epsilon grid is empty$"):
+        small_config(epsilon_grid=())
     with pytest.raises(ValueError):
         small_config(theta=1.0)
     with pytest.raises(ValueError):
