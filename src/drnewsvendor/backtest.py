@@ -111,6 +111,10 @@ class MarketRecord(_WeaklyReferable):
             raise ValueError(
                 f"{self.timestamp.isoformat()}: omega_star must lie in [0, 1], got {self.omega_star}"
             )
+        if not (math.isfinite(self.pi_s) and math.isfinite(self.pi_b) and math.isfinite(self.s_l)):
+            name = next(n for n in ("pi_s", "pi_b", "s_l") if not math.isfinite(getattr(self, n)))
+            raise ValueError(f"{self.timestamp.isoformat()}: {name} must be finite, "
+                             f"got {getattr(self, name)}")
 
 
 def _follow_problem(prev: datetime, cur: datetime) -> str | None:
@@ -124,27 +128,6 @@ def _follow_problem(prev: datetime, cur: datetime) -> str | None:
         return (f"does not advance the local hour of {prev.isoformat()}; "
                 f"periods are keyed by local date and hour")
     return None
-
-
-def _follows_in_order(stamps: list[datetime], key: np.ndarray) -> bool:
-    """True when every stamp follows the one before it by ``_follow_problem``'s rule.
-
-    Array checks for the common case; False sends the caller to the rule
-    pair by pair, which names the first offending stamp. Strictly
-    increasing local (day, hour) keys make wall times strictly increase.
-    That settles ``cur <= prev`` when every stamp is naive or all share one
-    UTC offset; otherwise aware stamps must strictly increase as instants.
-    """
-    if not np.all(np.diff(key) > 0):
-        return False
-    offsets = set(map(datetime.utcoffset, stamps))
-    if len(offsets) == 1:
-        return True
-    if None in offsets:
-        return False
-    # an aware stamp's timestamp() rounds its exact instant, so it never reverses two instants
-    return bool(np.all(np.diff(np.fromiter(map(datetime.timestamp, stamps), float,
-                                           len(stamps))) > 0))
 
 
 class CvMode(Enum):
@@ -384,13 +367,12 @@ class _MarketFrame:
         if not records:
             raise ValueError("no market records")
         stamps = list(map(attrgetter("timestamp"), records))
+        for cur, problem in zip(stamps[1:], map(_follow_problem, stamps, stamps[1:])):
+            if problem:
+                raise ValueError(f"{cur.isoformat()} {problem}")
         ordinal = np.fromiter(map(datetime.toordinal, stamps), np.int64, len(stamps))
         hour = np.fromiter(map(attrgetter("hour"), stamps), np.int64, len(stamps))
         key = (ordinal - ordinal[0] + 1) * 24 + hour
-        if not _follows_in_order(stamps, key):
-            for cur, problem in zip(stamps[1:], map(_follow_problem, stamps, stamps[1:])):
-                if problem:
-                    raise ValueError(f"{cur.isoformat()} {problem}")
 
         def column(name: str) -> np.ndarray:
             return np.fromiter(map(attrgetter(name), records), float, len(records))
@@ -537,8 +519,7 @@ class _Span:
                 dr_s[k] = params
         # one level matrix: bn's tau rows, every DR-S row's lower and then upper
         # ball bounds (theta = 0 is the uniform ball), and the band levels of
-        # each DR-omega row, one radius at a time, but those at rho = 1, which
-        # need no quantile
+        # each DR-omega row, one radius at a time (no rows at rho = 1)
         levels = []
         for params in bn.values():
             levels.append(tau[params["m"]][None])
@@ -546,11 +527,8 @@ class _Span:
             levels += ball_bounds(np.array([tau[params["m"]] for params in dr_s.values()]),
                                   np.array([[params["epsilon"]] for params in dr_s.values()]),
                                   np.array([[params.get("theta", 0.0)] for params in dr_s.values()]))
-        bands = []
-        for params in dr_omega.values():
-            bands.append(dr_omega_levels(tau[params["m"]], params["rho"]))
-            if bands[-1] is not None:
-                levels.append(bands[-1])
+        bands = [dr_omega_levels(tau[params["m"]], params["rho"]) for params in dr_omega.values()]
+        levels += bands
         q = self.forecast.quantile(np.concatenate(levels)) if levels else y[:0]
         n_bn, n_s = len(bn), len(dr_s)
         for k, row in zip(bn, q):
@@ -561,10 +539,9 @@ class _Span:
                 y[k] = row
         at = n_bn + 2 * n_s
         for (k, params), u in zip(dr_omega.items(), bands):
-            band_q = None if u is None else q[at:at + 2]
             y[k] = dr_omega_from_quantiles(self.forecast, tau[params["m"]], params["rho"],
-                                           u, band_q)[0]
-            at += 0 if u is None else 2
+                                           u, q[at:at + len(u)])[0]
+            at += len(u)
         return y
 
     def revenues(self, strategy: str, grid: Sequence[Mapping[str, float]]) -> np.ndarray:

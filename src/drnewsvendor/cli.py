@@ -354,7 +354,11 @@ def _cmd_crossval(args) -> int:
 def _cmd_backtest(args) -> int:
     records, plan = _load_backtest_inputs(args)
     if args.params:
-        chosen = bt.ChosenParameters.from_json_dict(json.loads(Path(args.params).read_text()))
+        try:
+            data = json.loads(Path(args.params).read_text())
+        except json.JSONDecodeError as exc:
+            raise ValueError(f"--params {args.params}: not JSON: {exc}") from None
+        chosen = bt.ChosenParameters.from_json_dict(data)
     else:
         chosen = bt.cross_validate(records, plan)
     report = bt.run_backtest(records, plan, chosen)
@@ -370,13 +374,17 @@ def _cmd_backtest(args) -> int:
 
 
 def _cmd_synth(args) -> int:
+    try:
+        start = datetime.fromisoformat(args.start)
+    except ValueError:
+        raise ValueError(f"--start must be an ISO 8601 date and time, got {args.start!r}") from None
     records = make_synthetic_market(
         n_days=args.days,
         master_seed=args.seed,
         tau=args.tau,
         mean_rel_spread=args.spread,
         no_balancing_rate=args.no_balancing_rate,
-        start=datetime.fromisoformat(args.start),
+        start=start,
     )
     bt.write_market_csv(records, args.market_out)
     bt.write_forecast_dir(records, args.forecasts_out)

@@ -16,13 +16,6 @@ from .economics import bernoulli_outcomes
 __all__ = ["HourlyTauEstimator", "fill_empty_windows"]
 
 
-def _no_outcomes(hour: int, window_days: int, day: int) -> ValueError:
-    return ValueError(
-        f"no usable outcomes for hour {hour} in the {window_days} days "
-        f"before day {day}; supply a fallback tau to proceed"
-    )
-
-
 def _check_fallback(fallback_tau: float | None) -> None:
     # asked as "inside", so that a NaN fallback fails too
     if fallback_tau is not None and not (0.0 <= fallback_tau <= 1.0):
@@ -107,6 +100,7 @@ def fill_empty_windows(tau: np.ndarray, days, hours, window_days: int,
     if missing.any():
         if fallback_tau is None:
             i = int(np.argmax(missing))
-            raise _no_outcomes(int(hours[i]), window_days, int(days[i]))
+            raise ValueError(f"no usable outcomes for hour {int(hours[i])} in the {window_days} "
+                             f"days before day {int(days[i])}; supply a fallback tau to proceed")
         tau = np.where(missing, float(fallback_tau), tau)
     return tau

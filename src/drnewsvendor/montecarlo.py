@@ -57,6 +57,7 @@ from __future__ import annotations
 import math
 import time
 from dataclasses import dataclass, replace
+from operator import attrgetter
 from typing import Mapping, Sequence
 
 import numpy as np
@@ -393,22 +394,20 @@ def run_m_sweep(config: SimConfig, m_values: Sequence[int]) -> MSweepResult:
     m_values = np.asarray(sorted(int(m) for m in m_values), dtype=int)
     if m_values.size == 0 or m_values[0] < 1:
         raise ValueError("m values must be positive")
-    g_u, g_la = [], []
-    se_u, se_la, se_d = [], [], []
-    for m in m_values:
-        res = run_epsilon_sweep(replace(config, m=int(m)), _stream_base=int(m) << 24)
-        g_u.append(np.nan if res.gamma_u is None else res.gamma_u)
-        g_la.append(np.nan if res.gamma_la is None else res.gamma_la)
-        se_u.append(np.nan if res.gamma_se.get(_ARM_UNIFORM) is None else res.gamma_se[_ARM_UNIFORM])
-        se_la.append(np.nan if res.gamma_se.get(_ARM_LEVEL_ADJUSTED) is None else res.gamma_se[_ARM_LEVEL_ADJUSTED])
-        se_d.append(np.nan if res.gamma_diff_se is None else res.gamma_diff_se)
+    results = [run_epsilon_sweep(replace(config, m=int(m)), _stream_base=int(m) << 24)
+               for m in m_values]
+
+    def column(value) -> np.ndarray:
+        # None (an arm not swept, or a standard error of fewer than two blocks) reads NaN
+        return np.array([np.nan if v is None else v for v in map(value, results)])
+
     return MSweepResult(
         m_values=m_values,
-        gamma_u=np.array(g_u),
-        gamma_la=np.array(g_la),
-        gamma_u_se=np.array(se_u),
-        gamma_la_se=np.array(se_la),
-        gamma_diff_se=np.array(se_d),
+        gamma_u=column(attrgetter("gamma_u")),
+        gamma_la=column(attrgetter("gamma_la")),
+        gamma_u_se=column(lambda res: res.gamma_se.get(_ARM_UNIFORM)),
+        gamma_la_se=column(lambda res: res.gamma_se.get(_ARM_LEVEL_ADJUSTED)),
+        gamma_diff_se=column(attrgetter("gamma_diff_se")),
         n_replicates=config.n_replicates,
         master_seed=config.master_seed,
         runtime_seconds=time.perf_counter() - start,

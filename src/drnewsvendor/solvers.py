@@ -95,18 +95,21 @@ def dr_omega_offers(dist, tau_hat, rho: float):
     """
     tau_hat = np.asarray(tau_hat, dtype=float)
     u = dr_omega_levels(tau_hat, rho)
-    return dr_omega_from_quantiles(dist, tau_hat, rho, u, None if u is None else dist.quantile(u))
+    return dr_omega_from_quantiles(dist, tau_hat, rho, u, dist.quantile(u))
 
 
 _BANDS = ("upper", "lower")
 
 
-def dr_omega_levels(tau_hat: np.ndarray, rho: float) -> np.ndarray | None:
+def dr_omega_levels(tau_hat: np.ndarray, rho: float) -> np.ndarray:
     """The levels of ``dist`` whose quantiles are the upper and lower band quantiles at ``tau_hat``.
 
-    None at ``rho = 1``, whose bands are the Heaviside pair and need no quantile.
+    One row per band, each shaped as ``tau_hat``. At ``rho = 1`` the bands are
+    the Heaviside pair and need no quantile, so the block has no rows.
     """
-    return None if rho == 1.0 else band_levels(tau_hat, rho, _BANDS)
+    if rho == 1.0:
+        return np.empty((0, *np.shape(tau_hat)))
+    return band_levels(tau_hat, rho, _BANDS)
 
 
 def dr_omega_from_quantiles(dist, tau_hat: np.ndarray, rho: float, u, q):

@@ -900,3 +900,21 @@ def test_market_record_validation():
     fc = PiecewiseLinear(standard_forecast_levels(), Beta(2, 6).quantile(standard_forecast_levels()))
     with pytest.raises(ValueError, match="omega_star"):
         MarketRecord(datetime(2020, 1, 1), 50.0, 40.0, 1.0, 1.4, fc)
+
+
+@pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
+@pytest.mark.parametrize("field", ["pi_s", "pi_b", "s_l"])
+def test_market_record_rejects_a_non_finite_price_naming_it(field, value):
+    # the loader rejects such a cell first; records built in memory are held to the same rule
+    fc = PiecewiseLinear([0.5], [0.4])
+    prices = {"pi_s": 50.0, "pi_b": 40.0, "s_l": 1.0, field: value}
+    with pytest.raises(ValueError, match=re.escape(f"2020-01-01T05:00:00: {field} must be "
+                                                   f"finite, got {value}")):
+        MarketRecord(datetime(2020, 1, 1, 5), omega_star=0.5, forecast=fc, **prices)
+
+
+def test_scale_penalties_rejects_a_factor_that_overflows_a_price():
+    records = make_synthetic_market(n_days=1, master_seed=0)
+    assert any(abs(r.pi_b - r.pi_s) > 2.0 for r in records)
+    with pytest.raises(ValueError, match=r"T\d\d:00:00: pi_b must be finite, got -?inf"):
+        scale_penalties(records, 1e308)

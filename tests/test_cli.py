@@ -211,6 +211,17 @@ def test_synth_rejects_a_start_off_the_hour(tmp_path, capsys):
     assert not market.exists()
 
 
+def test_synth_names_a_start_that_is_not_a_timestamp(tmp_path, capsys):
+    market = tmp_path / "s.csv"
+    code = dispatch(["synth", "--days", "3", "--start", "garbage",
+                     "--market-out", str(market), "--forecasts-out", str(tmp_path / "fc"),
+                     "--out", str(tmp_path / "synth.json")])
+    assert code == 1
+    error = json.loads(capsys.readouterr().err)["error"]
+    assert error == "--start must be an ISO 8601 date and time, got 'garbage'"
+    assert not market.exists()
+
+
 def test_msweep_json(tmp_path):
     out = tmp_path / "ms.json"
     assert dispatch(["msweep", "--dist", "beta:2,6", "--tau", "0.75",
@@ -384,6 +395,17 @@ def test_backtest_malformed_params_exit_1(tmp_path, capsys, market_flags, params
     assert code == 1
     error = json.loads(capsys.readouterr().err)["error"]
     assert error.startswith("chosen parameters") and names in error
+
+
+def test_backtest_names_a_params_file_that_is_not_json(tmp_path, capsys, market_flags):
+    path = tmp_path / "chosen.json"
+    path.write_text("day,strategy,param,value\n")
+    out = tmp_path / "bt.json"
+    code = dispatch(["backtest", *market_flags, "--params", str(path), "--out", str(out)])
+    assert code == 1
+    error = json.loads(capsys.readouterr().err)["error"]
+    assert error == f"--params {path}: not JSON: Expecting value: line 1 column 1 (char 0)"
+    assert not out.exists()
 
 
 def test_crossval_empty_grid_exits_1(tmp_path, capsys, market_flags):
@@ -598,6 +620,21 @@ def test_msweep_csv(tmp_path):
     rows = list(csv.reader(out.open()))
     assert rows[0] == ["m", "ball", "gamma", "gamma_se"]
     assert len(rows) == 1 + 3 * 2
+
+
+def test_msweep_writes_an_arm_it_did_not_sweep_as_missing(tmp_path):
+    flags = ["msweep", "--dist", "beta:2,6", "--tau", "0.75", "--m-min", "4", "--m-max", "6",
+             "--m-step", "2", "--n", "40000", "--ball", "uniform"]
+    assert dispatch([*flags, "--out", str(tmp_path / "ms.json")]) == 0
+    payload = json.loads((tmp_path / "ms.json").read_text())
+    assert payload["gamma_la"] == payload["gamma_la_se"] == [None, None]
+    assert all(isinstance(v, float) for v in payload["gamma_u"] + payload["gamma_u_se"])
+    assert dispatch([*flags, "--output", "csv", "--out", str(tmp_path / "ms.csv")]) == 0
+    rows = list(csv.reader((tmp_path / "ms.csv").open()))[1:]
+    assert [row[:2] for row in rows] == [["4", "uniform"], ["4", "level_adjusted"],
+                                         ["6", "uniform"], ["6", "level_adjusted"]]
+    assert [row[2:] for row in rows[1::2]] == [["nan", "nan"]] * 2
+    assert all(np.isfinite(float(v)) for row in rows[::2] for v in row[2:])
 
 
 def test_synth_crossval_backtest_pipeline(tmp_path):

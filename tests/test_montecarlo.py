@@ -488,6 +488,17 @@ def test_m_sweep_smoke():
     assert np.all(res.gamma_la >= res.gamma_u - 3.0 * res.gamma_diff_se)
 
 
+def test_m_sweep_reads_an_arm_it_did_not_sweep_as_nan():
+    both = run_m_sweep(small_config(n_replicates=40_000), [5, 10])
+    res = run_m_sweep(small_config(n_replicates=40_000, ball_kinds=("uniform",)), [5, 10])
+    for column in (res.gamma_la, res.gamma_la_se, res.gamma_diff_se):
+        assert column.shape == (2,) and np.isnan(column).all()
+    # the swept arm scores the same draws either way
+    assert np.array_equal(res.gamma_u, both.gamma_u)
+    assert np.array_equal(res.gamma_u_se, both.gamma_u_se)
+    assert np.isfinite(res.gamma_u_se).all()
+
+
 def test_m_sweep_large_m_gamma_vanishes():
     # with a near-perfect estimate there is nothing left to robustify
     cfg = small_config(n_replicates=40_000)

@@ -17,6 +17,7 @@ from drnewsvendor import (
     solve_robust_s,
     worst_case_cdf,
 )
+from drnewsvendor.solvers import dr_omega_levels, dr_omega_offers
 
 from conftest import grid_expected_loss, random_dist
 
@@ -256,3 +257,15 @@ def test_offer_decision_validation():
         solve_dr_omega(Beta(2, 6), 0.5, 1.5)
     with pytest.raises(ValueError):
         solve_direct(Beta(2, 6), -0.2)
+
+
+def test_dr_omega_levels_at_rho_one_are_a_block_with_no_rows():
+    # the Heaviside limit needs no band quantile: its block is empty, never None
+    tau = np.array([0.1, 0.5, 0.9])
+    assert dr_omega_levels(tau, 0.3).shape == (2, 3)
+    assert dr_omega_levels(tau, 1.0).shape == (0, 3)
+    assert dr_omega_levels(np.float64(0.7), 1.0).shape == (0,)
+    for dist in (Beta(2, 6), Heaviside(0.4), Uniform01()):
+        y, q_upper, q_lower = dr_omega_offers(dist, tau, 1.0)
+        assert np.array_equal(y, tau)
+        assert np.array_equal(q_upper, [0.0] * 3) and np.array_equal(q_lower, [1.0] * 3)
