@@ -790,47 +790,3 @@ def write_forecast_dir(records: Iterable[MarketRecord], dirpath) -> None:
             text = texts[rec.forecast] = _forecast_text(rec.forecast)
         with (dirpath / (rec.timestamp.strftime(_TS_FORMAT) + ".csv")).open("w", newline="") as fh:
             fh.write(text)
-
-
-_REFERENCE_NOTE = (
-    "Aggregate results are specific to the supplied market data; figures obtained "
-    "on proprietary datasets elsewhere are not reproducible from this tool and are "
-    "never used as test oracles."
-)
-
-
-def report_summary(report: BacktestReport) -> dict:
-    """JSON-ready aggregate view of a backtest report."""
-    return {
-        "eval_days": list(report.eval_days),
-        "n_periods": len(report.timestamps),
-        "total_volume_mwh": float(report.volumes.sum()),
-        "strategies": {
-            name: {
-                "revenue_per_mwh": row.revenue_per_mwh,
-                "regret_per_mwh": row.regret_per_mwh,
-                "advantage_ratio_pct": row.advantage_ratio_pct,
-                "total_revenue": row.total_revenue,
-                "final_cum_delta_regret": float(row.cum_delta_regret[-1]),
-            }
-            for name, row in sorted(report.rows.items())
-        },
-        "chosen_parameters": report.chosen.to_json_dict(),
-        "reference_note": _REFERENCE_NOTE,
-    }
-
-
-def report_csv_rows(report: BacktestReport) -> list[tuple[str, str, str, str, str]]:
-    """Per-period rows: timestamp,strategy,revenue,regret,cum_delta_regret."""
-    rows = []
-    for name in sorted(report.revenues):
-        rev = report.revenues[name]
-        cum = report.rows[name].cum_delta_regret
-        for i, ts in enumerate(report.timestamps):
-            rows.append((
-                ts.isoformat(), name,
-                repr(float(rev[i])),
-                repr(float(report.oracle_revenues[i] - rev[i])),
-                repr(float(cum[i])),
-            ))
-    return rows

@@ -2,8 +2,10 @@
 
 Every command accepts ``--seed`` and ``--output {json,csv}``, writes its
 artifact atomically (temp file + rename) to ``--out``, by default
-``<command>.<output>``, and prints a one-line summary. Usage errors exit 2;
-data and domain errors exit 1 with a structured message on stderr.
+``<command>.<output>``, and prints a one-line summary. Each artifact's JSON
+payload and CSV rows are built here; the library modules return results.
+Usage errors exit 2; data and domain errors exit 1 with a structured
+message on stderr.
 """
 
 from __future__ import annotations
@@ -17,6 +19,7 @@ import json
 import os
 import sys
 import tempfile
+import time
 from datetime import datetime
 from pathlib import Path
 
@@ -266,15 +269,29 @@ def _sim_config(args, m: int) -> mc.SimConfig:
 
 def _cmd_simulate(args) -> int:
     config = _sim_config(args, args.m)
+    start = time.perf_counter()
     result = mc.run_epsilon_sweep(config)
-    out = _write_artifact(args, mc.sweep_summary(result, config),
-                          ["epsilon", "arm", "expected_loss"], lambda: mc.sweep_csv_rows(result))
+    seconds = time.perf_counter() - start
+    # the runtime stays out of the artifact, which is then the same on every run and machine
+    payload = {
+        "gamma_u": result.gamma_u, "gamma_la": result.gamma_la,
+        "best_epsilon": dict(result.best_epsilon), "gamma_se": dict(result.gamma_se),
+        "gamma_diff_se": result.gamma_diff_se,
+        "config": {
+            "true_dist": repr(config.true_dist), "true_tau": config.true_tau, "m": config.m,
+            "n_replicates": config.n_replicates, "epsilon_grid": result.epsilon_grid,
+            "theta": config.theta, "ball_kinds": config.ball_kinds,
+        },
+        "seed": config.master_seed,
+    }
+    out = _write_artifact(args, payload, ["epsilon", "arm", "expected_loss"], lambda: (
+        (repr(float(eps)), arm, repr(float(loss)))
+        for arm, curve in sorted(result.curves.items())
+        for eps, loss in zip(result.epsilon_grid, curve)
+    ))
     g_u = "n/a" if result.gamma_u is None else f"{result.gamma_u:.4f}"
     g_la = "n/a" if result.gamma_la is None else f"{result.gamma_la:.4f}"
-    print(
-        f"gamma_u={g_u} gamma_la={g_la} "
-        f"(m={args.m}, n={args.n}, {result.runtime_seconds:.2f}s) -> {out}"
-    )
+    print(f"gamma_u={g_u} gamma_la={g_la} (m={args.m}, n={args.n}, {seconds:.2f}s) -> {out}")
     return 0
 
 
@@ -287,7 +304,9 @@ def _cmd_msweep(args) -> int:
         raise ValueError(f"--m-min {args.m_min} to --m-max {args.m_max} is an empty range")
     config = _sim_config(args, args.m_min)
     m_values = list(range(args.m_min, args.m_max + 1, args.m_step))
+    start = time.perf_counter()
     result = mc.run_m_sweep(config, m_values)
+    seconds = time.perf_counter() - start
     arms = (("uniform", result.gamma_u, result.gamma_u_se),
             ("level_adjusted", result.gamma_la, result.gamma_la_se))
     payload = {
@@ -301,14 +320,12 @@ def _cmd_msweep(args) -> int:
         (str(int(m)), ball, repr(float(gamma[i])), repr(float(se[i])))
         for i, m in enumerate(result.m_values) for ball, gamma, se in arms
     ))
-    print(
-        f"m-sweep over {result.m_values.size} sizes "
-        f"({result.runtime_seconds:.2f}s) -> {out}"
-    )
+    print(f"m-sweep over {result.m_values.size} sizes ({seconds:.2f}s) -> {out}")
     return 0
 
 
 def _plan_from_args(args) -> bt.BacktestPlan:
+    bt.check_penalty_scale(args.penalty_scale, "--penalty-scale")
     return bt.BacktestPlan(
         warm_start_days=args.warm_start_days,
         tau_window_days=args.tau_window_days,
@@ -323,10 +340,10 @@ def _plan_from_args(args) -> bt.BacktestPlan:
     )
 
 
-def _load_backtest_inputs(args):
-    bt.check_penalty_scale(args.penalty_scale, "--penalty-scale")
+def _load_market(args) -> list[bt.MarketRecord]:
+    """The market records, read only once every flag and ``--params`` has been checked."""
     records = bt.load_market_data(args.market, args.forecasts, strict=args.strict)
-    return bt.scale_penalties(records, args.penalty_scale), _plan_from_args(args)
+    return bt.scale_penalties(records, args.penalty_scale)
 
 
 def _chosen_rows(chosen: bt.ChosenParameters):
@@ -342,8 +359,8 @@ def _chosen_rows(chosen: bt.ChosenParameters):
 
 
 def _cmd_crossval(args) -> int:
-    records, plan = _load_backtest_inputs(args)
-    chosen = bt.cross_validate(records, plan)
+    plan = _plan_from_args(args)
+    chosen = bt.cross_validate(_load_market(args), plan)
     out = _write_artifact(args, {"command": "crossval", "seed": args.seed,
                                  **chosen.to_json_dict()},
                           ["day", "strategy", "param", "value"], lambda: _chosen_rows(chosen))
@@ -352,20 +369,48 @@ def _cmd_crossval(args) -> int:
 
 
 def _cmd_backtest(args) -> int:
-    records, plan = _load_backtest_inputs(args)
+    plan = _plan_from_args(args)
+    chosen = None
     if args.params:
         try:
             data = json.loads(Path(args.params).read_text())
         except json.JSONDecodeError as exc:
             raise ValueError(f"--params {args.params}: not JSON: {exc}") from None
         chosen = bt.ChosenParameters.from_json_dict(data)
-    else:
+    records = _load_market(args)
+    if chosen is None:
         chosen = bt.cross_validate(records, plan)
     report = bt.run_backtest(records, plan, chosen)
-    out = _write_artifact(args, {"command": "backtest", "seed": args.seed,
-                                 **bt.report_summary(report)},
-                          ["timestamp", "strategy", "revenue", "regret", "cum_delta_regret"],
-                          lambda: bt.report_csv_rows(report))
+    payload = {
+        "command": "backtest", "seed": args.seed,
+        "eval_days": report.eval_days,
+        "n_periods": len(report.timestamps),
+        "total_volume_mwh": report.volumes.sum(),
+        "strategies": {
+            name: {
+                "revenue_per_mwh": row.revenue_per_mwh,
+                "regret_per_mwh": row.regret_per_mwh,
+                "advantage_ratio_pct": row.advantage_ratio_pct,
+                "total_revenue": row.total_revenue,
+                "final_cum_delta_regret": row.cum_delta_regret[-1],
+            }
+            for name, row in report.rows.items()
+        },
+        "chosen_parameters": report.chosen.to_json_dict(),
+        "reference_note": "Aggregate results are specific to the supplied market data; figures "
+                          "obtained on proprietary datasets elsewhere are not reproducible from "
+                          "this tool and are never used as test oracles.",
+    }
+
+    def rows():
+        for name, rev in sorted(report.revenues.items()):
+            cum = report.rows[name].cum_delta_regret
+            for i, ts in enumerate(report.timestamps):
+                yield (ts.isoformat(), name, repr(float(rev[i])),
+                       repr(float(report.oracle_revenues[i] - rev[i])), repr(float(cum[i])))
+
+    out = _write_artifact(args, payload,
+                          ["timestamp", "strategy", "revenue", "regret", "cum_delta_regret"], rows)
     summary = " ".join(
         f"{name}:r={row.regret_per_mwh:.3f}" for name, row in sorted(report.rows.items())
     )

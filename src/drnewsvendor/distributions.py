@@ -260,9 +260,12 @@ class Beta(UnitDistribution):
         return _match_input(x, special.betainc(self.a, self.b, arr))
 
     def quantile(self, p):
+        arr = _validate_prob(p, "p")
+        if arr.size == 0:
+            # an empty block (DR-omega's levels at rho = 1) loads no scipy.special
+            return arr.astype(float)
         from scipy import special
 
-        arr = _validate_prob(p, "p")
         out = special.betaincinv(self.a, self.b, arr)
         # betaincinv underflows to nan for subnormal tail probabilities,
         # where the quantile is 0 or 1 to double precision

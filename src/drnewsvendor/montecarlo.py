@@ -55,7 +55,6 @@ every column.
 from __future__ import annotations
 
 import math
-import time
 from dataclasses import dataclass, replace
 from operator import attrgetter
 from typing import Mapping, Sequence
@@ -74,8 +73,6 @@ __all__ = [
     "run_epsilon_sweep",
     "run_m_sweep",
     "gamma",
-    "sweep_csv_rows",
-    "sweep_summary",
 ]
 
 BLOCK_SIZE = 16384
@@ -135,7 +132,6 @@ class SimResult:
     m: int
     n_replicates: int
     master_seed: int
-    runtime_seconds: float
 
 
 @dataclass(frozen=True)
@@ -150,7 +146,6 @@ class MSweepResult:
     gamma_diff_se: np.ndarray
     n_replicates: int
     master_seed: int
-    runtime_seconds: float
 
 
 def gamma(l_bn: float, l_o: float, l_dr_star: float) -> float:
@@ -320,7 +315,6 @@ def run_epsilon_sweep(config: SimConfig, *, _stream_base: int = 0) -> SimResult:
     Deterministic for a given master seed; all arms are scored against
     the same estimate draws.
     """
-    start = time.perf_counter()
     m = config.m
     grid = np.asarray(config.epsilon_grid, dtype=float)
     counts_blocks = _draw_count_blocks(config, m, _stream_base)
@@ -380,7 +374,6 @@ def run_epsilon_sweep(config: SimConfig, *, _stream_base: int = 0) -> SimResult:
         m=m,
         n_replicates=config.n_replicates,
         master_seed=config.master_seed,
-        runtime_seconds=time.perf_counter() - start,
     )
 
 
@@ -390,7 +383,6 @@ def run_m_sweep(config: SimConfig, m_values: Sequence[int]) -> MSweepResult:
     Every m gets its own disjoint stream family, so the curve is
     deterministic and insensitive to which m values are requested.
     """
-    start = time.perf_counter()
     m_values = np.asarray(sorted(int(m) for m in m_values), dtype=int)
     if m_values.size == 0 or m_values[0] < 1:
         raise ValueError("m values must be positive")
@@ -410,37 +402,4 @@ def run_m_sweep(config: SimConfig, m_values: Sequence[int]) -> MSweepResult:
         gamma_diff_se=column(attrgetter("gamma_diff_se")),
         n_replicates=config.n_replicates,
         master_seed=config.master_seed,
-        runtime_seconds=time.perf_counter() - start,
     )
-
-
-def sweep_csv_rows(result: SimResult) -> list[tuple[str, str, str]]:
-    """Rows of the ``epsilon,arm,expected_loss`` export."""
-    rows = []
-    for arm in sorted(result.curves):
-        for eps, val in zip(result.epsilon_grid, result.curves[arm]):
-            rows.append((repr(float(eps)), arm, repr(float(val))))
-    return rows
-
-
-def sweep_summary(result: SimResult, config: SimConfig) -> dict:
-    """JSON-ready summary: gammas, best radii and the configuration echo."""
-    return {
-        "gamma_u": result.gamma_u,
-        "gamma_la": result.gamma_la,
-        "best_epsilon": dict(result.best_epsilon),
-        "gamma_se": dict(result.gamma_se),
-        "gamma_diff_se": result.gamma_diff_se,
-        # runtime is an execution detail, not an experiment input; leaving
-        # it out keeps artifacts byte-identical across runs and machines
-        "config": {
-            "true_dist": repr(config.true_dist),
-            "true_tau": config.true_tau,
-            "m": config.m,
-            "n_replicates": config.n_replicates,
-            "epsilon_grid": [float(e) for e in config.epsilon_grid],
-            "theta": config.theta,
-            "ball_kinds": list(config.ball_kinds),
-        },
-        "seed": config.master_seed,
-    }

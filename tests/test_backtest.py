@@ -1,5 +1,6 @@
 """Backtest protocol: data IO, cross-validation, settlement, look-ahead guard."""
 
+import csv
 import io
 import json
 import re
@@ -35,7 +36,6 @@ from drnewsvendor import (
     write_market_csv,
 )
 from drnewsvendor import backtest
-from drnewsvendor.backtest import report_csv_rows, report_summary
 from drnewsvendor.cli import dispatch
 from drnewsvendor.distributions import PiecewiseLinearBatch, _forecast_text
 from drnewsvendor.estimation import HourlyTauEstimator
@@ -879,21 +879,33 @@ def test_a_selection_checks_its_values_when_built_and_its_windows_where_priced()
 # ---------- report artifacts ----------
 
 
-def test_report_exports():
+def test_report_exports(tmp_path):
     recs = small_market(seed=19)
     chosen = cross_validate(recs, SMALL_PLAN)
     report = run_backtest(recs, SMALL_PLAN, chosen)
-    summary = report_summary(report)
+    write_market_csv(recs, tmp_path / "m.csv")
+    write_forecast_dir(recs, tmp_path / "fc")
+    argv = ["backtest", "--market", str(tmp_path / "m.csv"), "--forecasts", str(tmp_path / "fc"),
+            "--warm-start-days", "30", "--tau-window-days", "20", "--cv-days", "10",
+            "--m-grid", "8", "--eps-grid", "0,0.05,0.1,0.2", "--theta-grid", "0.9",
+            "--rho-grid", "0,0.1,0.3"]
+    assert dispatch([*argv, "--out", str(tmp_path / "r.json")]) == 0
+    summary = json.loads((tmp_path / "r.json").read_text())
     assert set(summary["strategies"]) == set(SMALL_PLAN.strategies)
     assert summary["n_periods"] == len(report.timestamps)
     assert "reference_note" in summary
-    assert json.loads(json.dumps(summary)) == summary
-    rows = report_csv_rows(report)
+    assert summary["chosen_parameters"] == chosen.to_json_dict()
+    assert summary["strategies"]["bn"]["regret_per_mwh"] == report.rows["bn"].regret_per_mwh
+    assert dispatch([*argv, "--out", str(tmp_path / "r.csv"), "--output", "csv"]) == 0
+    header, *rows = csv.reader((tmp_path / "r.csv").open())
+    assert header == ["timestamp", "strategy", "revenue", "regret", "cum_delta_regret"]
     assert len(rows) == len(report.timestamps) * len(SMALL_PLAN.strategies)
     ts, name, rev, regret, cum = rows[0]
-    datetime.fromisoformat(ts)
+    assert datetime.fromisoformat(ts) == report.timestamps[0]
     assert name == sorted(SMALL_PLAN.strategies)[0]
-    float(rev), float(regret), float(cum)
+    assert float(rev) == report.revenues[name][0]
+    assert float(regret) == report.oracle_revenues[0] - report.revenues[name][0]
+    assert float(cum) == report.rows[name].cum_delta_regret[0]
 
 
 def test_market_record_validation():

@@ -21,6 +21,7 @@ from drnewsvendor import (
     load_market_data,
     make_synthetic_market,
 )
+from drnewsvendor import backtest as bt
 from drnewsvendor.cli import dispatch
 
 
@@ -406,6 +407,24 @@ def test_backtest_names_a_params_file_that_is_not_json(tmp_path, capsys, market_
     error = json.loads(capsys.readouterr().err)["error"]
     assert error == f"--params {path}: not JSON: Expecting value: line 1 column 1 (char 0)"
     assert not out.exists()
+
+
+@pytest.mark.parametrize("argv, message", [
+    (["crossval", "--m-grid", "abc"], "--m-grid must be a start:step:stop range"),
+    (["crossval", "--warm-start-days", "5"], "warm start must equal tau window plus"),
+    (["backtest", "--params", "notjson.json"], "--params notjson.json: not JSON"),
+], ids=["m-grid", "warm-start-days", "params"])
+def test_flags_and_params_are_checked_before_the_market_is_read(tmp_path, monkeypatch, capsys,
+                                                                argv, message):
+    def load_market_data(*args, **kwargs):
+        raise AssertionError("the market was read before its flags were checked")
+
+    monkeypatch.setattr(bt, "load_market_data", load_market_data)
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "notjson.json").write_text("not json\n")
+    # the market does not exist either: the flag's own error is the one reported
+    assert dispatch([*argv, "--market", "nope.csv", "--forecasts", "fc"]) == 1
+    assert json.loads(capsys.readouterr().err)["error"].startswith(message)
 
 
 def test_crossval_empty_grid_exits_1(tmp_path, capsys, market_flags):
@@ -861,5 +880,24 @@ def test_crossval_and_backtest_never_import_scipy_special(tmp_path):
     assert dispatch(["synth", "--days", "34", "--seed", "9", "--market-out", str(tmp_path / "m.csv"),
                      "--forecasts-out", str(tmp_path / "fc"), "--out", str(tmp_path / "synth.json")]) == 0
     proc = subprocess.run([sys.executable, "-c", _NO_SPECIAL], cwd=tmp_path, env=_src_env(),
+                          capture_output=True, text=True, timeout=300)
+    assert proc.returncode == 0, proc.stderr
+
+
+_RHO_1_NO_SPECIAL = """
+import sys
+from drnewsvendor import Beta, solve_dr_omega
+from drnewsvendor.cli import dispatch
+
+assert solve_dr_omega(Beta(2, 6), 0.7, 1.0).y_star == 0.7
+assert dispatch(["solve", "--strategy", "dr-omega", "--dist", "beta:2,6", "--tau", "0.7",
+                 "--rho", "1", "--out", "solve.json"]) == 0
+assert "scipy.special" not in sys.modules, "scipy.special was imported"
+"""
+
+
+def test_a_rho_1_dr_omega_offer_never_imports_scipy_special(tmp_path):
+    # at rho = 1 the offer is tau itself, and its empty level block prices no Beta quantile
+    proc = subprocess.run([sys.executable, "-c", _RHO_1_NO_SPECIAL], cwd=tmp_path, env=_src_env(),
                           capture_output=True, text=True, timeout=300)
     assert proc.returncode == 0, proc.stderr

@@ -1,5 +1,7 @@
 """Estimation-noise sweeps: endpoint identities, determinism, loss curves."""
 
+import csv
+import json
 import math
 from dataclasses import dataclass
 
@@ -32,9 +34,8 @@ from drnewsvendor.montecarlo import (
     _inversion_terms,
     _losses_for_offers,
     _numpy_thresholds,
-    sweep_csv_rows,
-    sweep_summary,
 )
+from drnewsvendor.cli import dispatch
 from drnewsvendor.solvers import dr_s_rule
 
 
@@ -531,15 +532,22 @@ def test_loss_curve_geometry():
     assert np.allclose(envelope[right], lo_row[right], atol=1e-12)
 
 
-def test_sweep_exports():
+def test_sweep_exports(tmp_path):
     cfg = small_config(n_replicates=10_000,
                       epsilon_grid=(0.0, 0.5, 1.0))
     res = run_epsilon_sweep(cfg)
-    rows = sweep_csv_rows(res)
-    assert len(rows) == 3 * len(res.curves)
-    assert all(len(r) == 3 for r in rows)
-    summary = sweep_summary(res, cfg)
+    argv = ["simulate", "--dist", "beta:2,6", "--tau", "0.75", "--m", "10", "--n", "10000",
+            "--eps-grid", "0,0.5,1", "--seed", "99"]
+    assert dispatch([*argv, "--out", str(tmp_path / "sim.csv"), "--output", "csv"]) == 0
+    rows = list(csv.reader((tmp_path / "sim.csv").open()))
+    assert rows[0] == ["epsilon", "arm", "expected_loss"]
+    assert len(rows[1:]) == 3 * len(res.curves)
+    assert all(len(r) == 3 for r in rows[1:])
+    assert [float(r[2]) for r in rows[1:] if r[1] == "bn"] == res.curves["bn"].tolist()
+    assert dispatch([*argv, "--out", str(tmp_path / "sim.json")]) == 0
+    summary = json.loads((tmp_path / "sim.json").read_text())
     assert set(summary) >= {"gamma_u", "gamma_la", "best_epsilon", "config", "seed"}
+    assert (summary["gamma_u"], summary["gamma_la"]) == (res.gamma_u, res.gamma_la)
     assert summary["config"]["m"] == cfg.m
     assert summary["seed"] == cfg.master_seed
 
