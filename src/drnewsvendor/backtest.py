@@ -226,24 +226,35 @@ class ChosenParameters:
         if not isinstance(table, Mapping):
             raise ValueError(f"chosen parameters: mode {self.mode.value!r} needs an object "
                              f"under key {key!r}")
-        if self.mode is CvMode.FIXED_WINDOW:
-            tables = {"": table}
-        else:
-            tables = {}
+        if self.mode is CvMode.SLIDING:
             for day, strats in table.items():
                 if not isinstance(strats, Mapping):
                     raise ValueError(f"chosen parameters: day {day} must map to an object of "
                                      f"strategies, got {strats!r}")
-                tables[f" on day {day}"] = strats
         # every name first, then every value that needs no plan
-        for where, strats in tables.items():
+        for where, strats in self._tables():
             _strategy_table(strats, where)
-        for where, strats in tables.items():
+        for where, strats in self._tables():
             for strategy, params in strats.items():
                 for name in _PARAMS[strategy]:
                     if name != "m":
                         _raise_for(strategy, name, params[name], where,
                                    _value_problem(strategy, name, params[name]))
+
+    def _tables(self) -> list[tuple[str, Mapping[str, Mapping[str, float]]]]:
+        """Each strategy table with the ``where`` its errors end in: ``""``, or one per day."""
+        if self.mode is CvMode.FIXED_WINDOW:
+            return [("", self.static)]
+        return [(f" on day {day}", strats) for day, strats in self.per_day.items()]
+
+    def check_windows(self, plan: BacktestPlan) -> None:
+        """Raise ``ValueError`` at the first ``m``, on any day, that ``plan`` cannot estimate.
+
+        :meth:`params_for` checks the same on each day it is asked for.
+        """
+        for where, strats in self._tables():
+            for strategy, params in strats.items():
+                _check_window(strategy, params, where, plan)
 
     def params_for(self, strategy: str, day: int, plan: BacktestPlan) -> Mapping[str, float]:
         """The parameters ``strategy`` uses on ``day`` under ``plan``.
@@ -262,9 +273,7 @@ class ChosenParameters:
         params = table.get(strategy)
         if params is None:
             raise ValueError(f"chosen parameters: no parameters for strategy {strategy!r}{where}")
-        if "m" in params:
-            _raise_for(strategy, "m", params["m"], where,
-                       _m_problem(params["m"], plan.tau_window_days - 1))
+        _check_window(strategy, params, where, plan)
         return params
 
     def to_json_dict(self) -> dict:
@@ -314,6 +323,13 @@ def _raise_for(strategy: str, name: str, value, where: str, problem: str | None)
     if problem:
         raise ValueError(f"chosen parameters: strategy {strategy!r} parameter {name!r} "
                          f"{problem}, got {value!r}{where}")
+
+
+def _check_window(strategy: str, params: Mapping, where: str, plan: BacktestPlan) -> None:
+    """Raise if ``params`` holds an ``m`` that is not a tau window ``plan`` can estimate."""
+    if "m" in params:
+        _raise_for(strategy, "m", params["m"], where,
+                   _m_problem(params["m"], plan.tau_window_days - 1))
 
 
 def _strategy_table(table: Mapping, where: str) -> None:

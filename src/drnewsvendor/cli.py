@@ -254,11 +254,10 @@ def _cmd_deform(args) -> int:
     return 0
 
 
-def _sim_config(args, m: int) -> mc.SimConfig:
+def _sim_config(args) -> mc.SimConfig:
     return mc.SimConfig(
         true_dist=_dist_from_args(args),
         true_tau=args.tau,
-        m=m,
         n_replicates=args.n,
         epsilon_grid=_parse_grid(args.eps_grid, "--eps-grid"),
         theta=args.theta,
@@ -268,17 +267,18 @@ def _sim_config(args, m: int) -> mc.SimConfig:
 
 
 def _cmd_simulate(args) -> int:
-    config = _sim_config(args, args.m)
+    config = _sim_config(args)
     start = time.perf_counter()
-    result = mc.run_epsilon_sweep(config)
+    result = mc.run_epsilon_sweep(config, args.m)
     seconds = time.perf_counter() - start
     # the runtime stays out of the artifact, which is then the same on every run and machine
     payload = {
+        "command": "simulate",
         "gamma_u": result.gamma_u, "gamma_la": result.gamma_la,
         "best_epsilon": dict(result.best_epsilon), "gamma_se": dict(result.gamma_se),
         "gamma_diff_se": result.gamma_diff_se,
         "config": {
-            "true_dist": repr(config.true_dist), "true_tau": config.true_tau, "m": config.m,
+            "true_dist": repr(config.true_dist), "true_tau": config.true_tau, "m": args.m,
             "n_replicates": config.n_replicates, "epsilon_grid": result.epsilon_grid,
             "theta": config.theta, "ball_kinds": config.ball_kinds,
         },
@@ -302,7 +302,7 @@ def _cmd_msweep(args) -> int:
         raise ValueError(f"--m-step must be at least 1, got {args.m_step}")
     if args.m_max < args.m_min:
         raise ValueError(f"--m-min {args.m_min} to --m-max {args.m_max} is an empty range")
-    config = _sim_config(args, args.m_min)
+    config = _sim_config(args)
     m_values = list(range(args.m_min, args.m_max + 1, args.m_step))
     start = time.perf_counter()
     result = mc.run_m_sweep(config, m_values)
@@ -314,7 +314,7 @@ def _cmd_msweep(args) -> int:
         "m_values": result.m_values,
         "gamma_u": result.gamma_u, "gamma_la": result.gamma_la,
         "gamma_u_se": result.gamma_u_se, "gamma_la_se": result.gamma_la_se,
-        "n_replicates": result.n_replicates,
+        "n_replicates": config.n_replicates,
     }
     out = _write_artifact(args, payload, ["m", "ball", "gamma", "gamma_se"], lambda: (
         (str(int(m)), ball, repr(float(gamma[i])), repr(float(se[i])))
@@ -377,6 +377,7 @@ def _cmd_backtest(args) -> int:
         except json.JSONDecodeError as exc:
             raise ValueError(f"--params {args.params}: not JSON: {exc}") from None
         chosen = bt.ChosenParameters.from_json_dict(data)
+        chosen.check_windows(plan)
     records = _load_market(args)
     if chosen is None:
         chosen = bt.cross_validate(records, plan)

@@ -1,11 +1,18 @@
 """Monte-Carlo study of offer rules under estimation noise.
 
-Each replicate observes ``m`` Bernoulli outcomes, forms the frequency
-estimate of the chance of success, and every arm (oracle, plain
+One experiment is a :class:`SimConfig` and an estimation sample size
+``m``. Each replicate observes ``m`` Bernoulli outcomes, forms the
+frequency estimate of the chance of success, and every arm (oracle, plain
 newsvendor, robust, distributionally robust with uniform and
 level-adjusted balls) prices its offer off that shared estimate. Offers
 are scored with the analytic expected loss against the true distribution,
 so the only sampled quantity is the estimate itself.
+
+Block ``b`` of an ``m``-draw experiment reads the stream
+``(master_seed, (m << 24) + b)``, whether it runs alone
+(:func:`run_epsilon_sweep`) or as one point of :func:`run_m_sweep`, so the
+two give equal results for equal inputs and each ``m`` has its own
+stream family.
 
 Because an ``m``-draw frequency estimate only takes the values ``k/m``,
 replicates are drawn as binomial counts and aggregated per ``k`` before
@@ -85,11 +92,10 @@ _ARM_LEVEL_ADJUSTED = "dr_level_adjusted"
 
 @dataclass(frozen=True)
 class SimConfig:
-    """Inputs of one simulated estimation-noise experiment."""
+    """Inputs of a simulated estimation-noise experiment, except its sample size ``m``."""
 
     true_dist: UnitDistribution
     true_tau: float
-    m: int
     n_replicates: int
     epsilon_grid: tuple[float, ...] = tuple(i / 100 for i in range(101))
     theta: float = 0.9
@@ -98,8 +104,6 @@ class SimConfig:
 
     def __post_init__(self):
         _validate_prob(self.true_tau, "true_tau")
-        if self.m < 1:
-            raise ValueError(f"m must be at least 1, got {self.m}")
         if self.n_replicates < 1:
             raise ValueError(f"need at least one replicate, got {self.n_replicates}")
         grid = np.asarray(self.epsilon_grid, dtype=float)
@@ -129,9 +133,6 @@ class SimResult:
     gamma_se: Mapping[str, float]
     gamma_diff_se: float | None
     tau_hat_counts: np.ndarray
-    m: int
-    n_replicates: int
-    master_seed: int
 
 
 @dataclass(frozen=True)
@@ -144,8 +145,6 @@ class MSweepResult:
     gamma_u_se: np.ndarray
     gamma_la_se: np.ndarray
     gamma_diff_se: np.ndarray
-    n_replicates: int
-    master_seed: int
 
 
 def gamma(l_bn: float, l_o: float, l_dr_star: float) -> float:
@@ -158,17 +157,17 @@ def gamma(l_bn: float, l_o: float, l_dr_star: float) -> float:
     return (l_bn - l_dr_star) / (l_bn - l_o)
 
 
-def _draw_count_blocks(config: SimConfig, m: int, stream_base: int) -> np.ndarray:
+def _draw_count_blocks(config: SimConfig, m: int) -> np.ndarray:
     """Binomial successes per replicate, bucketed by count, one row per block.
 
-    Block ``b`` draws from the stream (master_seed, stream_base + b); the
+    Block ``b`` draws from the stream (master_seed, (m << 24) + b); the
     integer rows make any later reduction order-independent. Every block
     shares the inversion thresholds, computed once per call.
     """
     n, tau = config.n_replicates, config.true_tau
     thresholds = _numpy_thresholds(m, tau)
     return np.vstack([
-        _binomial_counts(RngStream(config.master_seed, stream_base + b), m, tau,
+        _binomial_counts(RngStream(config.master_seed, (m << 24) + b), m, tau,
                          min(BLOCK_SIZE, n - start), thresholds)
         for b, start in enumerate(range(0, n, BLOCK_SIZE))
     ])
@@ -309,15 +308,16 @@ def _se(values: np.ndarray) -> float | None:
     return float(values.std(ddof=1) / np.sqrt(values.size))
 
 
-def run_epsilon_sweep(config: SimConfig, *, _stream_base: int = 0) -> SimResult:
-    """Expected-loss curves over the ball-radius grid plus the gamma scores.
+def run_epsilon_sweep(config: SimConfig, m: int) -> SimResult:
+    """Expected-loss curves over the radius grid plus the gamma scores, from ``m``-draw estimates.
 
     Deterministic for a given master seed; all arms are scored against
     the same estimate draws.
     """
-    m = config.m
+    if m < 1:
+        raise ValueError(f"m must be at least 1, got {m}")
     grid = np.asarray(config.epsilon_grid, dtype=float)
-    counts_blocks = _draw_count_blocks(config, m, _stream_base)
+    counts_blocks = _draw_count_blocks(config, m)
     counts = counts_blocks.sum(axis=0)
     seen = np.flatnonzero(counts)
     # the float64 array np.dot would cast the int64 counts to on each call
@@ -371,23 +371,20 @@ def run_epsilon_sweep(config: SimConfig, *, _stream_base: int = 0) -> SimResult:
         gamma_se=ses,
         gamma_diff_se=diff_se,
         tau_hat_counts=counts,
-        m=m,
-        n_replicates=config.n_replicates,
-        master_seed=config.master_seed,
     )
 
 
 def run_m_sweep(config: SimConfig, m_values: Sequence[int]) -> MSweepResult:
     """Gamma versus estimation sample size, optimal radius per m.
 
-    Every m gets its own disjoint stream family, so the curve is
-    deterministic and insensitive to which m values are requested.
+    The point at m is ``run_epsilon_sweep(config, m)``, bit for bit: every
+    m reads its own stream family, so the curve is deterministic and
+    insensitive to which m values are requested.
     """
     m_values = np.asarray(sorted(int(m) for m in m_values), dtype=int)
-    if m_values.size == 0 or m_values[0] < 1:
-        raise ValueError("m values must be positive")
-    results = [run_epsilon_sweep(replace(config, m=int(m)), _stream_base=int(m) << 24)
-               for m in m_values]
+    if m_values.size == 0:
+        raise ValueError("no m values to sweep")
+    results = [run_epsilon_sweep(config, int(m)) for m in m_values]
 
     def column(value) -> np.ndarray:
         # None (an arm not swept, or a standard error of fewer than two blocks) reads NaN
@@ -400,6 +397,4 @@ def run_m_sweep(config: SimConfig, m_values: Sequence[int]) -> MSweepResult:
         gamma_u_se=column(lambda res: res.gamma_se.get(_ARM_UNIFORM)),
         gamma_la_se=column(lambda res: res.gamma_se.get(_ARM_LEVEL_ADJUSTED)),
         gamma_diff_se=column(attrgetter("gamma_diff_se")),
-        n_replicates=config.n_replicates,
-        master_seed=config.master_seed,
     )

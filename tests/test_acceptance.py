@@ -57,12 +57,12 @@ def _line(cid: str, ok: bool, detail: str) -> None:
 @pytest.fixture(scope="module")
 def gamma_run():
     config = SimConfig(
-        true_dist=Beta(2, 6), true_tau=0.75, m=15, n_replicates=1_000_000,
+        true_dist=Beta(2, 6), true_tau=0.75, n_replicates=1_000_000,
         epsilon_grid=tuple(np.round(np.arange(0.0, 1.0001, 0.01), 10)),
         theta=0.9, master_seed=SEED,
     )
     start = time.perf_counter()
-    result = run_epsilon_sweep(config)
+    result = run_epsilon_sweep(config, 15)
     return result, time.perf_counter() - start
 
 
@@ -92,11 +92,11 @@ def test_c1_gamma_reproduction(gamma_run):
 )
 def test_c1_as_literally_stated_with_m10():
     config = SimConfig(
-        true_dist=Beta(2, 6), true_tau=0.75, m=10, n_replicates=1_000_000,
+        true_dist=Beta(2, 6), true_tau=0.75, n_replicates=1_000_000,
         epsilon_grid=tuple(np.round(np.arange(0.0, 1.0001, 0.01), 10)),
         theta=0.9, master_seed=SEED,
     )
-    result = run_epsilon_sweep(config)
+    result = run_epsilon_sweep(config, 10)
     _line("C1-literal", False,
           f"m=10 gives gamma_u={result.gamma_u:.4f}, gamma_la={result.gamma_la:.4f}")
     assert abs(result.gamma_u - 0.403) <= 0.02
@@ -131,7 +131,7 @@ def test_c2_curve_ordering_and_endpoints(gamma_run):
 @pytest.fixture(scope="module")
 def m_sweep_run():
     config = SimConfig(
-        true_dist=Beta(2, 6), true_tau=0.75, m=1, n_replicates=1_000_000,
+        true_dist=Beta(2, 6), true_tau=0.75, n_replicates=1_000_000,
         epsilon_grid=tuple(np.round(np.arange(0.0, 1.0001, 0.01), 10)),
         theta=0.9, master_seed=SEED + 1,
     )
@@ -140,7 +140,7 @@ def m_sweep_run():
 
 def _exact_gammas(m: int, theta: float = 0.9):
     dist, tau = Beta(2, 6), 0.75
-    cfg = SimConfig(true_dist=dist, true_tau=tau, m=m, n_replicates=1,
+    cfg = SimConfig(true_dist=dist, true_tau=tau, n_replicates=1,
                     master_seed=0, theta=theta)
     ks = np.arange(m + 1)
     pmf = stats.binom.pmf(ks, m, tau)

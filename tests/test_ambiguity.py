@@ -241,7 +241,7 @@ def _chosen(strategy, **params):
 
 
 def _sim(**kw):
-    return SimConfig(true_dist=Beta(2, 6), true_tau=0.75, m=5, n_replicates=1, **kw)
+    return SimConfig(true_dist=Beta(2, 6), true_tau=0.75, n_replicates=1, **kw)
 
 
 # every constructor that takes each parameter, as a function of its value

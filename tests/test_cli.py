@@ -251,6 +251,20 @@ def test_msweep_gammas_do_not_depend_on_the_other_m_values(tmp_path):
         assert [alone[key][0] for key in keys] == [together[key][i] for key in keys], m
 
 
+@pytest.mark.parametrize("m", [3, 5, 12])
+def test_simulate_equals_the_msweep_point_at_its_m(tmp_path, m):
+    # an m-draw experiment reads one stream family whichever command runs it
+    sim = ["--dist", "beta:2,6", "--tau", "0.75", "--n", "20000", "--eps-grid", "0:0.05:1"]
+    assert dispatch(["simulate", *sim, "--m", str(m), "--out", str(tmp_path / "sim.json")]) == 0
+    assert dispatch(["msweep", *sim, "--m-min", str(m), "--m-max", str(m),
+                     "--out", str(tmp_path / "ms.json")]) == 0
+    alone = json.loads((tmp_path / "sim.json").read_text())
+    point = json.loads((tmp_path / "ms.json").read_text())
+    assert [alone["gamma_u"], alone["gamma_la"]] == [point["gamma_u"][0], point["gamma_la"][0]]
+    assert [alone["gamma_se"]["dr_uniform"], alone["gamma_se"]["dr_level_adjusted"]] == \
+        [point["gamma_u_se"][0], point["gamma_la_se"][0]]
+
+
 @pytest.mark.parametrize("flags, message", [
     (["--m-min", "10", "--m-max", "5"], "--m-min 10 to --m-max 5 is an empty range"),
     (["--m-step", "0"], "--m-step must be at least 1, got 0"),
@@ -413,7 +427,13 @@ def test_backtest_names_a_params_file_that_is_not_json(tmp_path, capsys, market_
     (["crossval", "--m-grid", "abc"], "--m-grid must be a start:step:stop range"),
     (["crossval", "--warm-start-days", "5"], "warm start must equal tau window plus"),
     (["backtest", "--params", "notjson.json"], "--params notjson.json: not JSON"),
-], ids=["m-grid", "warm-start-days", "params"])
+    # an m the tau window cannot hold, on every priced day and on a day no backtest prices
+    (["backtest", "--params", "fixed.json"],
+     "chosen parameters: strategy 'bn' parameter 'm' must be an integer from 1 to 90, got 500"),
+    (["backtest", "--params", "sliding.json"],
+     "chosen parameters: strategy 'bn' parameter 'm' must be an integer from 1 to 90, "
+     "got 500 on day 999"),
+], ids=["m-grid", "warm-start-days", "params", "params-m-fixed", "params-m-unpriced-day"])
 def test_flags_and_params_are_checked_before_the_market_is_read(tmp_path, monkeypatch, capsys,
                                                                 argv, message):
     def load_market_data(*args, **kwargs):
@@ -422,6 +442,10 @@ def test_flags_and_params_are_checked_before_the_market_is_read(tmp_path, monkey
     monkeypatch.setattr(bt, "load_market_data", load_market_data)
     monkeypatch.chdir(tmp_path)
     (tmp_path / "notjson.json").write_text("not json\n")
+    (tmp_path / "fixed.json").write_text(json.dumps(
+        {"mode": "fixed_window", "static": {"oracle": {}, "bn": {"m": 500}}}))
+    (tmp_path / "sliding.json").write_text(json.dumps(
+        {"mode": "sliding", "per_day": {"131": {"bn": {"m": 90}}, "999": {"bn": {"m": 500}}}}))
     # the market does not exist either: the flag's own error is the one reported
     assert dispatch([*argv, "--market", "nope.csv", "--forecasts", "fc"]) == 1
     assert json.loads(capsys.readouterr().err)["error"].startswith(message)
@@ -548,10 +572,10 @@ def test_commands_left_at_their_defaults_build_the_library_defaults(tmp_path, mo
         args = parsed(command, "--market", "m.csv", "--forecasts", "fc")
         assert cli._plan_from_args(args) == BacktestPlan()
     dist = Beta(2, 6)
-    defaults = SimConfig(true_dist=dist, true_tau=0.75, m=1, n_replicates=1)
+    defaults = SimConfig(true_dist=dist, true_tau=0.75, n_replicates=1)
     assert all(type(eps) is float for eps in defaults.epsilon_grid)
     for command in (["simulate", "--m", "1"], ["msweep"]):
-        config = cli._sim_config(parsed(*command, "--dist", "beta:2,6", "--tau", "0.75"), 1)
+        config = cli._sim_config(parsed(*command, "--dist", "beta:2,6", "--tau", "0.75"))
         assert replace(config, true_dist=dist, n_replicates=1) == defaults
         assert all(type(eps) is float for eps in config.epsilon_grid)
 

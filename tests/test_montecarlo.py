@@ -41,7 +41,7 @@ from drnewsvendor.solvers import dr_s_rule
 
 def small_config(**kw):
     defaults = dict(
-        true_dist=Beta(2, 6), true_tau=0.75, m=10, n_replicates=50_000,
+        true_dist=Beta(2, 6), true_tau=0.75, n_replicates=50_000,
         epsilon_grid=tuple(np.round(np.arange(0.0, 1.001, 0.05), 10)),
         master_seed=99,
     )
@@ -60,7 +60,7 @@ def test_gamma_definition():
 
 
 def test_dr_curve_endpoints_exact():
-    res = run_epsilon_sweep(small_config())
+    res = run_epsilon_sweep(small_config(), 10)
     assert res.curves["dr_uniform"][0] == res.curves["bn"][0]
     assert res.curves["dr_uniform"][-1] == res.curves["robust"][0]
     # level-adjusted starts at the newsvendor point too
@@ -68,7 +68,7 @@ def test_dr_curve_endpoints_exact():
 
 
 def test_flat_arms_and_oracle_floor():
-    res = run_epsilon_sweep(small_config())
+    res = run_epsilon_sweep(small_config(), 10)
     for arm in ("oracle", "bn", "robust"):
         assert np.all(res.curves[arm] == res.curves[arm][0])
     floor = res.curves["oracle"][0]
@@ -81,9 +81,9 @@ def test_dr_uniform_curve_continuity():
     # so steps shrink with refinement only at a fractional-power rate; in the
     # interior the curve is Lipschitz.
     coarse = run_epsilon_sweep(small_config(
-        epsilon_grid=tuple(np.round(np.arange(0.0, 1.001, 0.02), 10))))
+        epsilon_grid=tuple(np.round(np.arange(0.0, 1.001, 0.02), 10))), 10)
     fine = run_epsilon_sweep(small_config(
-        epsilon_grid=tuple(np.round(np.arange(0.0, 1.0001, 0.005), 10))))
+        epsilon_grid=tuple(np.round(np.arange(0.0, 1.0001, 0.005), 10))), 10)
     step_c = np.max(np.abs(np.diff(coarse.curves["dr_uniform"])))
     step_f = np.max(np.abs(np.diff(fine.curves["dr_uniform"])))
     assert step_c < 0.02
@@ -93,29 +93,30 @@ def test_dr_uniform_curve_continuity():
 
 
 def test_determinism_across_runs_and_seed_sensitivity():
-    a = run_epsilon_sweep(small_config())
-    b = run_epsilon_sweep(small_config())
+    a = run_epsilon_sweep(small_config(), 10)
+    b = run_epsilon_sweep(small_config(), 10)
     assert np.array_equal(a.tau_hat_counts, b.tau_hat_counts)
-    c = run_epsilon_sweep(small_config(master_seed=100))
+    c = run_epsilon_sweep(small_config(master_seed=100), 10)
     assert not np.array_equal(a.tau_hat_counts, c.tau_hat_counts)
 
 
 def test_common_random_numbers_across_arms():
     # every arm consumes the same estimate draws: restricting the ball kinds
     # must not change the sampled counts
-    both = run_epsilon_sweep(small_config())
-    uni = run_epsilon_sweep(small_config(ball_kinds=("uniform",)))
+    both = run_epsilon_sweep(small_config(), 10)
+    uni = run_epsilon_sweep(small_config(ball_kinds=("uniform",)), 10)
     assert np.array_equal(both.tau_hat_counts, uni.tau_hat_counts)
     assert np.array_equal(both.curves["dr_uniform"], uni.curves["dr_uniform"])
     assert uni.gamma_la is None
 
 
 def test_counts_total_and_sampled_distribution():
-    res = run_epsilon_sweep(small_config())
-    assert int(res.tau_hat_counts.sum()) == res.n_replicates
+    cfg = small_config()
+    res = run_epsilon_sweep(cfg, 10)
+    assert int(res.tau_hat_counts.sum()) == cfg.n_replicates
     # sampled tau-hat frequencies track the binomial law
     pmf = stats.binom.pmf(np.arange(11), 10, 0.75)
-    freq = res.tau_hat_counts / res.n_replicates
+    freq = res.tau_hat_counts / cfg.n_replicates
     assert np.max(np.abs(freq - pmf)) < 0.01
 
 
@@ -266,9 +267,9 @@ def test_count_blocks_compute_each_threshold_once_per_walk(monkeypatch, m, tau):
         return _count_thresholds(terms)
 
     monkeypatch.setattr(montecarlo, "_count_thresholds", counted)
-    cfg = small_config(m=m, true_tau=tau, n_replicates=4 * BLOCK_SIZE + 17, master_seed=5)
+    cfg = small_config(true_tau=tau, n_replicates=4 * BLOCK_SIZE + 17, master_seed=5)
     base = m << 24
-    blocks = _draw_count_blocks(cfg, m, base)
+    blocks = _draw_count_blocks(cfg, m)
     assert blocks.shape == (5, m + 1)
     for b, row in enumerate(blocks):
         size = min(BLOCK_SIZE, cfg.n_replicates - b * BLOCK_SIZE)
@@ -284,9 +285,9 @@ def test_inverted_block_counts_come_from_the_walk_and_are_never_replayed(monkeyp
         raise AssertionError(f"block replayed: {args}")
 
     monkeypatch.setattr(montecarlo, "_reference_counts", replayed)
-    cfg = small_config(m=m, true_tau=tau, n_replicates=4 * BLOCK_SIZE + 17, master_seed=5)
+    cfg = small_config(true_tau=tau, n_replicates=4 * BLOCK_SIZE + 17, master_seed=5)
     base = m << 24
-    blocks = _draw_count_blocks(cfg, m, base)
+    blocks = _draw_count_blocks(cfg, m)
     assert blocks.shape == (5, m + 1)
     for b, row in enumerate(blocks):
         size = min(BLOCK_SIZE, cfg.n_replicates - b * BLOCK_SIZE)
@@ -305,7 +306,7 @@ def test_btpe_counts_pass_through(m, tau):
 def test_dr_table_matches_scalar_solver():
     from drnewsvendor import BallKind, make_bernoulli_ball, solve_dr_s
 
-    cfg = small_config(m=6)
+    cfg = small_config()
     table = _dr_loss_table(cfg, 6, "level_adjusted", np.arange(7))
     grid = np.asarray(cfg.epsilon_grid)
     for i in (0, 5, len(grid) - 1):
@@ -373,13 +374,13 @@ def test_pruned_dr_table_is_bit_identical(dist, m, kind, radii, theta, tau):
     if isinstance(dist, PiecewiseLinear):
         assert dist.mean() == 0.5 and dist.cdf(0.5) > dist.cdf(0.5 - 1e-12)
     grid = tuple(sorted({0.0, 1.0, *radii}))
-    cfg = SimConfig(true_dist=dist, true_tau=tau, m=m, n_replicates=1,
+    cfg = SimConfig(true_dist=dist, true_tau=tau, n_replicates=1,
                     epsilon_grid=grid, theta=theta)
     table = _dr_loss_table(cfg, m, kind, np.arange(m + 1))
     assert table.tobytes() == _unpruned_loss_table(cfg, m, kind).tobytes()
 
 
-def _sweep_outputs(cfg: SimConfig, full_table: bool = False) -> str:
+def _sweep_outputs(cfg: SimConfig, m: int, full_table: bool = False) -> str:
     """Every output of ``run_epsilon_sweep`` but its runtime, or its error, as exact text.
 
     With ``full_table`` the bn row prices every column and the DR tables
@@ -392,7 +393,7 @@ def _sweep_outputs(cfg: SimConfig, full_table: bool = False) -> str:
             mp.setattr(montecarlo, "_bn_loss_row",
                        lambda config, m, columns: _unpruned_bn_row(config, m))
         try:
-            res = run_epsilon_sweep(cfg)
+            res = run_epsilon_sweep(cfg, m)
         except ValueError as exc:
             return f"ValueError: {exc}"
     return repr((
@@ -414,18 +415,18 @@ def _sweep_outputs(cfg: SimConfig, full_table: bool = False) -> str:
 )
 def test_sweep_over_seen_columns_is_bit_identical(dist, m, radii, theta, tau, n, seed):
     # m above 60 with tau in [0.2, 0.8] crosses p * m = 30, where numpy samples by BTPE
-    cfg = SimConfig(true_dist=dist, true_tau=tau, m=m, n_replicates=n,
+    cfg = SimConfig(true_dist=dist, true_tau=tau, n_replicates=n,
                     epsilon_grid=tuple(sorted({0.0, 1.0, *radii})), theta=theta, master_seed=seed)
-    assert _sweep_outputs(cfg) == _sweep_outputs(cfg, full_table=True)
+    assert _sweep_outputs(cfg, m) == _sweep_outputs(cfg, m, full_table=True)
 
 
 def test_sparse_sweep_scores_only_seen_columns():
-    cfg = small_config(m=2000, n_replicates=3 * BLOCK_SIZE,
+    cfg = small_config(n_replicates=3 * BLOCK_SIZE,
                        epsilon_grid=tuple(np.round(np.arange(0.0, 1.001, 0.05), 10)))
-    counts = run_epsilon_sweep(cfg).tau_hat_counts
+    counts = run_epsilon_sweep(cfg, 2000).tau_hat_counts
     seen = np.flatnonzero(counts)
     assert seen.size < 0.2 * counts.size
-    assert _sweep_outputs(cfg) == _sweep_outputs(cfg, full_table=True)
+    assert _sweep_outputs(cfg, 2000) == _sweep_outputs(cfg, 2000, full_table=True)
     for kind in cfg.ball_kinds:
         table = _dr_loss_table(cfg, 2000, kind, seen)
         full = _unpruned_loss_table(cfg, 2000, kind)
@@ -452,7 +453,7 @@ def test_dr_table_prices_few_levels(kind, share):
     # level-adjusted ball is a tenth as wide, so around F(mean) = 0.555 one
     # of its bounds stays priceable at every radius: it keeps 32%.
     dist = _CountingBeta(2, 6)
-    cfg = SimConfig(true_dist=dist, true_tau=0.75, m=75, n_replicates=1)
+    cfg = SimConfig(true_dist=dist, true_tau=0.75, n_replicates=1)
     table = _dr_loss_table(cfg, 75, kind, np.arange(76))
     assert len(dist.priced) == 1
     assert dist.priced[0] <= share * 2 * 101 * 76
@@ -464,15 +465,15 @@ def test_bn_row_prices_only_drawn_estimates():
     # at m = 10^6 the 100 replicates draw at most 100 of the 1,000,001 estimates;
     # with no DR arm the quantile calls are the bn row's and the oracle's
     dist = _CountingBeta(2, 6)
-    res = run_epsilon_sweep(SimConfig(true_dist=dist, true_tau=0.75, m=10**6,
-                                      n_replicates=100, ball_kinds=()))
+    res = run_epsilon_sweep(SimConfig(true_dist=dist, true_tau=0.75,
+                                      n_replicates=100, ball_kinds=()), 10**6)
     assert res.tau_hat_counts.sum() == 100
     assert max(dist.priced) <= 100
 
 
 def test_gamma_standard_errors_shrink_with_n():
-    small = run_epsilon_sweep(small_config(n_replicates=40_000))
-    big = run_epsilon_sweep(small_config(n_replicates=400_000))
+    small = run_epsilon_sweep(small_config(n_replicates=40_000), 10)
+    big = run_epsilon_sweep(small_config(n_replicates=400_000), 10)
     assert big.gamma_se["dr_uniform"] < small.gamma_se["dr_uniform"]
     assert big.gamma_diff_se is not None
 
@@ -487,6 +488,18 @@ def test_m_sweep_smoke():
     assert res.gamma_u[0] > res.gamma_u[-1]
     # level-adjusted dominates at these sizes
     assert np.all(res.gamma_la >= res.gamma_u - 3.0 * res.gamma_diff_se)
+
+
+def test_an_m_sweep_point_is_the_sweep_at_its_m():
+    cfg = small_config(n_replicates=40_000)
+    alone = run_epsilon_sweep(cfg, 9)
+    res = run_m_sweep(cfg, [3, 9, 20])
+    i = 1
+    assert res.m_values[i] == 9
+    assert [res.gamma_u[i], res.gamma_la[i]] == [alone.gamma_u, alone.gamma_la]
+    assert [res.gamma_u_se[i], res.gamma_la_se[i]] == [alone.gamma_se["dr_uniform"],
+                                                       alone.gamma_se["dr_level_adjusted"]]
+    assert res.gamma_diff_se[i] == alone.gamma_diff_se
 
 
 def test_m_sweep_reads_an_arm_it_did_not_sweep_as_nan():
@@ -535,7 +548,7 @@ def test_loss_curve_geometry():
 def test_sweep_exports(tmp_path):
     cfg = small_config(n_replicates=10_000,
                       epsilon_grid=(0.0, 0.5, 1.0))
-    res = run_epsilon_sweep(cfg)
+    res = run_epsilon_sweep(cfg, 10)
     argv = ["simulate", "--dist", "beta:2,6", "--tau", "0.75", "--m", "10", "--n", "10000",
             "--eps-grid", "0,0.5,1", "--seed", "99"]
     assert dispatch([*argv, "--out", str(tmp_path / "sim.csv"), "--output", "csv"]) == 0
@@ -546,15 +559,19 @@ def test_sweep_exports(tmp_path):
     assert [float(r[2]) for r in rows[1:] if r[1] == "bn"] == res.curves["bn"].tolist()
     assert dispatch([*argv, "--out", str(tmp_path / "sim.json")]) == 0
     summary = json.loads((tmp_path / "sim.json").read_text())
-    assert set(summary) >= {"gamma_u", "gamma_la", "best_epsilon", "config", "seed"}
+    assert set(summary) >= {"command", "gamma_u", "gamma_la", "best_epsilon", "config", "seed"}
+    assert summary["command"] == "simulate"
     assert (summary["gamma_u"], summary["gamma_la"]) == (res.gamma_u, res.gamma_la)
-    assert summary["config"]["m"] == cfg.m
+    assert summary["config"]["m"] == 10
+    assert summary["config"]["n_replicates"] == cfg.n_replicates
     assert summary["seed"] == cfg.master_seed
 
 
 def test_config_validation():
-    with pytest.raises(ValueError):
-        small_config(m=0)
+    with pytest.raises(ValueError, match="^m must be at least 1, got 0$"):
+        run_epsilon_sweep(small_config(), 0)
+    with pytest.raises(ValueError, match="^m must be at least 1, got 0$"):
+        run_m_sweep(small_config(), [0, 5])
     with pytest.raises(ValueError):
         small_config(n_replicates=0)
     with pytest.raises(ValueError):
