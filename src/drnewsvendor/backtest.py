@@ -153,7 +153,8 @@ class BacktestPlan:
 
     def __post_init__(self):
         if self.tau_window_days < 2 or self.cv_days < 1:
-            raise ValueError("tau window and cross-validation spans must be positive")
+            raise ValueError(f"the tau window needs at least 2 days and the cross-validation span "
+                             f"at least 1, got {self.tau_window_days} and {self.cv_days}")
         if self.warm_start_days != self.tau_window_days + self.cv_days:
             raise ValueError(
                 f"warm start must equal tau window plus cross-validation days: "
@@ -167,13 +168,6 @@ class BacktestPlan:
         repeated = next((s for i, s in enumerate(self.strategies) if s in self.strategies[:i]), None)
         if repeated is not None:
             raise ValueError(f"strategy {repeated!r} is listed twice")
-        if not self.m_grid or min(self.m_grid) < 1:
-            raise ValueError("m grid must contain positive window lengths")
-        if max(self.m_grid) > self.tau_window_days - 1:
-            raise ValueError(
-                f"largest m ({max(self.m_grid)}) cannot exceed the tau window "
-                f"minus one ({self.tau_window_days - 1})"
-            )
         _check_fallback(self.fallback_tau)
         for strategy in self.strategies:
             for name in _PARAMS[strategy]:

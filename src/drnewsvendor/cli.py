@@ -62,9 +62,8 @@ def _jsonify(obj):
 
 def _atomic_write(path: str | Path, text: str) -> None:
     path = Path(path)
-    parent = path.parent if str(path.parent) else Path(".")
-    parent.mkdir(parents=True, exist_ok=True)
-    fd, tmp = tempfile.mkstemp(dir=str(parent), prefix=".tmp-", suffix=path.suffix)
+    path.parent.mkdir(parents=True, exist_ok=True)
+    fd, tmp = tempfile.mkstemp(dir=path.parent, prefix=".tmp-", suffix=path.suffix)
     try:
         with os.fdopen(fd, "w") as fh:
             fh.write(text)
@@ -266,7 +265,16 @@ def _sim_config(args) -> mc.SimConfig:
     )
 
 
+def _check_counts(args, *flags: str) -> None:
+    """Raise naming the first of the count ``flags`` (say ``--m-min``) that is below 1."""
+    for flag in flags:
+        value = getattr(args, flag[2:].replace("-", "_"))
+        if value < 1:
+            raise ValueError(f"{flag} must be at least 1, got {value}")
+
+
 def _cmd_simulate(args) -> int:
+    _check_counts(args, "--m", "--n")
     config = _sim_config(args)
     start = time.perf_counter()
     result = mc.run_epsilon_sweep(config, args.m)
@@ -296,10 +304,7 @@ def _cmd_simulate(args) -> int:
 
 
 def _cmd_msweep(args) -> int:
-    if args.m_min < 1:
-        raise ValueError(f"--m-min must be at least 1, got {args.m_min}")
-    if args.m_step < 1:
-        raise ValueError(f"--m-step must be at least 1, got {args.m_step}")
+    _check_counts(args, "--m-min", "--m-step", "--n")
     if args.m_max < args.m_min:
         raise ValueError(f"--m-min {args.m_min} to --m-max {args.m_max} is an empty range")
     config = _sim_config(args)

@@ -376,8 +376,9 @@ def test_plan_validation():
         BacktestPlan(warm_start_days=100, tau_window_days=91, cv_days=40)
     with pytest.raises(ValueError, match="unknown strategies"):
         BacktestPlan(strategies=("bn", "alpha"))
-    with pytest.raises(ValueError, match="largest m"):
-        BacktestPlan(m_grid=(95,))
+    with pytest.raises(ValueError, match="^the tau window needs at least 2 days and the "
+                                         "cross-validation span at least 1, got 1 and 10$"):
+        BacktestPlan(tau_window_days=1, cv_days=10, warm_start_days=11)
 
 
 @pytest.mark.parametrize("grid, strategy", [
@@ -385,12 +386,20 @@ def test_plan_validation():
     ("epsilon_grid", "dr_s_uniform"),
     ("epsilon_grid", "dr_s_level_adjusted"),
     ("theta_grid", "dr_s_level_adjusted"),
+    ("m_grid", "bn"),
 ])
 def test_plan_rejects_an_empty_grid_a_strategy_needs(grid, strategy):
     with pytest.raises(ValueError, match=rf"^{grid} is empty, but strategy '{strategy}' needs it$"):
         BacktestPlan(strategies=("oracle", strategy), **{grid: ()})
     # a grid that no listed strategy draws from may stay empty
-    BacktestPlan(strategies=("oracle", "bn", "robust_s"), **{grid: ()})
+    BacktestPlan(strategies=tuple(s for s in ("oracle", "bn", "robust_s") if s != strategy),
+                 **{grid: ()})
+
+
+def test_plan_leaves_the_m_grid_unchecked_when_no_strategy_reads_m():
+    # the default m grid (90) outruns a 20-day tau window, but oracle and robust_s read no m
+    BacktestPlan(strategies=("oracle", "robust_s"), tau_window_days=20, cv_days=10,
+                 warm_start_days=30)
 
 
 @pytest.mark.parametrize("grids, message", [
@@ -404,6 +413,8 @@ def test_plan_rejects_an_empty_grid_a_strategy_needs(grid, strategy):
                              "'dr_s_level_adjusted' needs"),
     ({"theta_grid": (float("nan"),)}, "theta_grid: nan must lie in [0, 1)"),
     ({"m_grid": (2.5,)}, "m_grid: 2.5 must be an integer from 1 to 90, as strategy 'bn' needs"),
+    ({"m_grid": (95,)}, "m_grid: 95 must be an integer from 1 to 90, as strategy 'bn' needs"),
+    ({"m_grid": (0,)}, "m_grid: 0 must be an integer from 1 to 90, as strategy 'bn' needs"),
 ])
 def test_plan_rejects_grid_values_a_strategy_cannot_use(grids, message):
     with pytest.raises(ValueError, match=re.escape(message)):

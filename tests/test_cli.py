@@ -266,14 +266,19 @@ def test_simulate_equals_the_msweep_point_at_its_m(tmp_path, m):
 
 
 @pytest.mark.parametrize("flags, message", [
-    (["--m-min", "10", "--m-max", "5"], "--m-min 10 to --m-max 5 is an empty range"),
-    (["--m-step", "0"], "--m-step must be at least 1, got 0"),
-    (["--m-min", "0"], "--m-min must be at least 1, got 0"),
+    (["msweep", "--m-min", "10", "--m-max", "5"], "--m-min 10 to --m-max 5 is an empty range"),
+    (["msweep", "--m-step", "0"], "--m-step must be at least 1, got 0"),
+    (["msweep", "--m-min", "0"], "--m-min must be at least 1, got 0"),
+    (["msweep", "--n", "0"], "--n must be at least 1, got 0"),
+    (["simulate", "--m", "0"], "--m must be at least 1, got 0"),
+    (["simulate", "--m", "5", "--n", "0"], "--n must be at least 1, got 0"),
 ])
 def test_msweep_rejects_a_bad_m_range(tmp_path, capsys, flags, message):
+    # both commands name the count flag, which the library texts do not
+    command, *counts = flags
     out = tmp_path / "ms.json"
-    code = dispatch(["msweep", "--dist", "beta:2,6", "--tau", "0.75", *flags,
-                     "--n", "1000", "--out", str(out)])
+    code = dispatch([command, "--dist", "beta:2,6", "--tau", "0.75", "--n", "1000", *counts,
+                     "--out", str(out)])
     assert code == 1
     assert json.loads(capsys.readouterr().err)["error"] == message
     assert not out.exists()
@@ -484,6 +489,18 @@ def test_m_grid_rejects_values_that_are_not_whole_days(tmp_path, capsys, market_
     error = json.loads(capsys.readouterr().err)["error"]
     assert error == f"--m-grid values must be whole numbers of days, got {float(value)!r}"
     assert not out.exists()
+
+
+def test_an_m_free_roster_runs_past_the_default_m_grid(tmp_path, market_flags):
+    # oracle and robust_s read no m, so the default --m-grid 90 is not held to the 20-day window
+    flags = [*market_flags[:4], "--warm-start-days", "30", "--tau-window-days", "20",
+             "--cv-days", "10", "--strategies", "oracle,robust_s"]
+    chosen = tmp_path / "chosen.json"
+    assert dispatch(["crossval", *flags, "--out", str(chosen)]) == 0
+    assert json.loads(chosen.read_text())["static"] == {"oracle": {}, "robust_s": {}}
+    report = tmp_path / "bt.json"
+    assert dispatch(["backtest", *flags, "--params", str(chosen), "--out", str(report)]) == 0
+    assert set(json.loads(report.read_text())["strategies"]) == {"oracle", "robust_s"}
 
 
 def test_m_grid_whole_float_matches_integer(tmp_path, market_flags):
