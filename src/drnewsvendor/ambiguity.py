@@ -114,15 +114,14 @@ _OPERATORS = {"upper": (double_power_upper, double_power_lower),
 
 
 def _complement(op, u, rho: float):
-    """``1 - op(u, rho)``, elementwise, without the rounding of the subtraction."""
-    beta = 1.0 - _check_rho(rho)
-    arr = _validate_prob(u, "u")
+    """``1 - op(u, rho)`` for checked levels and radius, without the rounding of the subtraction."""
+    beta = 1.0 - rho
     with np.errstate(divide="ignore"):
         if op is double_power_upper:
             # 1 - (1 - (1-u)^(1/beta))^beta
-            return -np.expm1(beta * np.log1p(-np.exp(np.log1p(-arr) / beta)))
+            return -np.expm1(beta * np.log1p(-np.exp(np.log1p(-u) / beta)))
         # (1 - u^(1/beta))^beta
-        return np.exp(beta * np.log1p(-np.exp(np.log(arr) / beta)))
+        return np.exp(beta * np.log1p(-np.exp(np.log(u) / beta)))
 
 
 def _operator_integral(op, a: np.ndarray, rho: float) -> np.ndarray:
@@ -176,12 +175,17 @@ class DeformedCdf(UnitDistribution):
         q = self.reference.quantile(u)
         return _match_input(p, bands_from_quantiles(self.reference, arr, self.rho, sides, u, q)[0])
 
+    # the moment rules call these two with levels in [0, 1] and this band's checked radius
     def _quantile_below(self, p):
-        return self._reference_at(self._mirror(p, self.rho), _complement(self._mirror, p, self.rho))
+        with np.errstate(divide="ignore"):
+            u = _power(self._mirror, p, 1.0 - self.rho)
+        return self._reference_at(u, _complement(self._mirror, p, self.rho))
 
     def _quantile_above(self, s):
         # the reflection identity gives mirror(1 - s) = 1 - op(s)
-        return self._reference_at(_complement(self._op, s, self.rho), self._op(s, self.rho))
+        with np.errstate(divide="ignore"):
+            c = _power(self._op, s, 1.0 - self.rho)
+        return self._reference_at(_complement(self._op, s, self.rho), c)
 
     def _reference_at(self, u, c):
         """The reference quantile at levels u = 1 - c, from whichever end is nearer.
@@ -275,21 +279,34 @@ class BallKind(Enum):
 
 @dataclass(frozen=True)
 class BernoulliBall:
-    """Interval of plausible chances of success around an estimate."""
+    """Interval of plausible chances of success around an estimate.
+
+    With no ``shape`` the ball is uniform, with a shape ``theta`` level-adjusted.
+    """
 
     center: float
     radius: float
-    kind: BallKind
-    shape: float | None
-    tau_lo: float
-    tau_hi: float
+    shape: float | None = None
 
     def __post_init__(self):
-        if not (0.0 <= self.tau_lo <= self.center <= self.tau_hi <= 1.0):
-            raise ValueError(
-                f"ball bounds must satisfy 0 <= lo <= center <= hi <= 1, "
-                f"got [{self.tau_lo}, {self.tau_hi}] around {self.center}"
-            )
+        _validate_prob(self.center, "ball center")
+        # a NaN or negative radius is blamed on its sign, whatever the kind
+        _require("ball radius", self.radius, _epsilon_problem(self.radius, level_adjusted=False))
+        if self.shape is not None:
+            _require("theta", self.shape, _theta_problem(self.shape))
+            _require("ball radius", self.radius, _epsilon_problem(self.radius, level_adjusted=True))
+
+    @property
+    def kind(self) -> BallKind:
+        return BallKind.UNIFORM if self.shape is None else BallKind.LEVEL_ADJUSTED
+
+    @property
+    def tau_lo(self) -> float:
+        return float(ball_bounds(self.center, self.radius, self.shape or 0.0)[0])
+
+    @property
+    def tau_hi(self) -> float:
+        return float(ball_bounds(self.center, self.radius, self.shape or 0.0)[1])
 
 
 def ball_bounds(tau_hat, epsilon, theta=0.0) -> tuple[np.ndarray, np.ndarray]:
@@ -298,7 +315,7 @@ def ball_bounds(tau_hat, epsilon, theta=0.0) -> tuple[np.ndarray, np.ndarray]:
     The half-width is ``epsilon * (1 - 4*theta*tau_hat*(1-tau_hat))``: the
     level-adjusted ball, and at ``theta = 0`` (a factor of exactly 1) the
     uniform ball. The bounds are clipped to [0, 1]. The arguments broadcast
-    and are the caller's to check (see :func:`make_bernoulli_ball`).
+    and are the caller's to check (see :class:`BernoulliBall`).
     """
     half = epsilon * (1.0 - 4.0 * theta * tau_hat * (1.0 - tau_hat))
     return np.maximum(tau_hat - half, 0.0), np.minimum(tau_hat + half, 1.0)
@@ -312,29 +329,12 @@ def make_bernoulli_ball(
 ) -> BernoulliBall:
     """Build a uniform or level-adjusted ball around the estimate ``tau_hat``.
 
-    The bounds are those of :func:`ball_bounds`, with ``theta = 0`` for
-    the uniform ball.
+    A uniform ball takes no ``theta``; a level-adjusted one needs it.
     """
     tau_hat = float(_validate_prob(tau_hat, "tau_hat"))
-    kind = BallKind(kind)
-    epsilon = float(epsilon)
-    # a NaN or negative radius is blamed on its sign, whatever the kind
-    _require("ball radius", epsilon, _epsilon_problem(epsilon, level_adjusted=False))
-    if kind is BallKind.UNIFORM:
+    if BallKind(kind) is BallKind.UNIFORM:
         if theta is not None:
             raise ValueError("theta only applies to level-adjusted balls")
-    else:
-        if theta is None:
-            raise ValueError("level-adjusted balls require a shape parameter theta")
-        theta = float(theta)
-        _require("theta", theta, _theta_problem(theta))
-        _require("ball radius", epsilon, _epsilon_problem(epsilon, level_adjusted=True))
-    lo, hi = ball_bounds(tau_hat, epsilon, 0.0 if theta is None else theta)
-    return BernoulliBall(
-        center=tau_hat,
-        radius=epsilon,
-        kind=kind,
-        shape=theta,
-        tau_lo=float(lo),
-        tau_hi=float(hi),
-    )
+    elif theta is None:
+        raise ValueError("level-adjusted balls require a shape parameter theta")
+    return BernoulliBall(tau_hat, float(epsilon), None if theta is None else float(theta))

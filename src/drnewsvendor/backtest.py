@@ -139,7 +139,6 @@ class CvMode(Enum):
 class BacktestPlan:
     """Protocol splits, parameter grids and the strategy roster."""
 
-    warm_start_days: int = 131
     tau_window_days: int = 91
     cv_days: int = 40
     cv_mode: CvMode = CvMode.FIXED_WINDOW
@@ -155,11 +154,6 @@ class BacktestPlan:
         if self.tau_window_days < 2 or self.cv_days < 1:
             raise ValueError(f"the tau window needs at least 2 days and the cross-validation span "
                              f"at least 1, got {self.tau_window_days} and {self.cv_days}")
-        if self.warm_start_days != self.tau_window_days + self.cv_days:
-            raise ValueError(
-                f"warm start must equal tau window plus cross-validation days: "
-                f"{self.warm_start_days} != {self.tau_window_days} + {self.cv_days}"
-            )
         unknown = set(self.strategies) - set(STRATEGIES)
         if unknown:
             raise ValueError(f"unknown strategies: {sorted(unknown)}")
@@ -180,6 +174,11 @@ class BacktestPlan:
                     if problem:
                         raise ValueError(f"{name}_grid: {value!r} {problem}, as strategy "
                                          f"{strategy!r} needs")
+
+    @property
+    def warm_start_days(self) -> int:
+        """The tau window followed by the cross-validation window."""
+        return self.tau_window_days + self.cv_days
 
 
 def _m_problem(value, max_m: int) -> str | None:
@@ -354,7 +353,6 @@ class BacktestReport:
     oracle_revenues: np.ndarray
     revenues: Mapping[str, np.ndarray]
     rows: Mapping[str, StrategyRow]
-    chosen: ChosenParameters
     eval_days: tuple[int, int]
 
 
@@ -648,8 +646,6 @@ def run_backtest(records: Sequence[MarketRecord], plan: BacktestPlan,
     if frame.n_days < first_eval:
         raise ValueError("no evaluation days after the warm start")
     first, end = _day_range(frame.day, first_eval, frame.n_days)
-    if first == end:
-        raise ValueError("evaluation span holds no records")
     span = _Span(frame, plan, np.arange(first, end))
 
     oracle_rev = _settle(span.pi_s, span.pi_b, span.s_l, span.omega, span.omega)
@@ -679,7 +675,6 @@ def run_backtest(records: Sequence[MarketRecord], plan: BacktestPlan,
         oracle_revenues=oracle_rev,
         revenues=revenues,
         rows=rows,
-        chosen=chosen,
         eval_days=(first_eval, frame.n_days),
     )
 

@@ -287,7 +287,7 @@ def _cmd_simulate(args) -> int:
         "gamma_diff_se": result.gamma_diff_se,
         "config": {
             "true_dist": repr(config.true_dist), "true_tau": config.true_tau, "m": args.m,
-            "n_replicates": config.n_replicates, "epsilon_grid": result.epsilon_grid,
+            "n_replicates": config.n_replicates, "epsilon_grid": config.epsilon_grid,
             "theta": config.theta, "ball_kinds": config.ball_kinds,
         },
         "seed": config.master_seed,
@@ -295,7 +295,7 @@ def _cmd_simulate(args) -> int:
     out = _write_artifact(args, payload, ["epsilon", "arm", "expected_loss"], lambda: (
         (repr(float(eps)), arm, repr(float(loss)))
         for arm, curve in sorted(result.curves.items())
-        for eps, loss in zip(result.epsilon_grid, curve)
+        for eps, loss in zip(config.epsilon_grid, curve)
     ))
     g_u = "n/a" if result.gamma_u is None else f"{result.gamma_u:.4f}"
     g_la = "n/a" if result.gamma_la is None else f"{result.gamma_la:.4f}"
@@ -331,8 +331,7 @@ def _cmd_msweep(args) -> int:
 
 def _plan_from_args(args) -> bt.BacktestPlan:
     bt.check_penalty_scale(args.penalty_scale, "--penalty-scale")
-    return bt.BacktestPlan(
-        warm_start_days=args.warm_start_days,
+    plan = bt.BacktestPlan(
         tau_window_days=args.tau_window_days,
         cv_days=args.cv_days,
         cv_mode=bt.CvMode(args.cv_mode),
@@ -343,6 +342,10 @@ def _plan_from_args(args) -> bt.BacktestPlan:
         strategies=tuple(s.strip() for s in args.strategies.split(",") if s.strip()),
         fallback_tau=args.fallback_tau,
     )
+    if args.warm_start_days not in (None, plan.warm_start_days):
+        raise ValueError(f"warm start must equal tau window plus cross-validation days: "
+                         f"{args.warm_start_days} != {plan.tau_window_days} + {plan.cv_days}")
+    return plan
 
 
 def _load_market(args) -> list[bt.MarketRecord]:
@@ -402,7 +405,7 @@ def _cmd_backtest(args) -> int:
             }
             for name, row in report.rows.items()
         },
-        "chosen_parameters": report.chosen.to_json_dict(),
+        "chosen_parameters": chosen.to_json_dict(),
         "reference_note": "Aggregate results are specific to the supplied market data; figures "
                           "obtained on proprietary datasets elsewhere are not reproducible from "
                           "this tool and are never used as test oracles.",
@@ -481,7 +484,8 @@ def _parser() -> argparse.ArgumentParser:
     market.add_argument("--market", required=True, help="hourly market CSV")
     market.add_argument("--forecasts", required=True, help="forecast directory")
     market.add_argument("--strict", action="store_true", help="fail on hourly gaps")
-    market.add_argument("--warm-start-days", type=int, default=plan.warm_start_days)
+    market.add_argument("--warm-start-days", type=int,
+                        help="default: tau window plus CV days; a given value must equal it")
     market.add_argument("--tau-window-days", type=int, default=plan.tau_window_days)
     market.add_argument("--cv-days", type=int, default=plan.cv_days)
     market.add_argument("--cv-mode", choices=[m.value for m in bt.CvMode],

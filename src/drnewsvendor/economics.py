@@ -97,7 +97,6 @@ def expected_loss(dist: UnitDistribution, y, tau: float):
 class StrategyRow:
     """Aggregate backtest metrics for one strategy."""
 
-    strategy: str
     revenue_per_mwh: float
     regret_per_mwh: float
     advantage_ratio_pct: float | None
@@ -147,7 +146,6 @@ def regret_and_ratio(
             ratio = None
             cum_delta = np.zeros_like(arr)
         rows[name] = StrategyRow(
-            strategy=name,
             revenue_per_mwh=float(arr.sum() / total_volume),
             regret_per_mwh=float((oracle - arr).sum() / total_volume),
             advantage_ratio_pct=ratio,

@@ -123,9 +123,8 @@ class SimConfig:
 
 @dataclass(frozen=True)
 class SimResult:
-    """Per-arm expected-loss curves over the radius grid plus the gamma scores."""
+    """Per-arm expected-loss curves over the config's radius grid plus the gamma scores."""
 
-    epsilon_grid: np.ndarray
     curves: Mapping[str, np.ndarray]
     gamma_u: float | None
     gamma_la: float | None
@@ -363,7 +362,6 @@ def run_epsilon_sweep(config: SimConfig, m: int) -> SimResult:
         diff_se = _se(diff_blocks[_ARM_LEVEL_ADJUSTED] - diff_blocks[_ARM_UNIFORM])
 
     return SimResult(
-        epsilon_grid=grid,
         curves=curves,
         gamma_u=gammas.get(_ARM_UNIFORM),
         gamma_la=gammas.get(_ARM_LEVEL_ADJUSTED),

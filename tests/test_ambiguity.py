@@ -1,5 +1,7 @@
 """Deformation operators, FSD bands and Bernoulli balls."""
 
+import re
+
 import numpy as np
 import pytest
 from hypothesis import example, given
@@ -10,8 +12,10 @@ from drnewsvendor import (
     BacktestPlan,
     BallKind,
     Beta,
+    BernoulliBall,
     ChosenParameters,
     CvMode,
+    DeformedCdf,
     SimConfig,
     Uniform01,
     deform_lower,
@@ -85,6 +89,8 @@ def test_rho_domain_errors():
         double_power_lower(0.5, -0.1)
     with pytest.raises(ValueError, match=r"^deformation radius must lie in \[0, 1\), got 1.0$"):
         deform_upper(Uniform01(), 1.0)
+    with pytest.raises(ValueError, match="^side must be 'upper' or 'lower', got 'middle'$"):
+        DeformedCdf(Uniform01(), 0.5, "middle")
 
 
 def test_deformed_cdf_pointwise_matches_operator():
@@ -236,6 +242,38 @@ def test_bernoulli_ball_validation():
         make_bernoulli_ball(0.75, float("nan"), BallKind.LEVEL_ADJUSTED, theta=0.5)
 
 
+@pytest.mark.parametrize("center, radius, shape, message", [
+    (1.5, 0.1, None, "ball center must lie in [0, 1], got 1.5"),
+    (float("nan"), 0.1, 0.5, "ball center must lie in [0, 1], got nan"),
+    (0.5, -0.1, None, "ball radius must be non-negative, got -0.1"),
+    (0.5, float("nan"), 0.5, "ball radius must be non-negative, got nan"),
+    (0.5, 11.0, 0.5, "ball radius must lie in [0, 10.0] for level-adjusted balls, got 11.0"),
+    (0.5, 0.1, 1.0, "theta must lie in [0, 1), got 1.0"),
+    (0.5, 0.1, float("nan"), "theta must lie in [0, 1), got nan"),
+])
+def test_a_ball_built_directly_is_checked(center, radius, shape, message):
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+        BernoulliBall(center, radius, shape)
+
+
+# each ball's bounds as they were read when a ball stored its kind and bounds
+@pytest.mark.parametrize("center, radius, shape, lo, hi", [
+    (0.8, 0.05, None, "0x1.8000000000000p-1", "0x1.b333333333334p-1"),
+    (0.98, 0.05, None, "0x1.dc28f5c28f5c2p-1", "0x1.0000000000000p+0"),
+    (0.37, float("inf"), None, "0x0.0p+0", "0x1.0000000000000p+0"),
+    (0.3, 0.17, 0.9, "0x1.08b97785729b2p-2", "0x1.5daceee0f3cb4p-2"),
+    (0.0, 0.2, 0.5, "0x0.0p+0", "0x1.999999999999ap-3"),
+    (0.61, 10.0, 0.9999999999999999, "0x1.020c49ba5e32cp-3", "0x1.0000000000000p+0"),
+])
+def test_a_ball_reads_its_kind_and_bounds_off_center_radius_and_shape(center, radius, shape,
+                                                                        lo, hi):
+    ball = BernoulliBall(center, radius, shape)
+    kind = BallKind.UNIFORM if shape is None else BallKind.LEVEL_ADJUSTED
+    assert ball.kind is kind
+    assert (ball.tau_lo.hex(), ball.tau_hi.hex()) == (lo, hi)
+    assert ball == make_bernoulli_ball(center, radius, kind, shape)
+
+
 def _chosen(strategy, **params):
     return ChosenParameters(CvMode.FIXED_WINDOW, {strategy: {"m": 10, **params}})
 
@@ -248,18 +286,21 @@ def _sim(**kw):
 _TAKERS = {
     "epsilon": (
         lambda v: make_bernoulli_ball(0.5, v),
+        lambda v: BernoulliBall(0.5, v),
         lambda v: BacktestPlan(strategies=("dr_s_uniform",), epsilon_grid=(v,)),
         lambda v: _chosen("dr_s_uniform", epsilon=v),
         lambda v: _sim(epsilon_grid=(v,), ball_kinds=("uniform",)),
     ),
     "level_adjusted_epsilon": (
         lambda v: make_bernoulli_ball(0.5, v, BallKind.LEVEL_ADJUSTED, theta=0.5),
+        lambda v: BernoulliBall(0.5, v, 0.5),
         lambda v: BacktestPlan(strategies=("dr_s_level_adjusted",), epsilon_grid=(v,)),
         lambda v: _chosen("dr_s_level_adjusted", epsilon=v, theta=0.5),
         lambda v: _sim(epsilon_grid=(v,)),
     ),
     "theta": (
         lambda v: make_bernoulli_ball(0.5, 0.1, BallKind.LEVEL_ADJUSTED, theta=v),
+        lambda v: BernoulliBall(0.5, 0.1, v),
         lambda v: BacktestPlan(strategies=("dr_s_level_adjusted",), theta_grid=(v,)),
         lambda v: _chosen("dr_s_level_adjusted", epsilon=0.1, theta=v),
         lambda v: _sim(theta=v),

@@ -43,7 +43,7 @@ from drnewsvendor.estimation import HourlyTauEstimator
 from conftest import penalty_pair
 
 SMALL_PLAN = BacktestPlan(
-    warm_start_days=30, tau_window_days=20, cv_days=10, m_grid=(8,),
+    tau_window_days=20, cv_days=10, m_grid=(8,),
     epsilon_grid=(0.0, 0.05, 0.1, 0.2), theta_grid=(0.9,),
     rho_grid=(0.0, 0.1, 0.3),
 )
@@ -100,6 +100,8 @@ def test_synthetic_validation():
         make_synthetic_market(tau=1.3)
     with pytest.raises(ValueError):
         make_synthetic_market(mean_rel_spread=0.7)
+    with pytest.raises(ValueError, match=re.escape("no-balancing rate must lie in [0, 1)")):
+        make_synthetic_market(no_balancing_rate=1.0)
     # market files key each period by its hour, so the loader would refuse the market
     with pytest.raises(ValueError, match=re.escape("start must be on the hour, got 2020-01-01T00:30:00")):
         make_synthetic_market(n_days=3, start=datetime(2020, 1, 1, 0, 30))
@@ -141,6 +143,9 @@ def test_load_two_row_fixture(tmp_path):
         ("2020-01-01T00:00:00", 50.0, 40.0, 1.0, 0.5),
         ("2020-01-01T01:00:00", 52.0, 60.0, -1.0, 0.4),
     ])
+    # a blank row is skipped
+    header, *rows = market.read_text().splitlines()
+    market.write_text("\n".join([header, rows[0], "", rows[1]]) + "\n")
     recs = load_market_data(market, fdir)
     assert len(recs) == 2
     assert recs[0].pi_b == 40.0
@@ -169,6 +174,10 @@ def test_load_errors_name_row_and_column(tmp_path):
 
     market.write_text("time,pi_s,pi_b,s_L,omega_star\n")
     with pytest.raises(ValueError, match="header"):
+        load_market_data(market, tmp_path)
+
+    market.write_text("timestamp,pi_s,pi_b,s_L,omega_star\n\n")
+    with pytest.raises(ValueError, match=r"m.csv: no data rows$"):
         load_market_data(market, tmp_path)
 
     m, fdir = _write_fixture(tmp_path, [("2020-01-01T00:00:00", 50.0, "oops", 1.0, 0.5)])
@@ -364,21 +373,27 @@ def test_chosen_point_maximizes_exhaustive_grid():
 
 
 def test_insufficient_history_errors():
+    with pytest.raises(ValueError, match="^no market records$"):
+        cross_validate([], SMALL_PLAN)
     with pytest.raises(ValueError, match="insufficient"):
         cross_validate(small_market(days=20), SMALL_PLAN)
+    # a market exactly as long as the warm start leaves no day to select for
+    sliding = replace(SMALL_PLAN, cv_mode=CvMode.SLIDING)
+    assert cross_validate(small_market(days=30), sliding).per_day == {}
     with pytest.raises(ValueError, match="evaluation"):
         chosen = cross_validate(small_market(days=30), SMALL_PLAN)
         run_backtest(small_market(days=30), SMALL_PLAN, chosen)
 
 
 def test_plan_validation():
-    with pytest.raises(ValueError, match="warm start"):
-        BacktestPlan(warm_start_days=100, tau_window_days=91, cv_days=40)
+    # the warm start is the tau window followed by the CV window, whatever their lengths
+    assert BacktestPlan(tau_window_days=20, cv_days=10, m_grid=(10,)).warm_start_days == 30
+    assert replace(BacktestPlan(), cv_days=20).warm_start_days == 111
     with pytest.raises(ValueError, match="unknown strategies"):
         BacktestPlan(strategies=("bn", "alpha"))
     with pytest.raises(ValueError, match="^the tau window needs at least 2 days and the "
                                          "cross-validation span at least 1, got 1 and 10$"):
-        BacktestPlan(tau_window_days=1, cv_days=10, warm_start_days=11)
+        BacktestPlan(tau_window_days=1, cv_days=10)
 
 
 @pytest.mark.parametrize("grid, strategy", [
@@ -398,8 +413,7 @@ def test_plan_rejects_an_empty_grid_a_strategy_needs(grid, strategy):
 
 def test_plan_leaves_the_m_grid_unchecked_when_no_strategy_reads_m():
     # the default m grid (90) outruns a 20-day tau window, but oracle and robust_s read no m
-    BacktestPlan(strategies=("oracle", "robust_s"), tau_window_days=20, cv_days=10,
-                 warm_start_days=30)
+    BacktestPlan(strategies=("oracle", "robust_s"), tau_window_days=20, cv_days=10)
 
 
 @pytest.mark.parametrize("grids, message", [

@@ -492,15 +492,20 @@ def test_m_grid_rejects_values_that_are_not_whole_days(tmp_path, capsys, market_
 
 
 def test_an_m_free_roster_runs_past_the_default_m_grid(tmp_path, market_flags):
-    # oracle and robust_s read no m, so the default --m-grid 90 is not held to the 20-day window
-    flags = [*market_flags[:4], "--warm-start-days", "30", "--tau-window-days", "20",
-             "--cv-days", "10", "--strategies", "oracle,robust_s"]
-    chosen = tmp_path / "chosen.json"
-    assert dispatch(["crossval", *flags, "--out", str(chosen)]) == 0
-    assert json.loads(chosen.read_text())["static"] == {"oracle": {}, "robust_s": {}}
-    report = tmp_path / "bt.json"
-    assert dispatch(["backtest", *flags, "--params", str(chosen), "--out", str(report)]) == 0
-    assert set(json.loads(report.read_text())["strategies"]) == {"oracle", "robust_s"}
+    # oracle and robust_s read no m, so the default --m-grid 90 is not held to the 20-day window;
+    # the warm start is derived, so the same run needs no --warm-start-days
+    artifacts = []
+    for warm_start in (["--warm-start-days", "30"], []):
+        flags = [*market_flags[:4], *warm_start, "--tau-window-days", "20",
+                 "--cv-days", "10", "--strategies", "oracle,robust_s"]
+        chosen = tmp_path / f"chosen{len(warm_start)}.json"
+        report = tmp_path / f"bt{len(warm_start)}.json"
+        assert dispatch(["crossval", *flags, "--out", str(chosen)]) == 0
+        assert json.loads(chosen.read_text())["static"] == {"oracle": {}, "robust_s": {}}
+        assert dispatch(["backtest", *flags, "--params", str(chosen), "--out", str(report)]) == 0
+        assert set(json.loads(report.read_text())["strategies"]) == {"oracle", "robust_s"}
+        artifacts.append((chosen.read_bytes(), report.read_bytes()))
+    assert artifacts[0] == artifacts[1]
 
 
 def test_m_grid_whole_float_matches_integer(tmp_path, market_flags):
@@ -827,6 +832,55 @@ def test_domain_error_exits_1(tmp_path, capsys):
     assert code == 1
 
 
+@pytest.mark.parametrize("argv, message", [
+    (["solve", "--strategy", "direct", "--dist", "heaviside:", "--tau", "0.5"],
+     "heaviside spec needs a location, got 'heaviside:'"),
+    (["solve", "--strategy", "direct", "--dist", "gamma:2,6", "--tau", "0.5"],
+     "unknown distribution spec 'gamma:2,6'"),
+    (["deform", "--rho", "0.3"], "supply --dist or --forecast"),
+    (["solve", "--strategy", "dr-omega", "--dist", "uniform", "--tau", "0.5"],
+     "--rho is required for dr-omega"),
+    (["solve", "--strategy", "dr-s", "--dist", "uniform", "--tau", "0.5"],
+     "--eps is required for dr-s"),
+], ids=["heaviside-no-location", "unknown-dist", "deform-no-dist", "dr-omega-no-rho",
+        "dr-s-no-eps"])
+def test_input_errors_exit_1_naming_the_input(tmp_path, capsys, argv, message):
+    out = tmp_path / "out.json"
+    assert dispatch([*argv, "--out", str(out)]) == 1
+    assert json.loads(capsys.readouterr().err)["error"] == message
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("argv, message", [
+    (["solve", "--strategy", "direct", "--out", "out.json", "--config"],
+     "--config needs a file path"),
+    (["--config", "run.cfg"], "--config requires a subcommand"),
+    (["solve", "--config", "run.cfg", "--out", "out.json"], "run.cfg:2: expected key = value"),
+], ids=["config-last", "config-no-subcommand", "config-line-without-equals"])
+def test_config_errors_exit_1(tmp_path, monkeypatch, capsys, argv, message):
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "run.cfg").write_text("strategy = direct\ntau 0.5\n")  # line 2 has no "="
+    assert dispatch(argv) == 1
+    assert json.loads(capsys.readouterr().err)["error"] == message
+    assert not (tmp_path / "out.json").exists()
+
+
+@pytest.mark.parametrize("line, strict", [("strict = true", True), ("strict = false", False)])
+def test_a_config_true_line_turns_its_switch_on(tmp_path, monkeypatch, line, strict):
+    seen = []
+
+    def load_market_data(market, forecasts, strict=False):
+        seen.append(strict)
+        raise ValueError("stop before the market is read")
+
+    monkeypatch.setattr(bt, "load_market_data", load_market_data)
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text(f"{line}\n")
+    assert dispatch(["crossval", "--config", str(cfg), "--market", "m.csv", "--forecasts", "fc",
+                     "--out", str(tmp_path / "chosen.json")]) == 1
+    assert seen == [strict]
+
+
 def test_missing_data_file_exits_1(tmp_path):
     code = dispatch(["backtest", "--market", str(tmp_path / "nope.csv"),
                      "--forecasts", str(tmp_path)])
@@ -839,6 +893,15 @@ def test_no_temp_residue(tmp_path):
               "--out", str(out)])
     leftovers = [p for p in tmp_path.iterdir() if p.name.startswith(".tmp-")]
     assert leftovers == []
+
+
+def test_out_naming_a_directory_exits_1_and_leaves_no_temp_file(tmp_path, capsys):
+    taken = tmp_path / "taken"
+    taken.mkdir()
+    assert dispatch(["solve", "--strategy", "direct", "--dist", "uniform", "--tau", "0.5",
+                     "--out", str(taken)]) == 1
+    assert json.loads(capsys.readouterr().err)["error"]
+    assert list(tmp_path.iterdir()) == [taken] and list(taken.iterdir()) == []
 
 
 def test_mixed_naive_and_aware_timestamps_exit_1(tmp_path, capsys):

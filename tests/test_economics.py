@@ -168,6 +168,8 @@ def test_advantage_ratio_tolerates_ulp_ties():
 
 
 def test_regret_and_ratio_misaligned_series():
+    with pytest.raises(ValueError, match="^oracle revenues and volumes must be aligned$"):
+        regret_and_ratio({"bn": [1.0]}, [1.0], [0.5, 0.5], reference="bn")
     with pytest.raises(ValueError):
         regret_and_ratio({"bn": [1.0, 2.0]}, [1.0], [0.5], reference="bn")
     with pytest.raises(ValueError):

@@ -106,6 +106,11 @@ def test_misaligned_columns_rejected():
         HourlyTauEstimator([1, 2], [0], [5.0, 0.0], [0.0, 5.0])
 
 
+def test_empty_window_rejected():
+    with pytest.raises(ValueError, match="^window must cover at least one day, got 0$"):
+        estimator([(1, 2, OVER)]).window_means([3], [2], 0)
+
+
 # ---------- the index against a plain window mean ----------
 
 

@@ -82,13 +82,13 @@ def test_dr_uniform_curve_continuity():
     # interior the curve is Lipschitz.
     coarse = run_epsilon_sweep(small_config(
         epsilon_grid=tuple(np.round(np.arange(0.0, 1.001, 0.02), 10))), 10)
-    fine = run_epsilon_sweep(small_config(
-        epsilon_grid=tuple(np.round(np.arange(0.0, 1.0001, 0.005), 10))), 10)
+    fine_config = small_config(epsilon_grid=tuple(np.round(np.arange(0.0, 1.0001, 0.005), 10)))
+    fine = run_epsilon_sweep(fine_config, 10)
     step_c = np.max(np.abs(np.diff(coarse.curves["dr_uniform"])))
     step_f = np.max(np.abs(np.diff(fine.curves["dr_uniform"])))
     assert step_c < 0.02
     assert step_f < step_c
-    interior = np.asarray(fine.epsilon_grid)[:-1] >= 0.1
+    interior = np.asarray(fine_config.epsilon_grid)[:-1] >= 0.1
     assert np.max(np.abs(np.diff(fine.curves["dr_uniform"]))[interior]) < 1e-3
 
 
@@ -572,6 +572,8 @@ def test_config_validation():
         run_epsilon_sweep(small_config(), 0)
     with pytest.raises(ValueError, match="^m must be at least 1, got 0$"):
         run_m_sweep(small_config(), [0, 5])
+    with pytest.raises(ValueError, match="^no m values to sweep$"):
+        run_m_sweep(small_config(), [])
     with pytest.raises(ValueError):
         small_config(n_replicates=0)
     with pytest.raises(ValueError):

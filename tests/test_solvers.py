@@ -7,7 +7,11 @@ from drnewsvendor import (
     Beta,
     Heaviside,
     Method,
+    OfferDecision,
     Uniform01,
+    WorstCaseCdf,
+    deform_lower,
+    deform_upper,
     expected_loss,
     make_bernoulli_ball,
     solve_direct,
@@ -167,6 +171,14 @@ def test_worst_case_cdf_limits(rng):
     assert two_point.mean() == pytest.approx(0.4, abs=1e-8)
 
 
+def test_worst_case_cdf_rejects_swapped_bands():
+    dist = Beta(2, 6)
+    upper, lower = deform_upper(dist, 0.4), deform_lower(dist, 0.4)
+    WorstCaseCdf(upper, lower, 0.6)
+    with pytest.raises(ValueError, match="^upper-band quantile exceeds lower-band quantile$"):
+        WorstCaseCdf(lower, upper, 0.6)
+
+
 def test_worst_case_cdf_is_valid_with_plateau(rng):
     xs = np.linspace(0.0, 1.0, 401)
     for _ in range(20):
@@ -257,6 +269,8 @@ def test_offer_decision_validation():
         solve_dr_omega(Beta(2, 6), 0.5, 1.5)
     with pytest.raises(ValueError):
         solve_direct(Beta(2, 6), -0.2)
+    with pytest.raises(ValueError, match=r"^offer must lie in \[0, 1\], got 1.5$"):
+        OfferDecision(1.5, Method.DIRECT)
 
 
 def test_dr_omega_levels_at_rho_one_are_a_block_with_no_rows():
