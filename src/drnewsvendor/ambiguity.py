@@ -252,7 +252,8 @@ def bands_from_quantiles(reference, p: np.ndarray, rho: float, sides: Sequence[s
     distribution or a :class:`PiecewiseLinearBatch`. A level that rounds to
     1 while ``p < 1`` would lose the reference's upper tail, so there the
     quantile is read from the upper end, at the level's exact complement,
-    in one more reference call.
+    in one more reference call. ``p`` and ``rho`` in [0, 1) are the
+    caller's to validate, as for :func:`band_levels`.
     """
     top = (u == 1.0) & (p < 1.0)
     if top.any():

@@ -139,6 +139,7 @@ class CvMode(Enum):
 class BacktestPlan:
     """Protocol splits, parameter grids and the strategy roster."""
 
+    warm_start_days: int = 131
     tau_window_days: int = 91
     cv_days: int = 40
     cv_mode: CvMode = CvMode.FIXED_WINDOW
@@ -154,6 +155,11 @@ class BacktestPlan:
         if self.tau_window_days < 2 or self.cv_days < 1:
             raise ValueError(f"the tau window needs at least 2 days and the cross-validation span "
                              f"at least 1, got {self.tau_window_days} and {self.cv_days}")
+        if self.warm_start_days != self.tau_window_days + self.cv_days:
+            raise ValueError(
+                f"warm start must equal tau window plus cross-validation days: "
+                f"{self.warm_start_days} != {self.tau_window_days} + {self.cv_days}"
+            )
         unknown = set(self.strategies) - set(STRATEGIES)
         if unknown:
             raise ValueError(f"unknown strategies: {sorted(unknown)}")
@@ -174,11 +180,6 @@ class BacktestPlan:
                     if problem:
                         raise ValueError(f"{name}_grid: {value!r} {problem}, as strategy "
                                          f"{strategy!r} needs")
-
-    @property
-    def warm_start_days(self) -> int:
-        """The tau window followed by the cross-validation window."""
-        return self.tau_window_days + self.cv_days
 
 
 def _m_problem(value, max_m: int) -> str | None:

@@ -331,7 +331,9 @@ def _cmd_msweep(args) -> int:
 
 def _plan_from_args(args) -> bt.BacktestPlan:
     bt.check_penalty_scale(args.penalty_scale, "--penalty-scale")
-    plan = bt.BacktestPlan(
+    warm_start = args.warm_start_days
+    return bt.BacktestPlan(
+        warm_start_days=args.tau_window_days + args.cv_days if warm_start is None else warm_start,
         tau_window_days=args.tau_window_days,
         cv_days=args.cv_days,
         cv_mode=bt.CvMode(args.cv_mode),
@@ -342,10 +344,6 @@ def _plan_from_args(args) -> bt.BacktestPlan:
         strategies=tuple(s.strip() for s in args.strategies.split(",") if s.strip()),
         fallback_tau=args.fallback_tau,
     )
-    if args.warm_start_days not in (None, plan.warm_start_days):
-        raise ValueError(f"warm start must equal tau window plus cross-validation days: "
-                         f"{args.warm_start_days} != {plan.tau_window_days} + {plan.cv_days}")
-    return plan
 
 
 def _load_market(args) -> list[bt.MarketRecord]:

@@ -43,7 +43,7 @@ from drnewsvendor.estimation import HourlyTauEstimator
 from conftest import penalty_pair
 
 SMALL_PLAN = BacktestPlan(
-    tau_window_days=20, cv_days=10, m_grid=(8,),
+    warm_start_days=30, tau_window_days=20, cv_days=10, m_grid=(8,),
     epsilon_grid=(0.0, 0.05, 0.1, 0.2), theta_grid=(0.9,),
     rho_grid=(0.0, 0.1, 0.3),
 )
@@ -386,14 +386,13 @@ def test_insufficient_history_errors():
 
 
 def test_plan_validation():
-    # the warm start is the tau window followed by the CV window, whatever their lengths
-    assert BacktestPlan(tau_window_days=20, cv_days=10, m_grid=(10,)).warm_start_days == 30
-    assert replace(BacktestPlan(), cv_days=20).warm_start_days == 111
+    with pytest.raises(ValueError, match="warm start"):
+        BacktestPlan(warm_start_days=100, tau_window_days=91, cv_days=40)
     with pytest.raises(ValueError, match="unknown strategies"):
         BacktestPlan(strategies=("bn", "alpha"))
     with pytest.raises(ValueError, match="^the tau window needs at least 2 days and the "
                                          "cross-validation span at least 1, got 1 and 10$"):
-        BacktestPlan(tau_window_days=1, cv_days=10)
+        BacktestPlan(tau_window_days=1, cv_days=10, warm_start_days=11)
 
 
 @pytest.mark.parametrize("grid, strategy", [
@@ -413,7 +412,8 @@ def test_plan_rejects_an_empty_grid_a_strategy_needs(grid, strategy):
 
 def test_plan_leaves_the_m_grid_unchecked_when_no_strategy_reads_m():
     # the default m grid (90) outruns a 20-day tau window, but oracle and robust_s read no m
-    BacktestPlan(strategies=("oracle", "robust_s"), tau_window_days=20, cv_days=10)
+    BacktestPlan(strategies=("oracle", "robust_s"), tau_window_days=20, cv_days=10,
+                 warm_start_days=30)
 
 
 @pytest.mark.parametrize("grids, message", [

@@ -241,7 +241,7 @@ def jittered_market(n_days, seed):
 
 
 NAIVE_PLAN = BacktestPlan(
-    tau_window_days=16, cv_days=8, m_grid=(2, 9),
+    warm_start_days=24, tau_window_days=16, cv_days=8, m_grid=(2, 9),
     rho_grid=(0.0, 0.15, 1.0), epsilon_grid=(0.0, 0.05, 0.2, 2.0), theta_grid=(0.5, 0.9),
     strategies=STRATEGIES, fallback_tau=0.5,
 )
@@ -359,7 +359,7 @@ def small_lists(values, max_size):
 
 sliding_plans = st.builds(
     lambda m, rho, eps, theta, fallback: BacktestPlan(
-        tau_window_days=3, cv_days=2, cv_mode=CvMode.SLIDING,
+        warm_start_days=5, tau_window_days=3, cv_days=2, cv_mode=CvMode.SLIDING,
         m_grid=m, rho_grid=rho, epsilon_grid=eps, theta_grid=theta, strategies=STRATEGIES,
         fallback_tau=fallback),
     small_lists([1, 2], 3), small_lists([0.0, 0.15, 0.5, 1.0], 3),
@@ -511,7 +511,7 @@ def gate_closure_selections(draw):
        st.sampled_from([None, 0.5]), corruptions, st.data())
 def test_one_gate_closure_pass_equals_each_strategy_priced_alone(records, chosen, roster,
                                                                  fallback, corruption, data):
-    plan = BacktestPlan(tau_window_days=3, cv_days=2, m_grid=(1, 2),
+    plan = BacktestPlan(warm_start_days=5, tau_window_days=3, cv_days=2, m_grid=(1, 2),
                         strategies=tuple(roster), fallback_tau=fallback)
     first = records[0].timestamp.toordinal()
     days = sorted({r.timestamp.toordinal() - first + 1 for r in records})
@@ -540,7 +540,7 @@ def test_frame_tau_column_matches_the_estimator_on_any_span(records, m, fallback
     frame = backtest._MarketFrame(records)
     first = data.draw(st.integers(1, frame.n_days))
     periods = frame.periods(first, data.draw(st.integers(first, frame.n_days)))
-    plan = BacktestPlan(tau_window_days=4, cv_days=1, m_grid=(m,),
+    plan = BacktestPlan(warm_start_days=5, tau_window_days=4, cv_days=1, m_grid=(m,),
                         fallback_tau=fallback)
 
     def estimate(tau_hat):
@@ -582,7 +582,7 @@ def settled_by_hand(pi_s, pi_b, s_l, y, omega):
 
 
 SETTLE_PLAN = BacktestPlan(
-    tau_window_days=3, cv_days=2, m_grid=(1, 2), rho_grid=(0.0, 0.5, 1.0),
+    warm_start_days=5, tau_window_days=3, cv_days=2, m_grid=(1, 2), rho_grid=(0.0, 0.5, 1.0),
     epsilon_grid=(0.0, 0.2, 2.0), theta_grid=(0.5,), strategies=STRATEGIES, fallback_tau=0.5)
 
 
