@@ -84,7 +84,11 @@ _TS_FORMAT = "%Y-%m-%dT%H"
 
 
 class _WeaklyReferable:
-    """A slotted base that gives slotted subclasses weak references."""
+    """A slotted base that gives slotted subclasses weak references.
+
+    ``dataclass(weakref_slot=True)`` does the same from Python 3.11; the
+    package supports 3.10.
+    """
 
     __slots__ = ("__weakref__",)
 
@@ -111,10 +115,10 @@ class MarketRecord(_WeaklyReferable):
             raise ValueError(
                 f"{self.timestamp.isoformat()}: omega_star must lie in [0, 1], got {self.omega_star}"
             )
-        if not (math.isfinite(self.pi_s) and math.isfinite(self.pi_b) and math.isfinite(self.s_l)):
-            name = next(n for n in ("pi_s", "pi_b", "s_l") if not math.isfinite(getattr(self, n)))
-            raise ValueError(f"{self.timestamp.isoformat()}: {name} must be finite, "
-                             f"got {getattr(self, name)}")
+        for name in ("pi_s", "pi_b", "s_l"):
+            if not math.isfinite(getattr(self, name)):
+                raise ValueError(f"{self.timestamp.isoformat()}: {name} must be finite, "
+                                 f"got {getattr(self, name)}")
 
 
 def _follow_problem(prev: datetime, cur: datetime) -> str | None:
@@ -380,13 +384,12 @@ class _MarketFrame:
             if problem:
                 raise ValueError(f"{cur.isoformat()} {problem}")
         ordinal = np.fromiter(map(datetime.toordinal, stamps), np.int64, len(stamps))
-        hour = np.fromiter(map(attrgetter("hour"), stamps), np.int64, len(stamps))
-        key = (ordinal - ordinal[0] + 1) * 24 + hour
 
         def column(name: str) -> np.ndarray:
             return np.fromiter(map(attrgetter(name), records), float, len(records))
 
-        self.day, self.hour = np.divmod(key, 24)
+        self.day = ordinal - ordinal[0] + 1
+        self.hour = np.fromiter(map(attrgetter("hour"), stamps), np.int64, len(stamps))
         self.n_days = int(self.day[-1])
         self.timestamps = tuple(stamps)
         self.pi_s, self.pi_b = column("pi_s"), column("pi_b")
@@ -414,17 +417,9 @@ class _MarketFrame:
         return np.arange(*_day_range(self.day, first_day, last_day))
 
 
-# The frame of the last record sequence asked for: a weak reference to its
-# first record, a list of the rest, and the frame.
-_FRAME: tuple[weakref.ref, list[MarketRecord], _MarketFrame] | None = None
-
-
-def _release(first: weakref.ref) -> None:
-    """Drop the kept frame once the first record of its sequence is gone."""
-    global _FRAME
-    held = _FRAME
-    if held is not None and held[0] is first:
-        _FRAME = None
+# The frame of the last record sequence asked for, in one slot weakly keyed by
+# the sequence's first record: a list of the rest, and the frame.
+_FRAMES: weakref.WeakKeyDictionary = weakref.WeakKeyDictionary()
 
 
 def _frame_for(records: Sequence[MarketRecord]) -> _MarketFrame:
@@ -435,20 +430,18 @@ def _frame_for(records: Sequence[MarketRecord]) -> _MarketFrame:
     Records compare by identity, so the check is one list comparison, which
     passes over each record that is the held one without calling anything.
     The frame is let go with its sequence's first record, so a history that
-    its caller has dropped is freed before the next one is loaded. The slot
-    is replaced in one assignment, so concurrent calls can at worst build a
-    frame twice.
+    its caller has dropped is freed before the next one is loaded.
+    Concurrent calls can at worst build a frame twice, or keep two until the
+    next store.
     """
-    global _FRAME
-    held = _FRAME
     # a list slices in one copy; any other sequence is walked
     rest = records[1:] if isinstance(records, list) else list(islice(records, 1, None))
-    if held is not None and len(records):
-        first, held_rest, frame = held
-        if first() is records[0] and held_rest == rest:
-            return frame
+    held = _FRAMES.get(records[0]) if len(records) else None
+    if held is not None and held[0] == rest:
+        return held[1]
     frame = _MarketFrame(records)
-    _FRAME = (weakref.ref(records[0], _release), rest, frame)
+    _FRAMES.clear()
+    _FRAMES[records[0]] = (rest, frame)
     return frame
 
 
@@ -481,22 +474,26 @@ class _Span:
                                                     self.day - 1, self.hour, m, self._fallback)
         return tau
 
-    def offers(self, rows: Sequence[tuple[str, Mapping[str, float]]]) -> np.ndarray:
+    def offers(self, rows: Iterable[tuple[str, Mapping[str, float]]]) -> np.ndarray:
         """Each (strategy, parameters) row's offers, one column per period, in one pass.
 
         Tau is read once per window ``m``; the levels of every bn, DR-S and
         DR-omega row are priced in one quantile call, the DR-S rows in one
         rule call. A check fails at the earliest row, then the earliest
-        period, as if each row were priced in turn.
+        period, as if each row were priced in turn: a row that raises as it
+        is drawn from ``rows`` or as its tau window is read raises after the
+        rows before it are priced and checked.
         """
-        for k, (_, params) in enumerate(rows):
-            if "m" in params:
-                try:
+        taken = []
+        try:
+            for strategy, params in rows:
+                if "m" in params:
                     self.tau_hat(params["m"])
-                except ValueError:
-                    self.offers(rows[:k])  # an earlier row's failure comes first
-                    raise
-        y = self._price(rows)
+                taken.append((strategy, params))
+        except ValueError:
+            self._check_offers(self._price(taken))  # an earlier row's failure comes first
+            raise
+        y = self._price(taken)
         self._check_offers(y)
         return y
 
@@ -627,16 +624,10 @@ def offers_for_day(records: Sequence[MarketRecord], plan: BacktestPlan,
     span = _Span(frame, plan, frame.periods(day, day))
     if not len(span):
         raise ValueError(f"no market records for day {day}")
-    rows = []
-    for strategy in plan.strategies:
-        try:
-            rows.append((strategy, chosen.params_for(strategy, day, plan)))
-        except ValueError:
-            span.offers(rows)  # an earlier strategy's failure comes first
-            raise
+    offers = span.offers((s, chosen.params_for(s, day, plan)) for s in plan.strategies)
     hours = span.hour.tolist()
-    return {strategy: dict(zip(hours, offers))
-            for (strategy, _), offers in zip(rows, span.offers(rows).tolist())}
+    return {strategy: dict(zip(hours, row))
+            for strategy, row in zip(plan.strategies, offers.tolist())}
 
 
 def run_backtest(records: Sequence[MarketRecord], plan: BacktestPlan,

@@ -115,17 +115,23 @@ def _parse_grid(spec: str, flag: str) -> tuple[float, ...]:
     """The grid ``flag`` gives, as a start:step:stop range or a comma list.
 
     A range takes whole steps from start and ends at the last value that
-    does not pass stop, up to a slack of 1e-9 steps for rounding.
+    does not pass stop, up to a slack of 1e-9 steps for rounding. Neither
+    form takes an infinite value, which the JSON artifacts cannot hold.
     """
     spec = spec.strip()
     try:
         if ":" not in spec:
-            return tuple(float(p) for p in spec.split(",") if p.strip())
-        start, step, stop = (float(p) for p in spec.split(":"))
+            values = tuple(float(p) for p in spec.split(",") if p.strip())
+        else:
+            start, step, stop = (float(p) for p in spec.split(":"))
     except ValueError:
         raise ValueError(
             f"{flag} must be a start:step:stop range or a comma list of numbers, got {spec!r}"
         ) from None
+    if ":" not in spec:
+        if np.isinf(values).any():
+            raise ValueError(f"{flag} list {spec!r} holds an infinite value; values must be finite")
+        return values
     if not (0.0 < step < np.inf and -np.inf < start <= stop < np.inf):
         raise ValueError(
             f"{flag} range {spec!r} needs finite bounds, a positive step and start <= stop"

@@ -1,10 +1,12 @@
 """Backtest protocol: data IO, cross-validation, settlement, look-ahead guard."""
 
 import csv
+import gc
 import io
 import json
 import re
 import tracemalloc
+import weakref
 from contextlib import redirect_stderr, redirect_stdout
 from dataclasses import replace
 from datetime import datetime, timedelta, timezone
@@ -763,10 +765,20 @@ def test_gate_closure_frame_is_let_go_with_its_records():
         recs = small_market(seed=17)
         chosen = cross_validate(recs, SMALL_PLAN)
         offers_for_day(recs, SMALL_PLAN, chosen, SMALL_PLAN.warm_start_days + 1)
-        assert backtest._FRAME is not None
+        assert backtest._FRAMES
 
     price_one_day()
-    assert backtest._FRAME is None
+    assert not backtest._FRAMES
+
+
+def test_frame_cache_holds_one_slot():
+    a, b = small_market(days=10, seed=17), small_market(days=10, seed=18)
+    first = weakref.ref(backtest._frame_for(a))
+    second = backtest._frame_for(b)
+    gc.collect()
+    # a's records are alive, but storing b's frame let a's go
+    assert first() is None
+    assert backtest._frame_for(tuple(b)) is second
 
 
 # ---------- penalty scaling ----------

@@ -20,6 +20,7 @@ from drnewsvendor import (
     cli,
     load_market_data,
     make_synthetic_market,
+    write_forecast_dir,
 )
 from drnewsvendor import backtest as bt
 from drnewsvendor.cli import dispatch
@@ -518,18 +519,37 @@ def test_m_grid_whole_float_matches_integer(tmp_path, market_flags):
 SIM_FLAGS = ["--dist", "beta:2,6", "--tau", "0.75", "--m", "5", "--n", "1000"]
 
 
-@pytest.mark.parametrize("value", ["abc", "0:0:1", "1:0.1:0", "0:0.1", "0:nan:1", "0:0.1:inf"])
-def test_simulate_grid_errors_name_the_flag(tmp_path, capsys, value):
+@pytest.mark.parametrize("value", ["abc", "0:0:1", "1:0.1:0", "0:0.1", "0:nan:1", "0:0.1:inf",
+                                   "0,inf"])
+def test_simulate_grid_errors_name_the_flag(tmp_path, capsys, monkeypatch, value):
+    # before the sweep, on a uniform ball, which the library lets take an infinite radius
+    monkeypatch.setattr(cli.mc, "run_epsilon_sweep", None)
     out = tmp_path / "sim.json"
-    code = dispatch(["simulate", *SIM_FLAGS, "--eps-grid", value, "--out", str(out)])
+    code = dispatch(["simulate", *SIM_FLAGS, "--ball", "uniform", "--eps-grid", value,
+                     "--out", str(out)])
     assert code == 1
     error = json.loads(capsys.readouterr().err)["error"]
     assert error.startswith("--eps-grid ") and repr(value) in error
     assert not out.exists()
 
 
+@pytest.mark.parametrize("flags, true_dist", [
+    (["--dist", "uniform"], "Uniform01()"),
+    (["--dist", "heaviside:0.3"], "Heaviside(0.3)"),
+    (["--forecast"], "PiecewiseLinear(20 knots)"),
+])
+def test_simulate_writes_the_true_distribution_it_read(tmp_path, flags, true_dist):
+    if flags == ["--forecast"]:
+        write_forecast_dir(make_synthetic_market(n_days=1)[:1], tmp_path / "fc")
+        flags = ["--forecast", str(next((tmp_path / "fc").iterdir()))]
+    out = tmp_path / "sim.json"
+    assert dispatch(["simulate", *flags, "--tau", "0.75", "--m", "3", "--n", "2000",
+                     "--out", str(out)]) == 0
+    assert json.loads(out.read_text())["config"]["true_dist"] == true_dist
+
+
 @pytest.mark.parametrize("flag", ["--eps-grid", "--rho-grid", "--theta-grid", "--m-grid"])
-@pytest.mark.parametrize("value", ["abc", "0:0:1"])
+@pytest.mark.parametrize("value", ["abc", "0:0:1", "inf"])
 def test_crossval_grid_errors_name_the_flag(tmp_path, capsys, market_flags, flag, value):
     out = tmp_path / "chosen.json"
     code = dispatch(["crossval", *market_flags, flag, value, "--out", str(out)])

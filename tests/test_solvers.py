@@ -174,7 +174,9 @@ def test_worst_case_cdf_limits(rng):
 def test_worst_case_cdf_rejects_swapped_bands():
     dist = Beta(2, 6)
     upper, lower = deform_upper(dist, 0.4), deform_lower(dist, 0.4)
-    WorstCaseCdf(upper, lower, 0.6)
+    assert repr(upper) == "DeformedCdf(Beta(2, 6), rho=0.4, side='upper')"
+    assert repr(WorstCaseCdf(upper, lower, 0.6)) == (
+        "WorstCaseCdf(level=0.6, plateau=[0.150175, 0.417761])")
     with pytest.raises(ValueError, match="^upper-band quantile exceeds lower-band quantile$"):
         WorstCaseCdf(lower, upper, 0.6)
 
