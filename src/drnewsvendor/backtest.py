@@ -25,6 +25,7 @@ from __future__ import annotations
 import csv
 import math
 import numbers
+import sys
 import warnings
 import weakref
 from collections.abc import Iterable, Mapping, Sequence
@@ -200,7 +201,11 @@ def _value_problem(strategy: str, name: str, value) -> str | None:
         return _rho_problem(value)
     if name == "theta":
         return _theta_problem(value)
-    return _epsilon_problem(value, strategy == "dr_s_level_adjusted")
+    # the library lets a uniform ball take an infinite radius, but an artifact
+    # cannot record one (JSON has no infinity), and an integer past the float
+    # range cannot be priced; NaN is reported as negative
+    return (_epsilon_problem(value, strategy == "dr_s_level_adjusted")
+            or (None if value <= sys.float_info.max else "must be finite"))
 
 
 def _param_grid(strategy: str, plan: BacktestPlan) -> list[dict]:

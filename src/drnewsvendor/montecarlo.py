@@ -41,22 +41,25 @@ numpy would have drawn again.
 Either way the stream, and so every count and artifact, is what the
 binomial call gives.
 
-The robust arm's table prices the true quantile function Q only at the
-ball bounds that :func:`dr_s_rule` can select. With p = F(mean): a level
-u > p has Q(u) > mean, so the upper-bound branch cannot fire there, and a
-level u < p has Q(u) <= mean, so the lower-bound branch cannot either.
-This holds for any distribution on [0, 1], atoms included; a guard of
-1e-9 in level units absorbs the rounding of F and Q. Each priced value is
-the elementwise quantile it always was, so every offer, curve and
-artifact is bit-identical to pricing both bounds of every cell.
+Every arm is priced from one loss table per experiment, with one quantile
+call and one ``expected_loss`` call, so equal offers get bit-equal losses
+whatever rule the distribution integrates by. Its ball rows price the true
+quantile function Q only at the bounds that :func:`dr_s_rule` can select.
+With p = F(mean): a level u > p has Q(u) > mean, so the upper-bound branch
+cannot fire there, and a level u < p has Q(u) <= mean, so the lower-bound
+branch cannot either. This holds for any distribution on [0, 1], atoms
+included; a guard of 1e-9 in level units absorbs the rounding of F and Q.
+Each priced value is the elementwise quantile it always was, so every
+offer, curve and artifact is bit-identical to pricing both bounds of every
+cell.
 
-Every table, the plain newsvendor's row included, is scored only over the
-estimates k/m that some replicate drew; every other column holds 0.0.
-Results read a table only through count-weighted sums, the curves and the
-per-block gammas, and a column with a zero total count is zero in every
-block too. There its term is ``0 * loss = +0.0`` whichever loss the column
-holds, so every sum, curve, gamma and artifact is bit-identical to scoring
-every column.
+The table is scored only over the estimates k/m that some replicate drew;
+every other column holds 0.0, in the constant oracle and robust rows too.
+Results read the table only through count-weighted sums, the curves and
+the per-block gammas, and a column with a zero total count is zero in
+every block too. There its term is ``0 * loss = +0.0`` whichever loss the
+column holds, so every sum, curve, gamma and artifact is bit-identical to
+scoring every column.
 """
 
 from __future__ import annotations
@@ -84,7 +87,7 @@ __all__ = [
 
 BLOCK_SIZE = 16384
 # slack, in level units, for the rounding of ``cdf`` and ``quantile`` when
-# _dr_loss_table decides which ball bounds can become offers
+# _loss_table decides which ball bounds can become offers
 _LEVEL_GUARD = 1e-9
 _ARM_UNIFORM = "dr_uniform"
 _ARM_LEVEL_ADJUSTED = "dr_level_adjusted"
@@ -255,45 +258,41 @@ def _losses_for_offers(dist: UnitDistribution, tau_true: float, offers: np.ndarr
     return vals[inverse].reshape(np.shape(offers))
 
 
-def _dr_loss_table(config: SimConfig, m: int, kind: str, columns: np.ndarray) -> np.ndarray:
-    """Expected loss per (epsilon, tau_hat value) for one ball kind.
+def _loss_table(config: SimConfig, m: int, columns: np.ndarray) -> np.ndarray:
+    """Expected loss per (row, tau_hat value): oracle, bn, robust, then each ball kind's grid.
 
-    Only the tau_hat columns ``columns`` are scored; the others hold 0.0
-    (see the module docstring). Only the quantiles :func:`dr_s_rule` can
-    pick are priced; the others enter the rule as ``+inf`` (upper bound)
-    and ``-inf`` (lower bound), which it never selects.
+    Only the tau_hat columns ``columns`` are scored; the others hold 0.0.
+    Only the ball bounds :func:`dr_s_rule` can pick are priced; the others
+    enter the rule as ``+inf`` (upper) and ``-inf`` (lower), which it never
+    selects (see the module docstring).
     """
+    dist, tau = config.true_dist, config.true_tau
     grid = np.asarray(config.epsilon_grid, dtype=float)
     tau_hats = columns / m
-    theta = config.theta if kind == "level_adjusted" else 0.0
-    lo, hi = ball_bounds(tau_hats[None, :], grid[:, None], theta)
-    dist = config.true_dist
+    thetas = np.array([config.theta if kind == "level_adjusted" else 0.0
+                       for kind in config.ball_kinds])
+    lo, hi = ball_bounds(tau_hats, grid[:, None], thetas[:, None, None])
     mean = dist.mean()
     p = float(dist.cdf(mean))
     at_hi, at_lo = hi <= p + _LEVEL_GUARD, lo >= p - _LEVEL_GUARD
-    levels, inverse = np.unique(np.concatenate((hi[at_hi], lo[at_lo])), return_inverse=True)
+    levels, inverse = np.unique(np.concatenate((tau_hats, [tau], hi[at_hi], lo[at_lo])),
+                                return_inverse=True)
     priced = np.asarray(dist.quantile(levels), dtype=float)[inverse]
+    n = tau_hats.size
     q_hi, q_lo = np.full(hi.shape, np.inf), np.full(lo.shape, -np.inf)
-    n_hi = np.count_nonzero(at_hi)
-    q_hi[at_hi], q_lo[at_lo] = priced[:n_hi], priced[n_hi:]
-    offers, _ = dr_s_rule(q_lo, q_hi, mean)
-    table = np.zeros((grid.size, m + 1))
-    table[:, columns] = _losses_for_offers(dist, config.true_tau, offers)
+    q_hi[at_hi], q_lo[at_lo] = np.split(priced[n + 1:], [np.count_nonzero(at_hi)])
+    dr_offers, _ = dr_s_rule(q_lo, q_hi, mean)
+    offers = np.vstack((np.full(n, priced[n]), priced[:n], np.full(n, mean),
+                        dr_offers.reshape(-1, n)))
+    table = np.zeros((len(offers), m + 1))
+    table[:, columns] = _losses_for_offers(dist, tau, offers)
     return table
 
 
-def _bn_loss_row(config: SimConfig, m: int, columns: np.ndarray) -> np.ndarray:
-    """Expected loss per tau_hat value of the plain newsvendor, scored at ``columns`` only."""
-    row = np.zeros(m + 1)
-    row[columns] = _losses_for_offers(config.true_dist, config.true_tau,
-                                      config.true_dist.quantile(columns / m))
-    return row
-
-
-def _block_gammas(counts_blocks: np.ndarray, bn_table: np.ndarray,
+def _block_gammas(counts_blocks: np.ndarray, bn_row: np.ndarray,
                   l_oracle: float, dr_column: np.ndarray) -> np.ndarray:
     sizes = counts_blocks.sum(axis=1)
-    l_bn = counts_blocks @ bn_table / sizes
+    l_bn = counts_blocks @ bn_row / sizes
     l_dr = counts_blocks @ dr_column / sizes
     denom = l_bn - l_oracle
     with np.errstate(divide="ignore", invalid="ignore"):
@@ -328,11 +327,8 @@ def run_epsilon_sweep(config: SimConfig, m: int) -> SimResult:
         # yield bit-equal curve values (the epsilon-endpoint identities)
         return float(np.dot(row, weights) / n)
 
-    dist = config.true_dist
-    bn_table = _bn_loss_row(config, m, seen)
-    l_oracle = average(np.full(m + 1, expected_loss(dist, float(dist.quantile(config.true_tau)), config.true_tau)))
-    l_robust = average(np.full(m + 1, expected_loss(dist, dist.mean(), config.true_tau)))
-    l_bn = average(bn_table)
+    table = _loss_table(config, m, seen)
+    l_oracle, l_bn, l_robust = (average(row) for row in table[:3])
 
     curves: dict[str, np.ndarray] = {
         "oracle": np.full(grid.size, l_oracle),
@@ -343,15 +339,14 @@ def run_epsilon_sweep(config: SimConfig, m: int) -> SimResult:
     best_eps: dict[str, float] = {}
     ses: dict[str, float] = {}
     diff_blocks: dict[str, np.ndarray] = {}
-    for kind in config.ball_kinds:
+    for kind, rows in zip(config.ball_kinds, table[3:].reshape(-1, grid.size, m + 1)):
         arm = _ARM_UNIFORM if kind == "uniform" else _ARM_LEVEL_ADJUSTED
-        table = _dr_loss_table(config, m, kind, seen)
-        curve = np.array([average(row) for row in table])
+        curve = np.array([average(row) for row in rows])
         curves[arm] = curve
         idx = int(np.argmin(curve))
         best_eps[arm] = float(grid[idx])
         gammas[arm] = gamma(l_bn, l_oracle, float(curve[idx]))
-        g_blocks = _block_gammas(counts_blocks, bn_table, l_oracle, table[idx])
+        g_blocks = _block_gammas(counts_blocks, table[1], l_oracle, rows[idx])
         diff_blocks[arm] = g_blocks
         se = _se(g_blocks)
         if se is not None:

@@ -39,7 +39,7 @@ from drnewsvendor import (
     worst_case_cdf,
 )
 from drnewsvendor.cli import dispatch
-from drnewsvendor.montecarlo import _dr_loss_table, _losses_for_offers
+from drnewsvendor.montecarlo import _loss_table
 
 from conftest import grid_expected_loss, random_dist
 
@@ -139,18 +139,15 @@ def m_sweep_run():
 
 
 def _exact_gammas(m: int, theta: float = 0.9):
-    dist, tau = Beta(2, 6), 0.75
-    cfg = SimConfig(true_dist=dist, true_tau=tau, n_replicates=1,
+    """Each ball's gamma with no Monte-Carlo error: the loss table weighted by the binomial pmf."""
+    cfg = SimConfig(true_dist=Beta(2, 6), true_tau=0.75, n_replicates=1,
                     master_seed=0, theta=theta)
     ks = np.arange(m + 1)
-    pmf = stats.binom.pmf(ks, m, tau)
-    l_bn = pmf @ _losses_for_offers(dist, tau, np.asarray(dist.quantile(ks / m), dtype=float))
-    l_o = expected_loss(dist, float(dist.quantile(tau)), tau)
-    out = {}
-    for kind in ("uniform", "level_adjusted"):
-        curve = _dr_loss_table(cfg, m, kind, ks) @ pmf
-        out[kind] = (l_bn - curve.min()) / (l_bn - l_o)
-    return out
+    losses = _loss_table(cfg, m, ks) @ stats.binom.pmf(ks, m, cfg.true_tau)
+    l_o, l_bn = losses[:2]
+    curves = losses[3:].reshape(len(cfg.ball_kinds), -1)
+    return {kind: (l_bn - curve.min()) / (l_bn - l_o)
+            for kind, curve in zip(cfg.ball_kinds, curves)}
 
 
 def test_c3_m_sweep_trend(m_sweep_run):
@@ -176,6 +173,30 @@ def test_c3_m_sweep_trend(m_sweep_run):
           f"gamma_u(75)={res.gamma_u[-1]:.4f} (<0.05); "
           f"m=2,3 anomaly matches exact values")
     assert ok_order and ok_tail and ok_anomaly
+
+
+def test_c3_every_m_sweep_point_lies_near_its_exact_gamma(m_sweep_run):
+    """Each gamma for m = 1..75 is within 4 standard errors of its exact value.
+
+    This pins the whole curve, not only the trend C3 checks. A point with
+    no or a zero standard error must equal its exact value to 1e-12.
+    """
+    res = m_sweep_run
+    worst = (0.0, None, None)
+    for i, m in enumerate(res.m_values.tolist()):
+        exact = _exact_gammas(m)
+        for kind, gammas, ses in (("uniform", res.gamma_u, res.gamma_u_se),
+                                  ("level_adjusted", res.gamma_la, res.gamma_la_se)):
+            gap, se = gammas[i] - exact[kind], ses[i]
+            if np.isfinite(se) and se > 0.0:
+                z = gap / se
+                assert abs(z) <= 4.0, (m, kind, z)
+                worst = max(worst, (abs(z), m, kind), key=lambda w: w[0])
+            else:
+                assert abs(gap) <= 1e-12, (m, kind, gap)
+    _line("C3-curve", True,
+          f"{2 * res.m_values.size} points within 4se of the exact gammas "
+          f"(max |z| {worst[0]:.2f} at m={worst[1]}, {worst[2]})")
 
 
 @pytest.mark.xfail(

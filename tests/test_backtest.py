@@ -913,6 +913,32 @@ def test_a_selection_checks_its_values_when_built_and_its_windows_where_priced()
             chosen.params_for("bn", 31, SMALL_PLAN)
 
 
+_STATIC = {"oracle": {}, "bn": {"m": 8}, "dr_s_uniform": {"m": 8, "epsilon": 0.1}}
+
+
+@pytest.mark.parametrize("build, message", [
+    (lambda eps: BacktestPlan(strategies=("dr_s_uniform",), epsilon_grid=(0.1, eps)),
+     "epsilon_grid: inf must be finite, as strategy 'dr_s_uniform' needs"),
+    (lambda eps: ChosenParameters(mode=CvMode.FIXED_WINDOW, static={
+        **_STATIC, "dr_s_uniform": {"m": 8, "epsilon": eps}}),
+     "chosen parameters: strategy 'dr_s_uniform' parameter 'epsilon' must be finite, got inf"),
+    (lambda eps: ChosenParameters(mode=CvMode.SLIDING, per_day={
+        31: _STATIC, 32: {**_STATIC, "dr_s_uniform": {"m": 8, "epsilon": eps}}}),
+     "chosen parameters: strategy 'dr_s_uniform' parameter 'epsilon' must be finite, "
+     "got inf on day 32"),
+], ids=["plan-grid", "fixed-selection", "sliding-selection"])
+def test_an_infinite_uniform_radius_is_rejected_by_plans_and_selections(build, message):
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+        build(float("inf"))
+    # an integer past the float range would overflow where the ball is built
+    with pytest.raises(ValueError, match=re.escape(message.replace("inf", str(10**400), 1))):
+        build(10**400)
+    # a negative infinity keeps its message, and a finite radius of any size passes
+    with pytest.raises(ValueError, match="-inf must be non-negative|non-negative, got -inf"):
+        build(float("-inf"))
+    build(1e300)
+
+
 # ---------- report artifacts ----------
 
 

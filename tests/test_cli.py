@@ -439,7 +439,11 @@ def test_backtest_names_a_params_file_that_is_not_json(tmp_path, capsys, market_
     (["backtest", "--params", "sliding.json"],
      "chosen parameters: strategy 'bn' parameter 'm' must be an integer from 1 to 90, "
      "got 500 on day 999"),
-], ids=["m-grid", "warm-start-days", "params", "params-m-fixed", "params-m-unpriced-day"])
+    # JSON's Infinity parses to a float the artifact could only echo as null
+    (["backtest", "--params", "infinite.json"],
+     "chosen parameters: strategy 'dr_s_uniform' parameter 'epsilon' must be finite, got inf"),
+], ids=["m-grid", "warm-start-days", "params", "params-m-fixed", "params-m-unpriced-day",
+        "params-epsilon-infinite"])
 def test_flags_and_params_are_checked_before_the_market_is_read(tmp_path, monkeypatch, capsys,
                                                                 argv, message):
     def load_market_data(*args, **kwargs):
@@ -452,6 +456,8 @@ def test_flags_and_params_are_checked_before_the_market_is_read(tmp_path, monkey
         {"mode": "fixed_window", "static": {"oracle": {}, "bn": {"m": 500}}}))
     (tmp_path / "sliding.json").write_text(json.dumps(
         {"mode": "sliding", "per_day": {"131": {"bn": {"m": 90}}, "999": {"bn": {"m": 500}}}}))
+    (tmp_path / "infinite.json").write_text(
+        '{"mode": "fixed_window", "static": {"dr_s_uniform": {"m": 8, "epsilon": Infinity}}}')
     # the market does not exist either: the flag's own error is the one reported
     assert dispatch([*argv, "--market", "nope.csv", "--forecasts", "fc"]) == 1
     assert json.loads(capsys.readouterr().err)["error"].startswith(message)

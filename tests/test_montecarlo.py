@@ -17,6 +17,8 @@ from drnewsvendor import (
     PiecewiseLinear,
     SimConfig,
     Uniform01,
+    deform_lower,
+    deform_upper,
     expected_loss,
     gamma,
     run_epsilon_sweep,
@@ -29,9 +31,9 @@ from drnewsvendor.montecarlo import (
     BLOCK_SIZE,
     _binomial_counts,
     _count_thresholds,
-    _dr_loss_table,
     _draw_count_blocks,
     _inversion_terms,
+    _loss_table,
     _losses_for_offers,
     _numpy_thresholds,
 )
@@ -64,6 +66,19 @@ def test_dr_curve_endpoints_exact():
     assert res.curves["dr_uniform"][0] == res.curves["bn"][0]
     assert res.curves["dr_uniform"][-1] == res.curves["robust"][0]
     # level-adjusted starts at the newsvendor point too
+    assert res.curves["dr_level_adjusted"][0] == res.curves["bn"][0]
+
+
+@pytest.mark.parametrize("deform", [deform_upper, deform_lower])
+def test_dr_curve_endpoints_exact_under_the_quadrature_rule(deform):
+    # a deformed Beta takes its partial expectations from the quadrature
+    # rule, whose sums round with the shape of the offers priced; equal
+    # offers still get equal losses
+    dist = deform(Beta(2, 6), 0.3)
+    res = run_epsilon_sweep(small_config(true_dist=dist, n_replicates=20_000,
+                                         epsilon_grid=(0.0, 0.1, 0.5, 1.0)), 10)
+    assert res.curves["dr_uniform"][0] == res.curves["bn"][0]
+    assert res.curves["dr_uniform"][-1] == res.curves["robust"][0]
     assert res.curves["dr_level_adjusted"][0] == res.curves["bn"][0]
 
 
@@ -307,8 +322,10 @@ def test_dr_table_matches_scalar_solver():
     from drnewsvendor import BallKind, make_bernoulli_ball, solve_dr_s
 
     cfg = small_config()
-    table = _dr_loss_table(cfg, 6, "level_adjusted", np.arange(7))
     grid = np.asarray(cfg.epsilon_grid)
+    # the rows after the oracle, bn, robust and uniform rows
+    assert cfg.ball_kinds == ("uniform", "level_adjusted")
+    table = _loss_table(cfg, 6, np.arange(7))[3 + grid.size:]
     for i in (0, 5, len(grid) - 1):
         for k in range(7):
             ball = make_bernoulli_ball(k / 6, float(grid[i]), BallKind.LEVEL_ADJUSTED,
@@ -318,23 +335,21 @@ def test_dr_table_matches_scalar_solver():
             assert table[i, k] == pytest.approx(expect, abs=1e-14)
 
 
-def _unpruned_loss_table(config: SimConfig, m: int, kind: str) -> np.ndarray:
-    """The DR loss table with both ball bounds of every cell priced."""
+def _unpruned_loss_table(config: SimConfig, m: int) -> np.ndarray:
+    """The loss table with every estimate k/m and both ball bounds of every cell priced."""
+    dist = config.true_dist
     grid = np.asarray(config.epsilon_grid, dtype=float)
     tau_hats = np.arange(m + 1, dtype=float) / m
-    theta = config.theta if kind == "level_adjusted" else 0.0
-    lo, hi = ball_bounds(tau_hats[None, :], grid[:, None], theta)
-    dist = config.true_dist
-    offers, _ = dr_s_rule(np.asarray(dist.quantile(lo), dtype=float),
-                          np.asarray(dist.quantile(hi), dtype=float), dist.mean())
-    return _losses_for_offers(dist, config.true_tau, offers)
-
-
-def _unpruned_bn_row(config: SimConfig, m: int) -> np.ndarray:
-    """The plain newsvendor's loss row with every estimate k/m priced."""
-    dist = config.true_dist
-    offers = np.asarray(dist.quantile(np.arange(m + 1, dtype=float) / m), dtype=float)
-    return _losses_for_offers(dist, config.true_tau, offers)
+    rows = [np.full(m + 1, float(dist.quantile(config.true_tau))),
+            np.asarray(dist.quantile(tau_hats), dtype=float),
+            np.full(m + 1, dist.mean())]
+    for kind in config.ball_kinds:
+        theta = config.theta if kind == "level_adjusted" else 0.0
+        lo, hi = ball_bounds(tau_hats[None, :], grid[:, None], theta)
+        offers, _ = dr_s_rule(np.asarray(dist.quantile(lo), dtype=float),
+                              np.asarray(dist.quantile(hi), dtype=float), dist.mean())
+        rows.extend(offers)
+    return _losses_for_offers(dist, config.true_tau, np.array(rows))
 
 
 @st.composite
@@ -353,6 +368,8 @@ def _atom_at_mean(draw) -> PiecewiseLinear:
     return PiecewiseLinear(levels, np.concatenate((values, [0.5, 0.5], 1.0 - values[::-1])))
 
 
+_ball_kinds = st.sampled_from([(), ("uniform",), ("level_adjusted",),
+                               ("uniform", "level_adjusted"), ("level_adjusted", "uniform")])
 _unit_dists = st.one_of(
     st.sampled_from([(0.5, 8.0), (8.0, 0.5)]).map(lambda ab: Beta(*ab)),
     st.tuples(st.floats(0.3, 20.0), st.floats(0.3, 20.0)).map(lambda ab: Beta(*ab)),
@@ -365,33 +382,32 @@ _unit_dists = st.one_of(
 @given(
     dist=_unit_dists,
     m=st.integers(1, 40),
-    kind=st.sampled_from(["uniform", "level_adjusted"]),
+    kinds=_ball_kinds,
     radii=st.lists(st.floats(0.0, 1.0), max_size=12),
     theta=st.floats(0.0, 0.99),
     tau=st.floats(0.05, 0.95),
 )
-def test_pruned_dr_table_is_bit_identical(dist, m, kind, radii, theta, tau):
+def test_pruned_dr_table_is_bit_identical(dist, m, kinds, radii, theta, tau):
     if isinstance(dist, PiecewiseLinear):
         assert dist.mean() == 0.5 and dist.cdf(0.5) > dist.cdf(0.5 - 1e-12)
     grid = tuple(sorted({0.0, 1.0, *radii}))
     cfg = SimConfig(true_dist=dist, true_tau=tau, n_replicates=1,
-                    epsilon_grid=grid, theta=theta)
-    table = _dr_loss_table(cfg, m, kind, np.arange(m + 1))
-    assert table.tobytes() == _unpruned_loss_table(cfg, m, kind).tobytes()
+                    epsilon_grid=grid, theta=theta, ball_kinds=kinds)
+    table = _loss_table(cfg, m, np.arange(m + 1))
+    assert table.shape == (3 + len(kinds) * len(grid), m + 1)
+    assert table.tobytes() == _unpruned_loss_table(cfg, m).tobytes()
 
 
 def _sweep_outputs(cfg: SimConfig, m: int, full_table: bool = False) -> str:
     """Every output of ``run_epsilon_sweep`` but its runtime, or its error, as exact text.
 
-    With ``full_table`` the bn row prices every column and the DR tables
-    every column of every cell.
+    With ``full_table`` the loss table prices every column, and both ball
+    bounds of every cell.
     """
     with pytest.MonkeyPatch.context() as mp:
         if full_table:
-            mp.setattr(montecarlo, "_dr_loss_table",
-                       lambda config, m, kind, columns: _unpruned_loss_table(config, m, kind))
-            mp.setattr(montecarlo, "_bn_loss_row",
-                       lambda config, m, columns: _unpruned_bn_row(config, m))
+            mp.setattr(montecarlo, "_loss_table",
+                       lambda config, m, columns: _unpruned_loss_table(config, m))
         try:
             res = run_epsilon_sweep(cfg, m)
         except ValueError as exc:
@@ -407,15 +423,16 @@ def _sweep_outputs(cfg: SimConfig, m: int, full_table: bool = False) -> str:
 @given(
     dist=_unit_dists,
     m=st.one_of(st.integers(1, 40), st.integers(61, 200)),
+    kinds=_ball_kinds,
     radii=st.lists(st.floats(0.0, 1.0), max_size=8),
     theta=st.floats(0.0, 0.99),
     tau=st.one_of(st.floats(0.0, 0.02), st.floats(0.98, 1.0), st.just(0.5), st.floats(0.2, 0.8)),
     n=st.integers(2 * BLOCK_SIZE + 1, 3 * BLOCK_SIZE),
     seed=st.integers(0, 2**32),
 )
-def test_sweep_over_seen_columns_is_bit_identical(dist, m, radii, theta, tau, n, seed):
+def test_sweep_over_seen_columns_is_bit_identical(dist, m, kinds, radii, theta, tau, n, seed):
     # m above 60 with tau in [0.2, 0.8] crosses p * m = 30, where numpy samples by BTPE
-    cfg = SimConfig(true_dist=dist, true_tau=tau, n_replicates=n,
+    cfg = SimConfig(true_dist=dist, true_tau=tau, n_replicates=n, ball_kinds=kinds,
                     epsilon_grid=tuple(sorted({0.0, 1.0, *radii})), theta=theta, master_seed=seed)
     assert _sweep_outputs(cfg, m) == _sweep_outputs(cfg, m, full_table=True)
 
@@ -427,11 +444,10 @@ def test_sparse_sweep_scores_only_seen_columns():
     seen = np.flatnonzero(counts)
     assert seen.size < 0.2 * counts.size
     assert _sweep_outputs(cfg, 2000) == _sweep_outputs(cfg, 2000, full_table=True)
-    for kind in cfg.ball_kinds:
-        table = _dr_loss_table(cfg, 2000, kind, seen)
-        full = _unpruned_loss_table(cfg, 2000, kind)
-        assert table[:, seen].tobytes() == full[:, seen].tobytes()
-        assert not np.any(np.delete(table, seen, axis=1))
+    table = _loss_table(cfg, 2000, seen)
+    full = _unpruned_loss_table(cfg, 2000)
+    assert table[:, seen].tobytes() == full[:, seen].tobytes()
+    assert not np.any(np.delete(table, seen, axis=1))
 
 
 class _CountingBeta(Beta):
@@ -449,26 +465,44 @@ class _CountingBeta(Beta):
 @pytest.mark.parametrize("kind, share", [("uniform", 0.05), ("level_adjusted", 1 / 3)])
 def test_dr_table_prices_few_levels(kind, share):
     # the msweep default grid at its largest m: 101 radii by 76 estimates,
-    # two bounds each, 15,352 levels per table. Near tau_hat = 1/2 the
+    # two bounds each, 15,352 levels per ball. Near tau_hat = 1/2 the
     # level-adjusted ball is a tenth as wide, so around F(mean) = 0.555 one
-    # of its bounds stays priceable at every radius: it keeps 32%.
+    # of its bounds stays priceable at every radius: it keeps 32%, and the
+    # true chance and the 76 estimates fit in the rest of the share.
     dist = _CountingBeta(2, 6)
-    cfg = SimConfig(true_dist=dist, true_tau=0.75, n_replicates=1)
-    table = _dr_loss_table(cfg, 75, kind, np.arange(76))
+    cfg = SimConfig(true_dist=dist, true_tau=0.75, n_replicates=1, ball_kinds=(kind,))
+    table = _loss_table(cfg, 75, np.arange(76))
     assert len(dist.priced) == 1
     assert dist.priced[0] <= share * 2 * 101 * 76
     dist.priced.clear()
-    assert table.tobytes() == _unpruned_loss_table(cfg, 75, kind).tobytes()
+    assert table.tobytes() == _unpruned_loss_table(cfg, 75).tobytes()
 
 
 def test_bn_row_prices_only_drawn_estimates():
-    # at m = 10^6 the 100 replicates draw at most 100 of the 1,000,001 estimates;
-    # with no DR arm the quantile calls are the bn row's and the oracle's
+    # at m = 10^6 the 100 replicates draw at most 100 of the 1,000,001
+    # estimates; with no DR arm the one quantile call prices those and the
+    # true chance
     dist = _CountingBeta(2, 6)
     res = run_epsilon_sweep(SimConfig(true_dist=dist, true_tau=0.75,
                                       n_replicates=100, ball_kinds=()), 10**6)
     assert res.tau_hat_counts.sum() == 100
-    assert max(dist.priced) <= 100
+    assert len(dist.priced) == 1 and dist.priced[0] <= 101
+
+
+@pytest.mark.parametrize("kinds", [(), ("uniform",), ("level_adjusted", "uniform")])
+def test_a_sweep_prices_every_arm_in_one_quantile_and_one_loss_call(monkeypatch, kinds):
+    losses = []
+
+    def counted(dist, y, tau):
+        losses.append(np.size(y))
+        return expected_loss(dist, y, tau)
+
+    monkeypatch.setattr(montecarlo, "expected_loss", counted)
+    dist = _CountingBeta(2, 6)
+    res = run_epsilon_sweep(small_config(true_dist=dist, ball_kinds=kinds), 10)
+    assert len(dist.priced) == 1 and len(losses) == 1
+    assert set(res.curves) == {"oracle", "bn", "robust"} | {
+        {"uniform": "dr_uniform", "level_adjusted": "dr_level_adjusted"}[kind] for kind in kinds}
 
 
 def test_gamma_standard_errors_shrink_with_n():
