@@ -84,18 +84,8 @@ MARKET_HEADER = ("timestamp", "pi_s", "pi_b", "s_L", "omega_star")
 _TS_FORMAT = "%Y-%m-%dT%H"
 
 
-class _WeaklyReferable:
-    """A slotted base that gives slotted subclasses weak references.
-
-    ``dataclass(weakref_slot=True)`` does the same from Python 3.11; the
-    package supports 3.10.
-    """
-
-    __slots__ = ("__weakref__",)
-
-
-@dataclass(frozen=True, slots=True, eq=False)
-class MarketRecord(_WeaklyReferable):
+@dataclass(frozen=True, slots=True, eq=False, weakref_slot=True)
+class MarketRecord:
     """One settlement period with its day-ahead quantile forecast.
 
     Records compare and hash by identity, as their forecasts do.
@@ -133,6 +123,13 @@ def _follow_problem(prev: datetime, cur: datetime) -> str | None:
         return (f"does not advance the local hour of {prev.isoformat()}; "
                 f"periods are keyed by local date and hour")
     return None
+
+
+def _check_follows(stamps: Sequence[datetime]) -> None:
+    """Raise, naming the stamp, at the first one that does not follow the one before it."""
+    for cur, problem in zip(stamps[1:], map(_follow_problem, stamps, stamps[1:])):
+        if problem:
+            raise ValueError(f"{cur.isoformat()} {problem}")
 
 
 class CvMode(Enum):
@@ -385,9 +382,7 @@ class _MarketFrame:
         if not records:
             raise ValueError("no market records")
         stamps = list(map(attrgetter("timestamp"), records))
-        for cur, problem in zip(stamps[1:], map(_follow_problem, stamps, stamps[1:])):
-            if problem:
-                raise ValueError(f"{cur.isoformat()} {problem}")
+        _check_follows(stamps)
         ordinal = np.fromiter(map(datetime.toordinal, stamps), np.int64, len(stamps))
 
         def column(name: str) -> np.ndarray:
@@ -765,7 +760,23 @@ def load_market_data(market_csv, forecast_dir, strict: bool = False) -> list[Mar
     return records
 
 
+def _writable(records: Iterable[MarketRecord]) -> list[MarketRecord]:
+    """``records`` as a list, once every stamp is one ``load_market_data`` reads back.
+
+    Each stamp must be on the hour and follow the one before it, as the
+    loader's rows must. The writers check this before they create any file.
+    """
+    records = list(records)
+    stamps = list(map(attrgetter("timestamp"), records))
+    for ts in stamps:
+        if ts.minute or ts.second or ts.microsecond:
+            raise ValueError(f"{ts.isoformat()}: not on the hour; files key each period by its hour")
+    _check_follows(stamps)
+    return records
+
+
 def write_market_csv(records: Iterable[MarketRecord], path) -> None:
+    records = _writable(records)
     path = Path(path)
     path.parent.mkdir(parents=True, exist_ok=True)
     with path.open("w", newline="") as fh:
@@ -781,6 +792,7 @@ def write_market_csv(records: Iterable[MarketRecord], path) -> None:
 
 def write_forecast_dir(records: Iterable[MarketRecord], dirpath) -> None:
     """One ``level,value`` file per delivery hour, named by its timestamp."""
+    records = _writable(records)
     dirpath = Path(dirpath)
     dirpath.mkdir(parents=True, exist_ok=True)
     # records usually share a few forecast objects, which hash by identity:

@@ -63,10 +63,15 @@ _QUANTILE_RULE = _graded_gauss_legendre()
 
 
 def _integral_to(q, p) -> np.ndarray:
-    """Integral of the vectorized function ``q`` over [0, p], elementwise in ``p``."""
+    """Integral of the vectorized function ``q`` over [0, p], elementwise in ``p``.
+
+    Each row is summed by the same reduction whatever the shape of ``p``, so
+    an entry's bits do not depend on the entries priced with it (a matrix
+    product rounds a scalar's dot and an array's rows differently).
+    """
     nodes, weights = _QUANTILE_RULE
     p = np.asarray(p, dtype=float)
-    return p * (np.asarray(q(p[..., None] * nodes), dtype=float) @ weights)
+    return p * (np.asarray(q(p[..., None] * nodes), dtype=float) * weights).sum(axis=-1)
 
 
 def _match_input(x, out):
@@ -84,7 +89,9 @@ class UnitDistribution(ABC):
     function; ``mean`` and ``partial_expectations`` default to a fixed
     Gauss-Legendre rule on the quantile domain (:data:`_QUANTILE_RULE`)
     and are overridden where a closed form exists. Every query
-    accepts a scalar or an array, elementwise.
+    accepts a scalar or an array, elementwise: an entry's result is the
+    same to the bit whether it is asked alone or within an array of any
+    shape.
     """
 
     __slots__ = ()

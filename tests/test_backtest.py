@@ -1,9 +1,11 @@
 """Backtest protocol: data IO, cross-validation, settlement, look-ahead guard."""
 
+import copy
 import csv
 import gc
 import io
 import json
+import pickle
 import re
 import tracemalloc
 import weakref
@@ -291,6 +293,36 @@ def test_forecast_dir_files_match_single_writes(tmp_path):
         name = rec.timestamp.strftime("%Y-%m-%dT%H") + ".csv"
         assert (tmp_path / "dir" / name).read_bytes() == _forecast_text(rec.forecast).encode()
     assert len(list((tmp_path / "dir").iterdir())) == len(recs)
+
+
+def _half_past(records):
+    return [replace(r, timestamp=r.timestamp + timedelta(minutes=30)) for r in records]
+
+
+def _fall_back(records):
+    # a daylight-saving fall-back: 02:00 local comes at +02:00, then at +01:00,
+    # and both stamps would name one forecast file
+    stamps = (datetime(2018, 10, 28, 2, tzinfo=timezone(timedelta(hours=2))),
+              datetime(2018, 10, 28, 2, tzinfo=timezone(timedelta(hours=1))))
+    return [replace(r, timestamp=ts) for r, ts in zip(records, stamps)]
+
+
+@pytest.mark.parametrize("write", [
+    lambda recs, out: write_market_csv(recs, out / "market" / "m.csv"),
+    lambda recs, out: write_forecast_dir(recs, out / "fc"),
+], ids=["market_csv", "forecast_dir"])
+@pytest.mark.parametrize("edit, message", [
+    (_half_past, "2018-10-01T00:30:00: not on the hour"),
+    (lambda recs: [recs[0], recs[0], *recs[1:]],
+     "2018-10-01T00:00:00 follows 2018-10-01T00:00:00; timestamps must be strictly increasing"),
+    (_fall_back, "2018-10-28T02:00:00+01:00 does not advance the local hour of 2018-10-28T02:00:00+02:00"),
+], ids=["half_past", "repeated_stamp", "repeated_local_hour"])
+def test_writers_refuse_a_market_the_loader_would_refuse(tmp_path, write, edit, message):
+    # every stamp is checked before any file is made, so nothing is left behind
+    records = edit(small_market(days=2))
+    with pytest.raises(ValueError, match=re.escape(message)):
+        write(iter(records), tmp_path)
+    assert not any(tmp_path.iterdir())
 
 
 def test_load_gap_warns_and_strict_fails(tmp_path):
@@ -986,6 +1018,22 @@ def test_market_record_rejects_a_non_finite_price_naming_it(field, value):
     with pytest.raises(ValueError, match=re.escape(f"2020-01-01T05:00:00: {field} must be "
                                                    f"finite, got {value}")):
         MarketRecord(datetime(2020, 1, 1, 5), omega_star=0.5, forecast=fc, **prices)
+
+
+def _fields(record):
+    return (record.timestamp, record.pi_s, record.pi_b, record.s_l, record.omega_star,
+            _forecast_text(record.forecast))
+
+
+def test_market_record_is_slotted_and_weakly_referable():
+    record = small_market(days=1)[0]
+    assert not hasattr(record, "__dict__")
+    assert weakref.ref(record)() is record
+    for twin in (pickle.loads(pickle.dumps(record)), copy.deepcopy(record)):
+        assert twin is not record and _fields(twin) == _fields(record)
+    # replace builds a new record through __post_init__, so its checks still run
+    with pytest.raises(ValueError, match="omega_star must lie in"):
+        replace(record, omega_star=1.5)
 
 
 def test_scale_penalties_rejects_a_factor_that_overflows_a_price():

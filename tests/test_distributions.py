@@ -12,8 +12,12 @@ from drnewsvendor import (
     PiecewiseLinear,
     RngStream,
     Uniform01,
+    deform_lower,
+    deform_upper,
+    expected_loss,
     read_quantile_forecast,
     standard_forecast_levels,
+    worst_case_cdf,
 )
 from drnewsvendor.distributions import _forecast_text
 
@@ -31,6 +35,22 @@ def all_dists():
     levels = standard_forecast_levels()
     pw = PiecewiseLinear(levels, Beta(2, 6).quantile(levels))
     return [Beta(2, 6), Uniform01(), Heaviside(0.4), pw]
+
+
+@pytest.mark.parametrize("dist", [
+    deform_lower(Beta(2, 6), 0.3),
+    deform_upper(Beta(2, 6), 0.6),
+    worst_case_cdf(Beta(2, 6), 0.7, 0.4),
+], ids=["lower", "upper", "worst_case"])
+def test_quadrature_losses_do_not_depend_on_the_call_shape(dist):
+    # these price their moments by the default quadrature rule; an offer's
+    # loss must carry the same bits alone, in a row and in a matrix
+    offers = np.random.default_rng(5).random(100)
+    alone = np.array([expected_loss(dist, float(y), 0.75) for y in offers])
+    row = np.asarray(expected_loss(dist, offers, 0.75))
+    matrix = np.asarray(expected_loss(dist, offers.reshape(4, 25), 0.75))
+    assert row.tobytes() == alone.tobytes()
+    assert matrix.ravel().tobytes() == alone.tobytes()
 
 
 def test_cdf_upper_support_bound():

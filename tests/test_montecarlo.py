@@ -335,6 +335,27 @@ def test_dr_table_matches_scalar_solver():
             assert table[i, k] == pytest.approx(expect, abs=1e-14)
 
 
+def test_every_table_cell_is_its_offers_scalar_loss(monkeypatch):
+    # a deformed Beta prices its losses by quadrature: pricing the table's
+    # offers together must not move a bit from pricing each one alone
+    cfg = small_config(true_dist=deform_lower(Beta(2, 6), 0.3),
+                       epsilon_grid=(0.0, 0.05, 0.1, 0.2, 0.4))
+    priced = []
+
+    def spy(dist, tau, offers):
+        priced.append(offers)
+        return _losses_for_offers(dist, tau, offers)
+
+    monkeypatch.setattr(montecarlo, "_losses_for_offers", spy)
+    columns = np.arange(13)
+    table = _loss_table(cfg, 12, columns)
+    [offers] = priced
+    assert offers.shape == table.shape
+    alone = {y: expected_loss(cfg.true_dist, y, cfg.true_tau) for y in np.unique(offers).tolist()}
+    expect = np.vectorize(alone.__getitem__, otypes=[float])(offers)
+    assert table.tobytes() == expect.tobytes()
+
+
 def _unpruned_loss_table(config: SimConfig, m: int) -> np.ndarray:
     """The loss table with every estimate k/m and both ball bounds of every cell priced."""
     dist = config.true_dist
