@@ -30,7 +30,7 @@ import warnings
 import weakref
 from collections.abc import Iterable, Mapping, Sequence
 from dataclasses import dataclass, replace
-from datetime import datetime
+from datetime import datetime, timezone
 from enum import Enum
 from itertools import islice, product
 from operator import attrgetter
@@ -114,9 +114,11 @@ class MarketRecord:
 
 def _follow_problem(prev: datetime, cur: datetime) -> str | None:
     """What keeps a period stamped ``cur`` from following one stamped ``prev``, or None."""
-    if (prev.utcoffset() is None) != (cur.utcoffset() is None):
+    aware = cur.utcoffset() is not None
+    if (prev.utcoffset() is not None) != aware:
         return f"mixes naive and timezone-aware timestamps with {prev.isoformat()}"
-    if cur <= prev:
+    # aware stamps compare as instants: with one tzinfo, Python ignores fold
+    if (cur.astimezone(timezone.utc) <= prev.astimezone(timezone.utc)) if aware else cur <= prev:
         return f"follows {prev.isoformat()}; timestamps must be strictly increasing"
     if (cur.date(), cur.hour) <= (prev.date(), prev.hour):
         # e.g. the repeated hour of a daylight-saving fall-back

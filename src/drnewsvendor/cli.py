@@ -554,15 +554,14 @@ def dispatch(argv: list[str] | None = None) -> int:
     """Parse and run; returns the exit status."""
     argv = list(sys.argv[1:] if argv is None else argv)
     try:
-        argv = _apply_config(argv)
-    except (OSError, ValueError) as exc:
-        print(json.dumps({"error": str(exc)}), file=sys.stderr)
-        return 1
-    args = _parser().parse_args(argv)
-    try:
+        args = _parser().parse_args(_apply_config(argv))
         return args.handler(args)
-    except (ValueError, OSError, KeyError) as exc:
-        print(json.dumps({"error": str(exc)}), file=sys.stderr)
+    except (ValueError, OSError, KeyError, MemoryError) as exc:
+        error = str(exc)
+        if isinstance(exc, MemoryError):
+            # a size no process can hold; a list's MemoryError carries no text
+            error = f"out of memory: {error}" if error else "out of memory"
+        print(json.dumps({"error": error}), file=sys.stderr)
         return 1
 
 

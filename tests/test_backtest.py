@@ -695,6 +695,27 @@ _ZONE_SETS = {
 }
 
 
+def _instant(ts):
+    """A naive stamp's wall time, or an aware stamp's UTC time (its offset reads ``fold``)."""
+    return ts if ts.tzinfo is None else ts.replace(tzinfo=None) - ts.utcoffset()
+
+
+def _order_problem(prev, cur):
+    """The order rule written out: what keeps ``cur`` from following ``prev``, or None.
+
+    Stamps are ordered by :func:`_instant`, and a period is keyed by its
+    local date and hour.
+    """
+    if (prev.tzinfo is None) != (cur.tzinfo is None):
+        return f"mixes naive and timezone-aware timestamps with {prev.isoformat()}"
+    if _instant(cur) <= _instant(prev):
+        return f"follows {prev.isoformat()}; timestamps must be strictly increasing"
+    if (cur.date(), cur.hour) <= (prev.date(), prev.hour):
+        return (f"does not advance the local hour of {prev.isoformat()}; "
+                f"periods are keyed by local date and hour")
+    return None
+
+
 @settings(max_examples=300)
 @given(st.data())
 def test_frame_order_check_matches_the_pairwise_rule(data):
@@ -709,7 +730,7 @@ def test_frame_order_check_matches_the_pairwise_rule(data):
     forecast = PiecewiseLinear([0.5], [0.3])
     records = [MarketRecord(ts, 50.0, 40.0, 1.0, 0.5, forecast) for ts in stamps]
     problems = [f"{cur.isoformat()} {problem}" for cur, problem
-                in zip(stamps[1:], map(backtest._follow_problem, stamps, stamps[1:])) if problem]
+                in zip(stamps[1:], map(_order_problem, stamps, stamps[1:])) if problem]
     if problems:
         with pytest.raises(ValueError) as exc:
             backtest._MarketFrame(records)
@@ -739,6 +760,35 @@ def test_loader_and_frame_apply_one_order_rule(tmp_path, stamps, words):
     problem = str(api.value).removeprefix(stamps[1])
     assert problem != str(api.value) and words in problem
     assert str(loaded.value).endswith(problem)
+
+
+@pytest.mark.parametrize("wall, problem", [
+    # the fall-back hour, 02:00 at +02:00 then at +01:00: one hour later in time
+    (((2, 0, 0), (2, 0, 1)),
+     "does not advance the local hour of 2018-10-28T02:00:00+02:00; "
+     "periods are keyed by local date and hour"),
+    # 02:30 at +01:00, then 02:45 at +02:00: later in wall time, earlier in time
+    (((2, 30, 1), (2, 45, 0)),
+     "follows 2018-10-28T02:30:00+01:00; timestamps must be strictly increasing"),
+], ids=["fall_back_hour", "later_wall_time_earlier_instant"])
+def test_stamps_sharing_one_zone_follow_by_instant(tmp_path, wall, problem):
+    # both stamps hold one ZoneInfo object, which makes Python compare them by
+    # wall time; the rule compares them as the instants the loader's offsets give
+    stamps = [datetime(2018, 10, 28, h, m, tzinfo=_BERLIN, fold=fold) for h, m, fold in wall]
+    forecast = PiecewiseLinear([0.5], [0.3])
+    records = [MarketRecord(ts, 50.0, 40.0, 1.0, 0.5, forecast) for ts in stamps]
+    plan = BacktestPlan(strategies=("oracle",))
+    chosen = ChosenParameters(mode=CvMode.FIXED_WINDOW, static={"oracle": {}})
+    with pytest.raises(ValueError) as api:
+        offers_for_day(records, plan, chosen, 1)
+    assert str(api.value) == f"{stamps[1].isoformat()} {problem}"
+    if stamps[1].minute == 0:
+        # the loader reads the same stamps as text, at fixed offsets
+        market, fdir = _write_fixture(tmp_path, [(ts.isoformat(), 50.0, 40.0, 1.0, 0.5)
+                                                 for ts in stamps])
+        with pytest.raises(ValueError, match=re.escape(
+                f"m.csv:3: column 'timestamp': {stamps[1].isoformat()!r} {problem}")):
+            load_market_data(market, fdir)
 
 
 def test_gate_closures_estimate_tau_once_per_m_and_price_a_block_in_one_call():

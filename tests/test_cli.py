@@ -891,6 +891,23 @@ def test_config_errors_exit_1(tmp_path, monkeypatch, capsys, argv, message):
     assert not (tmp_path / "out.json").exists()
 
 
+# each size lies past a 47-bit address space (128 TiB), so every host refuses it
+# at once, whatever its overcommit policy
+@pytest.mark.parametrize("argv", [
+    ["simulate", "--dist", "beta:2,6", "--tau", "0.75", "--m", "5", "--eps-grid", "0:1e-15:1"],
+    ["deform", "--dist", "beta:2,6", "--rho", "0.3", "--grid-step", "1e-15"],
+    # a list built from a range raises a MemoryError with no text
+    ["msweep", "--dist", "beta:2,6", "--tau", "0.75", "--m-max", str(10**16)],
+    ["synth", "--days", str(10**12)],
+], ids=["simulate-eps-grid", "deform-grid-step", "msweep-m-max", "synth-days"])
+def test_a_size_no_process_can_allocate_exits_1(tmp_path, monkeypatch, capsys, argv):
+    monkeypatch.chdir(tmp_path)
+    assert dispatch(argv) == 1
+    [line] = capsys.readouterr().err.splitlines()
+    assert json.loads(line)["error"].startswith("out of memory")
+    assert not any(tmp_path.iterdir())
+
+
 @pytest.mark.parametrize("line, strict", [("strict = true", True), ("strict = false", False)])
 def test_a_config_true_line_turns_its_switch_on(tmp_path, monkeypatch, line, strict):
     seen = []

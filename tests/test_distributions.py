@@ -156,6 +156,19 @@ def test_partial_expectation_identity_on_grid():
             assert under + over - abs(mu - y) >= -1e-8
 
 
+@pytest.mark.parametrize("dist", [*all_dists(), deform_lower(Beta(2, 6), 0.3)],
+                         ids=["beta", "uniform", "heaviside", "piecewise", "deformed"])
+def test_partial_expectations_answer_a_scalar_with_floats_and_reject_a_bad_offer(dist):
+    under, over = dist.partial_expectations(0.3)
+    assert type(under) is float and type(over) is float
+    row = dist.partial_expectations(np.array([0.3, 0.6]))
+    assert [np.shape(v) for v in row] == [(2,), (2,)]
+    assert (row[0][0], row[1][0]) == (under, over)
+    for y in (1.5, -0.1, float("nan")):
+        with pytest.raises(ValueError, match=r"^y must lie in \[0, 1\]"):
+            dist.partial_expectations(y)
+
+
 def test_quantile_cdf_round_trip_property(rng):
     for _ in range(40):
         dist = random_dist(rng)
