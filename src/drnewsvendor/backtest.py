@@ -29,7 +29,7 @@ import sys
 import warnings
 import weakref
 from collections.abc import Iterable, Mapping, Sequence
-from dataclasses import dataclass, replace
+from dataclasses import InitVar, dataclass, replace
 from datetime import datetime, timezone
 from enum import Enum
 from itertools import islice, product
@@ -139,11 +139,15 @@ class CvMode(Enum):
     SLIDING = "sliding"
 
 
+# the key of the table a selection in each mode reads
+_TABLE_KEY = {CvMode.FIXED_WINDOW: "static", CvMode.SLIDING: "per_day"}
+
+
 @dataclass(frozen=True)
 class BacktestPlan:
-    """Protocol splits, parameter grids and the strategy roster."""
+    """Protocol splits (the warm start is read back as their sum), parameter grids and roster."""
 
-    warm_start_days: int = 131
+    warm_start_days: InitVar[int | None] = None
     tau_window_days: int = 91
     cv_days: int = 40
     cv_mode: CvMode = CvMode.FIXED_WINDOW
@@ -155,14 +159,15 @@ class BacktestPlan:
                                    "dr_s_level_adjusted", "robust_s")
     fallback_tau: float | None = None
 
-    def __post_init__(self):
+    def __post_init__(self, warm_start_days):
         if self.tau_window_days < 2 or self.cv_days < 1:
             raise ValueError(f"the tau window needs at least 2 days and the cross-validation span "
                              f"at least 1, got {self.tau_window_days} and {self.cv_days}")
-        if self.warm_start_days != self.tau_window_days + self.cv_days:
+        object.__setattr__(self, "warm_start_days", self.tau_window_days + self.cv_days)
+        if warm_start_days not in (None, self.warm_start_days):
             raise ValueError(
                 f"warm start must equal tau window plus cross-validation days: "
-                f"{self.warm_start_days} != {self.tau_window_days} + {self.cv_days}"
+                f"{warm_start_days} != {self.tau_window_days} + {self.cv_days}"
             )
         unknown = set(self.strategies) - set(STRATEGIES)
         if unknown:
@@ -223,11 +228,14 @@ class ChosenParameters:
     per_day: Mapping[int, Mapping[str, Mapping[str, float]]] | None = None
 
     def __post_init__(self):
-        key = "static" if self.mode is CvMode.FIXED_WINDOW else "per_day"
+        if not isinstance(self.mode, CvMode):
+            raise ValueError(f"chosen parameters: mode must be a CvMode, got {self.mode!r}")
+        key = _TABLE_KEY[self.mode]
         table = getattr(self, key)
         if not isinstance(table, Mapping):
             raise ValueError(f"chosen parameters: mode {self.mode.value!r} needs an object "
                              f"under key {key!r}")
+        _check_reads(self.mode, [k for k in _TABLE_KEY.values() if getattr(self, k) is not None])
         if self.mode is CvMode.SLIDING:
             for day, strats in table.items():
                 if not isinstance(strats, Mapping):
@@ -291,9 +299,12 @@ class ChosenParameters:
     def from_json_dict(cls, data: Mapping) -> "ChosenParameters":
         """Read :meth:`to_json_dict` output; a bad or missing key raises ``ValueError``.
 
-        A sliding selection's day keys must be canonical decimal integers
-        (``str(int(key)) == key``): ``"03"``, ``" 4"`` or ``"+5"`` is rejected.
-        The tables are checked as for any selection.
+        Besides ``mode`` and its table, only the ``command`` and ``seed``
+        keys that ``crossval`` writes are read past; any other key, the
+        other mode's table included, is rejected. A sliding selection's day
+        keys must be canonical decimal integers (``str(int(key)) == key``):
+        ``"03"``, ``" 4"`` or ``"+5"`` is rejected. The tables are checked as
+        for any selection.
         """
         if not isinstance(data, Mapping):
             raise ValueError(f"chosen parameters must be a JSON object, got {type(data).__name__}")
@@ -302,8 +313,10 @@ class ChosenParameters:
         except (TypeError, ValueError):
             raise ValueError(f"chosen parameters: key 'mode' must be one of "
                              f"{[m.value for m in CvMode]}, got {data.get('mode')!r}") from None
-        key = "static" if mode is CvMode.FIXED_WINDOW else "per_day"
+        key = _TABLE_KEY[mode]
         table = data.get(key)
+        if isinstance(table, Mapping):
+            _check_reads(mode, data)  # a table that is no object is reported first, below
         if mode is CvMode.FIXED_WINDOW or not isinstance(table, Mapping):
             return cls(mode=mode, **{key: table})  # the constructor checks the table
         per_day = {}
@@ -318,6 +331,13 @@ class ChosenParameters:
                                  f"days are written as plain decimal integers such as '31'")
             per_day[number] = strats
         return cls(mode=mode, per_day=per_day)
+
+
+def _check_reads(mode: CvMode, keys: Iterable[str]) -> None:
+    """Raise at the first of ``keys`` that a selection in ``mode`` does not read."""
+    for key in keys:
+        if key not in ("mode", _TABLE_KEY[mode], "command", "seed"):
+            raise ValueError(f"chosen parameters: mode {mode.value!r} reads no key {key!r}")
 
 
 def _raise_for(strategy: str, name: str, value, where: str, problem: str | None) -> None:

@@ -11,6 +11,7 @@ message on stderr.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import csv
 import functools
 import inspect
@@ -111,6 +112,16 @@ def _parse_dist(spec: str) -> UnitDistribution:
     raise ValueError(f"unknown distribution spec {spec!r}")
 
 
+@contextlib.contextmanager
+def _sized_by(flag: str, value):
+    """Name ``flag`` and its ``value`` in a ``MemoryError`` raised inside the block."""
+    try:
+        yield
+    except MemoryError as exc:
+        # a list's MemoryError carries no text; numpy's says how much it asked for
+        raise MemoryError(f"{flag} {value}: {exc}" if str(exc) else f"{flag} {value}") from None
+
+
 def _parse_grid(spec: str, flag: str) -> tuple[float, ...]:
     """The grid ``flag`` gives, as a start:step:stop range or a comma list.
 
@@ -137,7 +148,8 @@ def _parse_grid(spec: str, flag: str) -> tuple[float, ...]:
             f"{flag} range {spec!r} needs finite bounds, a positive step and start <= stop"
         )
     n = int(np.floor((stop - start) / step + 1e-9))
-    return tuple(float(v) for v in np.round(np.linspace(start, start + n * step, n + 1), 12))
+    with _sized_by(flag, spec):
+        return tuple(float(v) for v in np.round(np.linspace(start, start + n * step, n + 1), 12))
 
 
 def _flag_text(values) -> str:
@@ -243,7 +255,8 @@ def _cmd_deform(args) -> int:
     dist = _dist_from_args(args)
     upper = deform_upper(dist, args.rho)
     lower = deform_lower(dist, args.rho)
-    xs = np.round(np.arange(0.0, 1.0 + args.grid_step / 2, args.grid_step), 12)
+    with _sized_by("--grid-step", args.grid_step):
+        xs = np.round(np.arange(0.0, 1.0 + args.grid_step / 2, args.grid_step), 12)
     ref = np.asarray(dist.cdf(xs), dtype=float)
     up = np.asarray(upper.cdf(xs), dtype=float)
     lo = np.asarray(lower.cdf(xs), dtype=float)
@@ -314,7 +327,8 @@ def _cmd_msweep(args) -> int:
     if args.m_max < args.m_min:
         raise ValueError(f"--m-min {args.m_min} to --m-max {args.m_max} is an empty range")
     config = _sim_config(args)
-    m_values = list(range(args.m_min, args.m_max + 1, args.m_step))
+    with _sized_by("--m-max", args.m_max):
+        m_values = list(range(args.m_min, args.m_max + 1, args.m_step))
     start = time.perf_counter()
     result = mc.run_m_sweep(config, m_values)
     seconds = time.perf_counter() - start
@@ -337,9 +351,8 @@ def _cmd_msweep(args) -> int:
 
 def _plan_from_args(args) -> bt.BacktestPlan:
     bt.check_penalty_scale(args.penalty_scale, "--penalty-scale")
-    warm_start = args.warm_start_days
     return bt.BacktestPlan(
-        warm_start_days=args.tau_window_days + args.cv_days if warm_start is None else warm_start,
+        warm_start_days=args.warm_start_days,
         tau_window_days=args.tau_window_days,
         cv_days=args.cv_days,
         cv_mode=bt.CvMode(args.cv_mode),
@@ -436,14 +449,15 @@ def _cmd_synth(args) -> int:
         start = datetime.fromisoformat(args.start)
     except ValueError:
         raise ValueError(f"--start must be an ISO 8601 date and time, got {args.start!r}") from None
-    records = make_synthetic_market(
-        n_days=args.days,
-        master_seed=args.seed,
-        tau=args.tau,
-        mean_rel_spread=args.spread,
-        no_balancing_rate=args.no_balancing_rate,
-        start=start,
-    )
+    with _sized_by("--days", args.days):
+        records = make_synthetic_market(
+            n_days=args.days,
+            master_seed=args.seed,
+            tau=args.tau,
+            mean_rel_spread=args.spread,
+            no_balancing_rate=args.no_balancing_rate,
+            start=start,
+        )
     bt.write_market_csv(records, args.market_out)
     bt.write_forecast_dir(records, args.forecasts_out)
     payload = {
@@ -559,7 +573,7 @@ def dispatch(argv: list[str] | None = None) -> int:
     except (ValueError, OSError, KeyError, MemoryError) as exc:
         error = str(exc)
         if isinstance(exc, MemoryError):
-            # a size no process can hold; a list's MemoryError carries no text
+            # a size no process can hold, named by its flag where one gave it
             error = f"out of memory: {error}" if error else "out of memory"
         print(json.dumps({"error": error}), file=sys.stderr)
         return 1

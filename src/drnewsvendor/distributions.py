@@ -265,9 +265,6 @@ class Beta(UnitDistribution):
 
     def quantile(self, p):
         arr = _validate_prob(p, "p")
-        if arr.size == 0:
-            # an empty block (DR-omega's levels at rho = 1) loads no scipy.special
-            return arr.astype(float)
         from scipy import special
 
         out = special.betaincinv(self.a, self.b, arr)

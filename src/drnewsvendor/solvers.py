@@ -87,7 +87,7 @@ def dr_omega_offers(dist, tau_hat, rho: float):
 
     The offer is the tau_hat-weighted combination of the two deformed
     quantiles at level tau_hat, both read in one quantile call of ``dist``
-    at the levels of :func:`dr_omega_levels`, then combined by
+    at the levels of :func:`dr_omega_levels` (none at rho = 1), then combined by
     :func:`dr_omega_from_quantiles`. ``dist`` is a distribution or a
     :class:`PiecewiseLinearBatch` (row ``i`` at ``tau_hat[i]``).
     ``tau_hat`` in [0, 1] and ``rho`` in [0, 1] are the caller's to
@@ -95,7 +95,7 @@ def dr_omega_offers(dist, tau_hat, rho: float):
     """
     tau_hat = np.asarray(tau_hat, dtype=float)
     u = dr_omega_levels(tau_hat, rho)
-    return dr_omega_from_quantiles(dist, tau_hat, rho, u, dist.quantile(u))
+    return dr_omega_from_quantiles(dist, tau_hat, rho, u, dist.quantile(u) if len(u) else u)
 
 
 _BANDS = ("upper", "lower")

@@ -10,7 +10,7 @@ import re
 import tracemalloc
 import weakref
 from contextlib import redirect_stderr, redirect_stdout
-from dataclasses import replace
+from dataclasses import fields, replace
 from datetime import datetime, timedelta, timezone
 from itertools import cycle, islice
 from unittest import mock
@@ -47,7 +47,7 @@ from drnewsvendor.estimation import HourlyTauEstimator
 from conftest import penalty_pair
 
 SMALL_PLAN = BacktestPlan(
-    warm_start_days=30, tau_window_days=20, cv_days=10, m_grid=(8,),
+    tau_window_days=20, cv_days=10, m_grid=(8,),
     epsilon_grid=(0.0, 0.05, 0.1, 0.2), theta_grid=(0.9,),
     rho_grid=(0.0, 0.1, 0.3),
 )
@@ -426,7 +426,24 @@ def test_plan_validation():
         BacktestPlan(strategies=("bn", "alpha"))
     with pytest.raises(ValueError, match="^the tau window needs at least 2 days and the "
                                          "cross-validation span at least 1, got 1 and 10$"):
-        BacktestPlan(tau_window_days=1, cv_days=10, warm_start_days=11)
+        BacktestPlan(tau_window_days=1, cv_days=10)
+
+
+def test_the_warm_start_is_read_back_from_the_two_windows():
+    # the benchmark's toy plan passes the sum, and its sliding copy derives it again
+    toy = BacktestPlan(warm_start_days=15, tau_window_days=10, cv_days=5, m_grid=(4, 6, 8),
+                       rho_grid=(0.0, 0.1), epsilon_grid=(0.0, 0.1), theta_grid=(0.5, 0.9))
+    sliding = replace(toy, cv_mode=CvMode.SLIDING)
+    assert (toy.warm_start_days, sliding.warm_start_days) == (15, 15)
+    assert sliding == replace(toy, cv_mode=CvMode.SLIDING, warm_start_days=15)
+    assert BacktestPlan(tau_window_days=20, cv_days=10, m_grid=(8,)).warm_start_days == 30
+    assert BacktestPlan().warm_start_days == 131
+    assert "warm_start_days" not in {f.name for f in fields(BacktestPlan)}
+    with pytest.raises(ValueError, match=re.escape(
+            "warm start must equal tau window plus cross-validation days: 100 != 91 + 40")):
+        BacktestPlan(warm_start_days=100)
+    with pytest.raises(ValueError, match="^warm start must equal"):
+        replace(toy, tau_window_days=11, warm_start_days=15)
 
 
 @pytest.mark.parametrize("grid, strategy", [
@@ -446,8 +463,7 @@ def test_plan_rejects_an_empty_grid_a_strategy_needs(grid, strategy):
 
 def test_plan_leaves_the_m_grid_unchecked_when_no_strategy_reads_m():
     # the default m grid (90) outruns a 20-day tau window, but oracle and robust_s read no m
-    BacktestPlan(strategies=("oracle", "robust_s"), tau_window_days=20, cv_days=10,
-                 warm_start_days=30)
+    BacktestPlan(strategies=("oracle", "robust_s"), tau_window_days=20, cv_days=10)
 
 
 @pytest.mark.parametrize("grids, message", [
@@ -967,10 +983,32 @@ def test_chosen_parameters_json_round_trip():
      "chosen parameters: mode 'sliding' needs an object under key 'per_day'"),
     ({"mode": CvMode.SLIDING, "per_day": {31: 5}},
      "chosen parameters: day 31 must map to an object of strategies, got 5"),
+    ({"mode": "sliding", "per_day": {}}, "chosen parameters: mode must be a CvMode, got 'sliding'"),
 ])
 def test_a_selection_built_in_code_rejects_a_table_that_is_not_an_object(kwargs, message):
     with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
         ChosenParameters(**kwargs)
+
+
+@pytest.mark.parametrize("data, other", [
+    ({"mode": "fixed_window", "static": {"oracle": {}}, "per_day": {"5": {"bogus": 1}}},
+     "per_day"),
+    ({"mode": "sliding", "per_day": {"132": {"oracle": {}}}, "static": {"bn": {"m": "x"}}},
+     "static"),
+], ids=["fixed_window", "sliding"])
+def test_a_selection_refuses_the_table_its_mode_does_not_read(data, other):
+    message = f"chosen parameters: mode {data['mode']!r} reads no key {other!r}"
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+        ChosenParameters.from_json_dict(data)
+    built = {"mode": CvMode(data["mode"]), "static": {"oracle": {}}, "per_day": {5: {"bogus": 1}}}
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+        ChosenParameters(**built)
+    # the keys crossval writes beside the table are read past
+    read = {k: v for k, v in data.items() if k != other}
+    chosen = ChosenParameters.from_json_dict({"command": "crossval", "seed": 0, **read})
+    assert chosen.to_json_dict() == read
+    with pytest.raises(ValueError, match="reads no key 'note'$"):
+        ChosenParameters.from_json_dict({**read, "note": "hand-edited"})
 
 
 def test_a_selection_checks_its_values_when_built_and_its_windows_where_priced():

@@ -904,7 +904,11 @@ def test_a_size_no_process_can_allocate_exits_1(tmp_path, monkeypatch, capsys, a
     monkeypatch.chdir(tmp_path)
     assert dispatch(argv) == 1
     [line] = capsys.readouterr().err.splitlines()
-    assert json.loads(line)["error"].startswith("out of memory")
+    error = json.loads(line)["error"]
+    # the line names the flag that asked for the size, and its value
+    flag, value = argv[-2:]
+    assert error == f"out of memory: {flag} {value}" or error.startswith(
+        f"out of memory: {flag} {value}: Unable to allocate "), error
     assert not any(tmp_path.iterdir())
 
 

@@ -222,6 +222,11 @@ def test_beta_validation():
         Beta(2.0, -1.0)
 
 
+def test_beta_quantile_of_no_levels_is_an_empty_float_array():
+    q = Beta(2, 6).quantile(np.array([]))
+    assert q.shape == (0,) and q.dtype == np.float64
+
+
 def test_rng_stream_determinism_and_independence():
     a = RngStream(123456789, 4).generator.random(1000)
     b = RngStream(123456789, 4).generator.random(1000)
